@@ -160,6 +160,10 @@ impl FdRms {
                     .push(i as ElemId);
             }
         }
+        // Sets enter in id order: the cover's rows keep call order, so
+        // the maintained solution then depends only on the input.
+        let mut memberships: Vec<(PointId, Vec<ElemId>)> = memberships.into_iter().collect();
+        memberships.sort_unstable_by_key(|(pid, _)| *pid);
         for (pid, members) in memberships {
             fd.cover
                 .insert_set(pid, members)
@@ -406,11 +410,7 @@ impl FdRms {
                     // ω_k increased: evict Φ members that fell below the
                     // new threshold (the "series of deletions" of the
                     // insertion path, Lines 5–8 of Algorithm 3).
-                    let members: Vec<PointId> = self
-                        .cover
-                        .sets_containing(i as ElemId)
-                        .map(|s| s.iter().copied().collect())
-                        .unwrap_or_default();
+                    let members: Vec<PointId> = self.cover.sets_containing(i as ElemId).collect();
                     for q_id in members {
                         if q_id == pid {
                             continue;
@@ -575,7 +575,7 @@ impl FdRms {
         let m = self.m as ElemId;
         let candidates: Vec<ElemId> = self.pending.range(..m).copied().collect();
         for u in candidates {
-            if self.cover.sets_containing(u).is_some_and(|s| !s.is_empty()) {
+            if self.cover.sets_containing(u).len() > 0 {
                 self.pending.remove(&u);
                 self.admit(u);
             }
@@ -635,6 +635,18 @@ impl FdRms {
         }
         if !self.points.is_empty() && !self.pending.is_empty() {
             return Err("pending elements with nonempty database".into());
+        }
+        // Exactly one cover set per live tuple: every live id has a set,
+        // and there are no others.
+        if let Some(id) = self.points.keys().find(|&&id| !self.cover.has_set(id)) {
+            return Err(format!("live tuple {id} has no cover set"));
+        }
+        if self.cover.num_sets() != self.len() {
+            return Err(format!(
+                "{} cover sets for {} live tuples",
+                self.cover.num_sets(),
+                self.len()
+            ));
         }
         self.cover.check_invariants()
     }
@@ -960,6 +972,38 @@ mod tests {
         fd.check_invariants().unwrap();
         assert_eq!(fd.result().len().min(2), fd.result().len());
         assert!(!fd.result().is_empty());
+    }
+
+    #[test]
+    fn check_invariants_requires_one_cover_set_per_tuple() {
+        let build = || {
+            FdRms::builder(2)
+                .r(4)
+                .max_utilities(64)
+                .build(random_points(61, 40, 2))
+                .unwrap()
+        };
+        // A set for an id that is no live tuple.
+        let mut fd = build();
+        fd.check_invariants().unwrap();
+        fd.cover.insert_set(10_000, []).unwrap();
+        let err = fd.check_invariants().unwrap_err();
+        assert!(err.contains("41 cover sets for 40 live tuples"), "{err}");
+        // A live tuple whose set was swapped for a stray one. The tuple is
+        // in no Φ, so only the per-tuple check can notice.
+        let mut fd = build();
+        let id = *fd
+            .points
+            .keys()
+            .find(|&&id| fd.cover.members(id).is_some_and(|m| m.is_empty()))
+            .expect("a dominated tuple");
+        fd.cover.remove_set(id).unwrap();
+        fd.cover.insert_set(10_000, []).unwrap();
+        let err = fd.check_invariants().unwrap_err();
+        assert!(
+            err.contains(&format!("live tuple {id} has no cover set")),
+            "{err}"
+        );
     }
 
     use rand::rngs::StdRng;

@@ -40,14 +40,12 @@
 //! 5. **Rebalance** — `UPDATE-M` (Algorithm 4) runs once to steer the
 //!    solution back to size `r`.
 //!
-//! The win grows with the batch size and with how expensive maintenance
-//! is (deep `k`, wide ε-band, large `r` ⇒ more per-op recomputation to
-//! amortise); at feather-weight settings both disciplines are bounded by
-//! the shared per-written-tuple cone probe and batching only breaks
-//! even. On the bench workload (`rms-bench --bin batch`, single core)
-//! batches of 1 000 mixed ops run ~1.4× the sequential loop's
-//! throughput, rising to ~2.4× at `k = 5, r = 100, ε = 0.1`; shard
-//! parallelism adds on top on multi-core hosts.
+//! Batching is not a throughput win on the benchmark's `maintain`
+//! workload (`perfbench`: anticorrelated `d = 6`, `n₀ = 3 000`, `k = 3`,
+//! `r = 50`, `ε = 0.1`, `M = 2 048`, one recompute thread, 2-core host):
+//! `apply_batch` over batches of 100 ops ran at about 10k ops/s
+//! (`core.batch_ops_per_s`, one traced run) against a median of about
+//! 18k ops/s for per-op calls (`ops_per_s`, ten seeds).
 //!
 //! Because the per-utility states are canonical — fully determined by the
 //! final database — the batched path reaches exactly the state that
@@ -279,13 +277,8 @@ fn recompute_shard(ctx: &RecomputeCtx<'_>, idxs: &[usize]) -> Vec<UtilityRec> {
             let mut removals: Vec<PointId> = ctx
                 .cover
                 .sets_containing(idx as ElemId)
-                .map(|sets| {
-                    sets.iter()
-                        .copied()
-                        .filter(|pid| !new_set.contains(pid) && !ctx.dead.contains(pid))
-                        .collect()
-                })
-                .unwrap_or_default();
+                .filter(|pid| !new_set.contains(pid) && !ctx.dead.contains(pid))
+                .collect();
             removals.sort_unstable();
             let mut exact = phi;
             exact.truncate(ctx.k);
@@ -360,12 +353,10 @@ fn recompute_shard(ctx: &RecomputeCtx<'_>, idxs: &[usize]) -> Vec<UtilityRec> {
         // otherwise only updated members can have dropped out.
         let mut removals: Vec<PointId> = Vec::new();
         if tau > tau_old {
-            if let Some(sets) = ctx.cover.sets_containing(idx as ElemId) {
-                for &pid in sets {
-                    if let Some(p) = ctx.points.get(&pid) {
-                        if u.score(p) < tau {
-                            removals.push(pid);
-                        }
+            for pid in ctx.cover.sets_containing(idx as ElemId) {
+                if let Some(p) = ctx.points.get(&pid) {
+                    if u.score(p) < tau {
+                        removals.push(pid);
                     }
                 }
             }

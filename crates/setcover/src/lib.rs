@@ -21,15 +21,15 @@
 //! intersection counters `|S ∩ A_j|` for every set and level incrementally
 //! and pushes candidates onto a worklist whenever a counter crosses its
 //! threshold; `STABILIZE` drains the worklist exactly as Lines 28–32 of
-//! Algorithm 1.
+//! Algorithm 1. All of that bookkeeping lives in dense tables indexed by
+//! element id and by a per-set slot, so the maintenance loops hash nothing
+//! and the solution depends only on the sequence of calls.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cover;
-mod dynamicset;
 mod level;
 
-pub use cover::{CoverError, DynamicSetCover, ElemId, ElemRow, SetId, SetRow};
-pub use dynamicset::{ArraySet, DynamicSet, SetElement, SpillIter, SpillSet};
+pub use cover::{CoverError, DynamicSetCover, ElemId, SetId};
 pub use level::LevelBase;

@@ -1,124 +1,164 @@
 //! Property-based tests: the stable solution survives arbitrary operation
-//! sequences and stays within the Theorem-1 approximation bound.
+//! sequences, per call or batched, and stays within the Theorem-1
+//! approximation bound; greedy picks exactly what a reference greedy picks.
 
 use proptest::prelude::*;
-use rms_setcover::{DynamicSetCover, ElemId, LevelBase, SetId, SpillSet};
-use std::collections::HashSet;
+use rms_setcover::{DynamicSetCover, ElemId, LevelBase, SetId};
+use std::collections::{BTreeMap, BTreeSet};
 
 #[derive(Debug, Clone)]
 enum Op {
-    AddMember(ElemId, SetId),
-    RemoveMember(ElemId, SetId),
+    AddMember(ElemId, usize),
+    RemoveMember(ElemId, usize),
     ToggleElement(ElemId),
-    ToggleSet(SetId, Vec<ElemId>),
+    ToggleSet(usize, Vec<ElemId>),
 }
 
-const SETS: SetId = 14;
-const ELEMS: ElemId = 28;
+/// Sets per case: ops name a set by its index into a pool of ids drawn
+/// from the whole `u64` range.
+const SETS: usize = 14;
+const ELEMS: u32 = 28;
 
-fn arb_ops(len: usize) -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(
+/// Element ids with growing gaps, so the element table grows as larger
+/// ids first appear.
+fn elem(i: u32) -> ElemId {
+    i * i + 3 * i
+}
+
+/// The seed set, which contains every element so early inserts succeed.
+const FULL: SetId = 999;
+
+/// One case: a pool of set ids, the op sequence, and whether the ops run
+/// inside one `begin_batch`/`commit` transaction.
+fn arb_case(len: usize) -> impl Strategy<Value = (Vec<SetId>, Vec<Op>, bool)> {
+    let e = (0..ELEMS).prop_map(elem);
+    let ops = prop::collection::vec(
         prop_oneof![
-            ((0..ELEMS), (0..SETS)).prop_map(|(u, s)| Op::AddMember(u, s)),
-            ((0..ELEMS), (0..SETS)).prop_map(|(u, s)| Op::RemoveMember(u, s)),
-            (0..ELEMS).prop_map(Op::ToggleElement),
-            ((0..SETS), prop::collection::vec(0..ELEMS, 0..10))
-                .prop_map(|(s, m)| Op::ToggleSet(s, m)),
+            (e.clone(), 0..SETS).prop_map(|(u, s)| Op::AddMember(u, s)),
+            (e.clone(), 0..SETS).prop_map(|(u, s)| Op::RemoveMember(u, s)),
+            e.clone().prop_map(Op::ToggleElement),
+            (0..SETS, prop::collection::vec(e, 0..10)).prop_map(|(s, m)| Op::ToggleSet(s, m)),
         ],
         0..len,
+    );
+    (
+        prop::collection::vec(any::<u64>(), SETS),
+        ops,
+        any::<bool>(),
     )
 }
 
-/// Brute-force reference: size of the greedy cover of the same system,
-/// used only as an OPT upper bound in the approximation check.
-fn greedy_cover_size(
-    sets: &std::collections::HashMap<SetId, HashSet<ElemId>>,
-    universe: &HashSet<ElemId>,
-) -> usize {
-    let mut uncovered = universe.clone();
-    let mut size = 0;
+/// Shadow model of memberships and universe.
+#[derive(Default)]
+struct Model {
+    sets: BTreeMap<SetId, BTreeSet<ElemId>>,
+    universe: BTreeSet<ElemId>,
+}
+
+/// Seeds `c` and the model with the full set, runs `ops` against both
+/// (inside one transaction when `batched`), and leaves `c` stable.
+fn run(c: &mut DynamicSetCover, ids: &[SetId], ops: Vec<Op>, batched: bool) -> Model {
+    let mut model = Model::default();
+    c.insert_set(FULL, (0..ELEMS).map(elem)).unwrap();
+    model.sets.insert(FULL, (0..ELEMS).map(elem).collect());
+    if batched {
+        c.begin_batch();
+    }
+    for op in ops {
+        match op {
+            Op::AddMember(u, s) => {
+                let s = ids[s];
+                if c.has_set(s) {
+                    c.add_to_set(u, s).unwrap();
+                    model.sets.get_mut(&s).unwrap().insert(u);
+                }
+            }
+            Op::RemoveMember(u, s) => {
+                let s = ids[s];
+                if c.has_set(s) {
+                    let kept = c.remove_from_set(u, s).unwrap();
+                    model.sets.get_mut(&s).unwrap().remove(&u);
+                    if !kept {
+                        model.universe.remove(&u);
+                    }
+                }
+            }
+            Op::ToggleElement(u) => {
+                if c.has_element(u) {
+                    c.remove_element(u).unwrap();
+                    model.universe.remove(&u);
+                } else if c.insert_element(u).is_ok() {
+                    model.universe.insert(u);
+                }
+            }
+            Op::ToggleSet(s, members) => {
+                let s = ids[s];
+                if c.has_set(s) {
+                    for d in c.remove_set(s).unwrap() {
+                        model.universe.remove(&d);
+                    }
+                    model.sets.remove(&s);
+                } else {
+                    c.insert_set(s, members.iter().copied()).unwrap();
+                    model.sets.insert(s, members.into_iter().collect());
+                }
+            }
+        }
+    }
+    if batched {
+        c.commit();
+    }
+    model
+}
+
+/// Reference greedy: repeatedly picks the set covering the most uncovered
+/// elements, ties to the smallest id; returns the picks in order.
+fn reference_greedy(model: &Model) -> Vec<SetId> {
+    let mut uncovered = model.universe.clone();
+    let mut picks = Vec::new();
     while !uncovered.is_empty() {
-        let best = sets
+        let (gain, best) = model
+            .sets
             .iter()
-            .max_by_key(|(_, m)| m.intersection(&uncovered).count())
-            .map(|(s, _)| *s)
+            .map(|(&s, m)| (m.intersection(&uncovered).count(), std::cmp::Reverse(s)))
+            .max()
             .unwrap();
-        let gain = sets[&best].intersection(&uncovered).count();
         if gain == 0 {
             break;
         }
-        uncovered = uncovered.difference(&sets[&best]).copied().collect();
-        size += 1;
+        let best = best.0;
+        uncovered.retain(|u| !model.sets[&best].contains(u));
+        picks.push(best);
     }
-    size
+    picks
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn invariants_after_random_ops(ops in arb_ops(80), base in 0usize..3) {
+    fn invariants_after_random_ops(case in arb_case(80), base in 0usize..3) {
+        let (ids, ops, batched) = case;
         let base = [LevelBase::TWO, LevelBase::new(1.5), LevelBase::new(3.0)][base];
         let mut c = DynamicSetCover::new(base);
-        // Shadow model of membership and universe.
-        let mut sets: std::collections::HashMap<SetId, HashSet<ElemId>> =
-            Default::default();
-        let mut universe: HashSet<ElemId> = Default::default();
-
-        // Seed with a full set so early element inserts succeed.
-        c.insert_set(999, 0..ELEMS).unwrap();
-        sets.insert(999, (0..ELEMS).collect());
-
-        for op in ops {
-            match op {
-                Op::AddMember(u, s) => {
-                    if c.has_set(s) {
-                        c.add_to_set(u, s).unwrap();
-                        sets.get_mut(&s).unwrap().insert(u);
-                    }
-                }
-                Op::RemoveMember(u, s) => {
-                    if c.has_set(s) {
-                        let kept = c.remove_from_set(u, s).unwrap();
-                        sets.get_mut(&s).unwrap().remove(&u);
-                        if !kept {
-                            universe.remove(&u);
-                        }
-                    }
-                }
-                Op::ToggleElement(u) => {
-                    if c.has_element(u) {
-                        c.remove_element(u).unwrap();
-                        universe.remove(&u);
-                    } else if c.insert_element(u).is_ok() {
-                        universe.insert(u);
-                    }
-                }
-                Op::ToggleSet(s, members) => {
-                    if c.has_set(s) {
-                        for d in c.remove_set(s).unwrap() {
-                            universe.remove(&d);
-                        }
-                        sets.remove(&s);
-                    } else {
-                        c.insert_set(s, members.iter().copied()).unwrap();
-                        sets.insert(s, members.into_iter().collect());
-                    }
-                }
-            }
-        }
+        let model = run(&mut c, &ids, ops, batched);
         c.check_invariants().map_err(TestCaseError::fail)?;
 
         // Shadow model agreement.
-        prop_assert_eq!(c.universe_size(), universe.len());
-        prop_assert_eq!(c.num_sets(), sets.len());
+        prop_assert_eq!(c.universe_size(), model.universe.len());
+        prop_assert_eq!(c.num_sets(), model.sets.len());
+        for (&s, members) in &model.sets {
+            let mut got = c.members(s).unwrap().to_vec();
+            got.sort_unstable();
+            prop_assert_eq!(&got, &members.iter().copied().collect::<Vec<_>>());
+        }
 
         // Theorem 1: |C| ≤ (2 + 2 log_b m) · OPT, with greedy size as an
         // upper bound for OPT's (1 + ln m) blow-up — use the crude bound
         // |C| ≤ (2 + 2 log_b m) · greedy_size, which stability implies.
-        if !universe.is_empty() {
-            let m = universe.len() as f64;
-            let g = greedy_cover_size(&sets, &universe) as f64;
+        if !model.universe.is_empty() {
+            let m = model.universe.len() as f64;
+            let g = reference_greedy(&model).len() as f64;
             let bound = (2.0 + 2.0 * m.log(base.get())) * g;
             prop_assert!(
                 (c.solution_size() as f64) <= bound + 1e-9,
@@ -130,72 +170,20 @@ proptest! {
         }
     }
 
-    /// greedy() after any operation sequence also yields a valid stable
-    /// cover (used by FD-RMS initialisation at every binary-search step).
+    /// greedy() after any operation sequence yields a valid stable cover
+    /// (used by FD-RMS initialisation at every binary-search step) made of
+    /// exactly the reference greedy's picks.
     #[test]
-    fn greedy_restores_stability(ops in arb_ops(40)) {
+    fn greedy_restores_stability(case in arb_case(40)) {
+        let (ids, ops, batched) = case;
         let mut c = DynamicSetCover::default();
-        c.insert_set(999, 0..ELEMS).unwrap();
-        for op in ops {
-            match op {
-                Op::AddMember(u, s) if c.has_set(s) => {
-                    c.add_to_set(u, s).unwrap();
-                }
-                Op::RemoveMember(u, s) if c.has_set(s) => {
-                    let _ = c.remove_from_set(u, s).unwrap();
-                }
-                Op::ToggleElement(u) => {
-                    if c.has_element(u) {
-                        c.remove_element(u).unwrap();
-                    } else {
-                        let _ = c.insert_element(u);
-                    }
-                }
-                Op::ToggleSet(s, members) => {
-                    if c.has_set(s) {
-                        let _ = c.remove_set(s).unwrap();
-                    } else {
-                        c.insert_set(s, members).unwrap();
-                    }
-                }
-                _ => {}
-            }
-        }
+        let model = run(&mut c, &ids, ops, batched);
         c.greedy().unwrap();
         c.check_invariants().map_err(TestCaseError::fail)?;
-    }
-
-    /// The small-set row representation behaves exactly like a `HashSet`
-    /// across the inline→spill boundary: with inline capacity 4 and keys
-    /// drawn from a small domain, random insert/remove/clear scripts
-    /// repeatedly cross N in both directions.
-    #[test]
-    fn spill_set_matches_hashset_model(
-        ops in prop::collection::vec((0u8..3, 0u64..12), 0..200),
-    ) {
-        let mut fast: SpillSet<u64, 4> = SpillSet::default();
-        let mut model: HashSet<u64> = HashSet::new();
-        for (kind, key) in ops {
-            match kind {
-                0 => prop_assert_eq!(fast.insert(key), model.insert(key)),
-                1 => prop_assert_eq!(fast.remove(&key), model.remove(&key)),
-                _ => {
-                    // Clear rarely relative to insert/remove so the set
-                    // actually grows past the inline capacity.
-                    if key == 0 {
-                        fast.clear();
-                        model.clear();
-                    }
-                }
-            }
-            prop_assert_eq!(fast.contains(&key), model.contains(&key));
-            prop_assert_eq!(fast.len(), model.len());
-            prop_assert_eq!(fast.is_empty(), model.is_empty());
-        }
-        let mut got: Vec<u64> = fast.iter().copied().collect();
-        got.sort_unstable();
-        let mut want: Vec<u64> = model.into_iter().collect();
+        let mut want = reference_greedy(&model);
         want.sort_unstable();
+        let mut got: Vec<SetId> = c.solution().collect();
+        got.sort_unstable();
         prop_assert_eq!(got, want);
     }
 }

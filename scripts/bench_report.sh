@@ -2,16 +2,16 @@
 # Runs the perf-gating benches (batch + serve) and assembles a
 # machine-readable report, one labelled run per invocation:
 #
-#   scripts/bench_report.sh --label before                  # smoke + default
-#   scripts/bench_report.sh --label after
+#   scripts/bench_report.sh --label before --out BENCH_<n>.json  # smoke + default
+#   scripts/bench_report.sh --label after --out BENCH_<n>.json
 #   scripts/bench_report.sh --label ci --scales smoke --out /tmp/ci.json
 #
 # The metrics-overhead comparison prices the rms-metrics instrumentation
 # by running the same benches with the registry in its disabled (no-op
 # instruments) mode:
 #
-#   scripts/bench_report.sh --label instrumented
-#   scripts/bench_report.sh --label registry_disabled --metrics-disabled
+#   scripts/bench_report.sh --label instrumented --out BENCH_<n>.json
+#   scripts/bench_report.sh --label registry_disabled --metrics-disabled --out BENCH_<n>.json
 #
 # The report file is JSON of the shape
 #   { "<label>": { "scales": { "<scale>": { "batch": {...}, "serve": {...} } } } }
@@ -26,7 +26,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 label="run"
-out="BENCH_8.json"
+out=""
 scales="smoke,default"
 metrics_disabled=""
 while [ $# -gt 0 ]; do
@@ -40,6 +40,11 @@ while [ $# -gt 0 ]; do
         *) echo "bench_report.sh: unknown argument $1" >&2; exit 2 ;;
     esac
 done
+if [ -z "$out" ]; then
+    # The report name carries the change it documents (BENCH_<n>.json).
+    echo "bench_report.sh: --out is required" >&2
+    exit 2
+fi
 
 if [ -n "$metrics_disabled" ]; then
     # rms-metrics registries constructed via Registry::from_env become
