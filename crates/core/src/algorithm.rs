@@ -3,7 +3,7 @@
 use crate::builder::{FdRmsBuilder, FdRmsError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rms_geom::{with_basis_prefix, Point, PointId, RankedPoint, Utility};
+use rms_geom::{rank_cmp, with_basis_prefix, Point, PointId, RankedPoint, Utility};
 use rms_index::{ConeTree, KdTree};
 use rms_setcover::{DynamicSetCover, ElemId};
 use std::collections::{BTreeSet, HashMap};
@@ -22,11 +22,17 @@ pub(crate) struct TopKState {
 
 impl TopKState {
     fn recompute_tau(&mut self, k: usize, eps: f64) {
-        self.tau = if self.exact.len() < k {
-            0.0
-        } else {
-            (1.0 - eps) * self.exact[k - 1].score
-        };
+        self.tau = threshold(&self.exact, k, eps);
+    }
+}
+
+/// The admission threshold `τ = (1 − ε)·ω_k` of an exact top-k list; 0
+/// while it holds fewer than `k` tuples.
+pub(crate) fn threshold(exact: &[RankedPoint], k: usize, eps: f64) -> f64 {
+    if exact.len() < k {
+        0.0
+    } else {
+        (1.0 - eps) * exact[k - 1].score
     }
 }
 
@@ -37,6 +43,76 @@ pub(crate) fn rank_before(a_score: f64, a_id: PointId, b: &RankedPoint) -> bool 
         std::cmp::Ordering::Greater => true,
         std::cmp::Ordering::Less => false,
         std::cmp::Ordering::Equal => a_id < b.id,
+    }
+}
+
+/// The `k` best of `cands` in rank order, in a list allocated at length
+/// `k`: a [`TopKState`] keeps it for the engine's lifetime.
+pub(crate) fn top_k_of<'a>(
+    cands: impl IntoIterator<Item = &'a RankedPoint>,
+    k: usize,
+) -> Vec<RankedPoint> {
+    let mut best: Vec<RankedPoint> = Vec::with_capacity(k);
+    for rp in cands {
+        if best.len() == k {
+            if !rank_before(rp.score, rp.id, &best[k - 1]) {
+                continue;
+            }
+            best.pop();
+        }
+        let pos = best.partition_point(|e| rank_before(e.score, e.id, rp));
+        best.insert(pos, rp.clone());
+    }
+    best
+}
+
+/// A utility's post-requery state (see [`requery`]).
+pub(crate) struct Requery {
+    /// The new exact top-k.
+    pub(crate) exact: Vec<RankedPoint>,
+    /// The new threshold `τ′`.
+    pub(crate) tau: f64,
+    /// Tuples scoring in `[τ′, τ)` that are not yet members of `Φ`, in
+    /// rank order: the admissions a fallen threshold brings.
+    pub(crate) entrants: Vec<RankedPoint>,
+}
+
+/// Brings a utility back to an exact top-k after it lost a member of
+/// one, answering from its ε-band instead of a fresh index query.
+///
+/// `band` holds the utility's candidates at their current scores: every
+/// live tuple scoring at least the old threshold `tau_old` must be among
+/// them (Φ's surviving members, plus on the batched path the written
+/// tuples that reached `tau_old`). Every other tuple scores below
+/// `tau_old`, so when `k` candidates still clear it their best `k` are
+/// the exact top-k. Otherwise (fewer than `k` survive) the kd-tree
+/// answers the top-k. Only when `τ` fell is the tree walked, once, for
+/// the non-members in `[τ′, tau_old)`; `is_member` tells which tuples `Φ`
+/// already holds.
+pub(crate) fn requery(
+    kd: &KdTree,
+    u: &Utility,
+    k: usize,
+    eps: f64,
+    tau_old: f64,
+    band: &[RankedPoint],
+    is_member: impl Fn(PointId) -> bool,
+) -> Requery {
+    let mut exact = top_k_of(band, k);
+    if exact.len() < k || exact[k - 1].score < tau_old {
+        exact = kd.top_k(u, k);
+    }
+    let tau = threshold(&exact, k, eps);
+    let mut entrants = Vec::new();
+    if tau < tau_old {
+        entrants = kd.above_threshold(u, tau);
+        entrants.retain(|rp| rp.score < tau_old && !is_member(rp.id));
+        entrants.sort_unstable_by(rank_cmp);
+    }
+    Requery {
+        exact,
+        tau,
+        entrants,
     }
 }
 
@@ -90,7 +166,10 @@ pub struct UpdateStats {
     pub evictions: u64,
     /// Total tuples admitted into some `Φ_{k,ε}` because a threshold fell.
     pub admissions: u64,
-    /// Exact top-k re-queries issued against the tuple index.
+    /// Utilities that lost an exact top-k member, so their top-k was
+    /// requeried: from the surviving `Φ` members, or from the tuple
+    /// index when fewer than `k` survive. Counted per utility whichever
+    /// answers.
     pub topk_requeries: u64,
     /// Times UPDATE-M grew the universe.
     pub m_grow_steps: u64,
@@ -468,32 +547,46 @@ impl FdRms {
             .unwrap_or_default();
         self.stats.affected_utilities += affected.len() as u64;
 
+        let mut band: Vec<RankedPoint> = Vec::new();
         for &i in &affected {
-            let was_exact = self.topk[i].exact.iter().any(|e| e.id == pid);
-            if !was_exact {
+            let st = &self.topk[i];
+            if !st.exact.iter().any(|e| e.id == pid) {
                 // p sat only in the ε-band: Φ loses p (handled by the set
                 // removal below); thresholds are unchanged.
                 continue;
             }
-            // ω_k may drop: recompute the exact top-k from the tree and
-            // admit the tuples that now clear the lower threshold (the
-            // "series of insertions" of the deletion path, Lines 9–12).
+            // ω_k may drop: recompute the exact top-k from Φ's survivors
+            // (S(p) is still registered, so skip p) and admit the tuples
+            // that now clear the lower threshold (the "series of
+            // insertions" of the deletion path, Lines 9–12).
             self.stats.topk_requeries += 1;
-            let exact = self.kd.top_k(&self.utilities[i], self.k);
-            let st = &mut self.topk[i];
-            st.exact = exact;
-            st.recompute_tau(self.k, self.eps);
-            let new_tau = st.tau;
-            let entrants = self.kd.above_threshold(&self.utilities[i], new_tau);
+            let u = &self.utilities[i];
+            let elem = i as ElemId;
+            band.clear();
+            band.extend(
+                self.cover
+                    .sets_containing(elem)
+                    .filter(|&q| q != pid)
+                    .map(|q| RankedPoint {
+                        id: q,
+                        score: u.score(&self.points[&q]),
+                    }),
+            );
+            let Requery {
+                exact,
+                tau,
+                entrants,
+            } = requery(&self.kd, u, self.k, self.eps, st.tau, &band, |q| {
+                self.cover.set_contains(q, elem)
+            });
             for rp in entrants {
-                if !self.cover.set_contains(rp.id, i as ElemId) {
-                    self.stats.admissions += 1;
-                    self.cover
-                        .add_to_set(i as ElemId, rp.id)
-                        .expect("entrant tuples are live");
-                }
+                self.stats.admissions += 1;
+                self.cover
+                    .add_to_set(elem, rp.id)
+                    .expect("entrant tuples are live");
             }
-            self.cone.set_threshold(i, new_tau);
+            self.cone.set_threshold(i, tau);
+            self.topk[i] = TopKState { exact, tau };
         }
 
         // Remove S(p); covered utilities are reassigned to the sets that
@@ -1004,6 +1097,182 @@ mod tests {
             err.contains(&format!("live tuple {id} has no cover set")),
             "{err}"
         );
+    }
+
+    // ------------------------------------------------------------------
+    // Deletion requeries answered from the ε-band
+    // ------------------------------------------------------------------
+
+    /// Tuples on the x-axis: every utility with a positive first weight
+    /// ranks them by `x`, and utility 0 (the first basis vector) scores
+    /// each one exactly its `x`.
+    fn on_axis(xs: &[(PointId, f64)]) -> Vec<Point> {
+        xs.iter()
+            .map(|&(id, x)| Point::new_unchecked(id, vec![x, 0.0]))
+            .collect()
+    }
+
+    fn axis_engine(xs: &[(PointId, f64)]) -> FdRms {
+        FdRms::builder(2)
+            .k(2)
+            .r(2)
+            .epsilon(0.1)
+            .max_utilities(16)
+            .seed(3)
+            .build(on_axis(xs))
+            .unwrap()
+    }
+
+    /// Utility 0's `Φ`, ascending ids.
+    fn phi0(fd: &FdRms) -> Vec<PointId> {
+        let mut ids: Vec<PointId> = fd.cover.sets_containing(0).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    fn exact0(fd: &FdRms) -> Vec<PointId> {
+        fd.topk[0].exact.iter().map(|e| e.id).collect()
+    }
+
+    /// Memberships gained and lost by the tuples live in both engines.
+    fn membership_diff(before: &FdRms, after: &FdRms) -> (u64, u64) {
+        let (mut gained, mut lost) = (0, 0);
+        for &id in before.points.keys().filter(|id| after.contains(**id)) {
+            let b: BTreeSet<ElemId> = before.cover.members(id).unwrap().iter().copied().collect();
+            let a: BTreeSet<ElemId> = after.cover.members(id).unwrap().iter().copied().collect();
+            gained += a.difference(&b).count() as u64;
+            lost += b.difference(&a).count() as u64;
+        }
+        (gained, lost)
+    }
+
+    /// Applies `ops` once per call and once as one batch (padded with a
+    /// no-op update of `pad`, so a single op also takes the batched path),
+    /// each from a fresh engine, checking the invariants after every call
+    /// and that the batch reports exactly the memberships it changed.
+    /// Returns the per-op and the batched engine.
+    fn both_paths(xs: &[(PointId, f64)], ops: &[crate::engine::Op], pad: PointId) -> [FdRms; 2] {
+        use crate::engine::Op;
+        let mut seq = axis_engine(xs);
+        for op in ops {
+            seq.apply_batch(vec![op.clone()]).unwrap();
+            seq.check_invariants()
+                .unwrap_or_else(|e| panic!("per-op after {op:?}: {e}"));
+        }
+        let mut bat = axis_engine(xs);
+        let noop = Op::Update(bat.points[&pad].clone());
+        let mut batch = ops.to_vec();
+        batch.push(noop);
+        let report = bat.apply_batch(batch).unwrap();
+        assert_eq!(report.noop_updates, 1);
+        assert!(report.requeried_utilities > 0, "{report:?}");
+        bat.check_invariants()
+            .unwrap_or_else(|e| panic!("batched: {e}"));
+        assert_eq!(
+            (report.membership_additions, report.membership_removals),
+            membership_diff(&axis_engine(xs), &bat)
+        );
+        [seq, bat]
+    }
+
+    #[test]
+    fn band_requery_with_exactly_k_survivors() {
+        use crate::engine::Op;
+        // k = 2, ε = 0.1: ω_2 = 0.9, τ = 0.81, Φ = {1, 2, 3}.
+        let xs = [(1, 1.0), (2, 0.9), (3, 0.85), (4, 0.78), (5, 0.5), (6, 0.3)];
+        let fd = axis_engine(&xs);
+        assert_eq!(phi0(&fd), vec![1, 2, 3]);
+        assert_eq!(exact0(&fd), vec![1, 2]);
+        // Deleting 1 leaves exactly k members: they are the new top-k,
+        // τ falls to 0.765 and the walk admits 4 (0.78).
+        for fd in both_paths(&xs, &[Op::Delete(1)], 5) {
+            assert_eq!(exact0(&fd), vec![2, 3]);
+            assert_eq!(phi0(&fd), vec![2, 3, 4]);
+        }
+    }
+
+    #[test]
+    fn band_requery_falls_back_below_k_survivors() {
+        use crate::engine::Op;
+        // τ = 0.855, Φ = {1, 2}: deleting 1 leaves one member, so the
+        // index answers the top-k; τ falls to 0.72, admitting 3 and 4.
+        let xs = [(1, 1.0), (2, 0.95), (3, 0.8), (4, 0.75), (5, 0.5)];
+        let fd = axis_engine(&xs);
+        assert_eq!(phi0(&fd), vec![1, 2]);
+        for fd in both_paths(&xs, &[Op::Delete(1)], 5) {
+            assert_eq!(exact0(&fd), vec![2, 3]);
+            assert_eq!(phi0(&fd), vec![2, 3, 4]);
+        }
+        // Batched, an updated member still sits in the band but no longer
+        // clears τ: two candidates, one above it, so the index answers.
+        let ops = [Op::Update(Point::new_unchecked(1, vec![0.2, 0.0]))];
+        for fd in both_paths(&xs, &ops, 5) {
+            assert_eq!(exact0(&fd), vec![2, 3]);
+            assert_eq!(phi0(&fd), vec![2, 3, 4]);
+        }
+        // Down to one tuple: fewer than k exist, τ = 0.
+        let ops = [Op::Delete(1), Op::Delete(2), Op::Delete(3), Op::Delete(4)];
+        for fd in both_paths(&xs, &ops, 5) {
+            assert_eq!(exact0(&fd), vec![5]);
+            assert_eq!(fd.topk[0].tau, 0.0);
+            assert_eq!(phi0(&fd), vec![5]);
+        }
+    }
+
+    #[test]
+    fn band_requery_tie_at_omega_k_admits_nothing() {
+        use crate::engine::Op;
+        // 3 duplicates the k-th tuple 2 with a larger id: deleting 1 makes
+        // it the new k-th at the same score, so τ stays 0.81 and no
+        // tuple is admitted anywhere.
+        let mut xs = vec![(1, 1.0), (2, 0.9), (3, 0.9), (4, 0.85), (5, 0.8), (6, 0.5)];
+        let fd = axis_engine(&xs);
+        assert_eq!(exact0(&fd), vec![1, 2]);
+        assert_eq!(phi0(&fd), vec![1, 2, 3, 4]);
+        let tau = fd.topk[0].tau;
+        for fd in both_paths(&xs, &[Op::Delete(1)], 6) {
+            assert_eq!(exact0(&fd), vec![2, 3]);
+            assert_eq!(fd.topk[0].tau, tau);
+            assert_eq!(phi0(&fd), vec![2, 3, 4]);
+            assert_eq!(fd.stats().admissions, 0);
+        }
+        // The same with the second basis vector, which ties every tuple
+        // at 0: deleting its exact top-k leaves τ = 0 unchanged.
+        xs.truncate(3);
+        for fd in both_paths(&xs, &[Op::Delete(1)], 3) {
+            assert_eq!(
+                fd.topk[1].exact.iter().map(|e| e.id).collect::<Vec<_>>(),
+                [2, 3]
+            );
+            assert_eq!(fd.stats().admissions, 0);
+        }
+    }
+
+    #[test]
+    fn band_requery_updated_member_drops_while_insert_enters() {
+        use crate::engine::Op;
+        let moved = |id, x| Op::Update(Point::new_unchecked(id, vec![x, 0.0]));
+        let fresh = |id, x| Op::Insert(Point::new_unchecked(id, vec![x, 0.0]));
+        // τ = 0.81, Φ = {1, 2, 3}.
+        let xs = [(1, 1.0), (2, 0.9), (3, 0.85), (4, 0.7), (5, 0.5), (6, 0.8)];
+        let fd = axis_engine(&xs);
+        assert_eq!(phi0(&fd), vec![1, 2, 3]);
+        // The k-th tuple drops to 0.3 while 10 enters at 0.95: τ rises
+        // to 0.855 and evicts 3 as well; 11 reaches the old τ but not
+        // the new one, so it stays out.
+        let ops = [moved(2, 0.3), fresh(10, 0.95), fresh(11, 0.83)];
+        for fd in both_paths(&xs, &ops, 5) {
+            assert_eq!(exact0(&fd), vec![1, 10]);
+            assert_eq!(phi0(&fd), vec![1, 10]);
+        }
+        // The top tuple drops to 0.2 while 10 enters at 0.88 and takes
+        // the k-th place: τ falls to 0.792, so 6 (0.8) enters from below,
+        // and 3 stays a member after dropping below the old τ.
+        let ops = [moved(1, 0.2), fresh(10, 0.88), moved(3, 0.795)];
+        for fd in both_paths(&xs, &ops, 5) {
+            assert_eq!(exact0(&fd), vec![2, 10]);
+            assert_eq!(phi0(&fd), vec![2, 3, 6, 10]);
+        }
     }
 
     use rand::rngs::StdRng;

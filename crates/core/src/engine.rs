@@ -23,9 +23,14 @@
 //!    tuples) are partitioned into shards; `std::thread::scope` workers
 //!    bring each utility to its post-batch state **once**, no matter how
 //!    many operations touched it. A utility that lost an exact top-k
-//!    member pays one branch-and-bound *requery* (amortised buffers via
-//!    [`KdTree::top_k_approx_many`](rms_index::KdTree::top_k_approx_many))
-//!    — the sequential path pays that per deletion.
+//!    member pays one *requery*, answered from its ε-band — the
+//!    sequential path pays one per deletion. The pre-batch `Φ` members
+//!    that survived, rescored at their post-batch attributes, plus the
+//!    cone hits hold every tuple that clears the old `τ`: when `k` of
+//!    them still clear it, their best `k` are the new exact top-k, and
+//!    otherwise the kd-tree's [`top_k`](rms_index::KdTree::top_k)
+//!    answers. The kd-tree is walked once, and only when `τ` fell, for
+//!    the entrants in `[τ′, τ)`.
 //!    Every other affected utility updates *incrementally*, exactly like
 //!    the sequential insertion path but batched: merge the cone hits into
 //!    the stored top-k, recompute `τ`, scan for evictions only when `τ`
@@ -43,9 +48,9 @@
 //! Batching is not a throughput win on the benchmark's `maintain`
 //! workload (`perfbench`: anticorrelated `d = 6`, `n₀ = 3 000`, `k = 3`,
 //! `r = 50`, `ε = 0.1`, `M = 2 048`, one recompute thread, 2-core host):
-//! `apply_batch` over batches of 100 ops ran at about 10k ops/s
-//! (`core.batch_ops_per_s`, one traced run) against a median of about
-//! 18k ops/s for per-op calls (`ops_per_s`, ten seeds).
+//! `apply_batch` over batches of 100 ops ran at a median of about 21k
+//! ops/s (`core.batch_ops_per_s`, three traced runs) against a median of
+//! about 35k ops/s for per-op calls (`ops_per_s`, sixteen seeds).
 //!
 //! Because the per-utility states are canonical — fully determined by the
 //! final database — the batched path reaches exactly the state that
@@ -59,9 +64,9 @@
 //! [`FdRms::insert`], [`FdRms::delete`], and [`FdRms::update`] behave
 //! exactly as before this engine existed.
 
-use crate::algorithm::{FdRms, TopKState};
+use crate::algorithm::{requery, threshold, top_k_of, FdRms, Requery, TopKState};
 use crate::builder::FdRmsError;
-use rms_geom::{Point, PointId, RankedPoint, Utility};
+use rms_geom::{rank_cmp, Point, PointId, RankedPoint, Utility};
 use rms_index::KdTree;
 use rms_setcover::ElemId;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -108,9 +113,10 @@ pub struct BatchReport {
     pub noop_updates: usize,
     /// Distinct utility vectors whose top-k state was recomputed.
     pub affected_utilities: usize,
-    /// Affected utilities that needed a full tuple-index requery (they
-    /// lost an exact top-k member); the rest updated incrementally
-    /// without touching the index.
+    /// Affected utilities that lost an exact top-k member, so their
+    /// top-k was requeried (from the ε-band, or from the tuple index when
+    /// fewer than `k` band tuples still clear the old threshold); the
+    /// rest updated incrementally.
     pub requeried_utilities: usize,
     /// Shard workers used for the recompute (0 when nothing was
     /// recomputed, 1 when the batch ran inline).
@@ -146,7 +152,7 @@ pub struct BatchRollup {
     pub noop_updates: u64,
     /// Total utility recomputations.
     pub affected_utilities: u64,
-    /// Total full tuple-index requeries.
+    /// Total utilities that lost an exact top-k member (requeries).
     pub requeried_utilities: u64,
     /// Total `Φ` admissions into surviving sets.
     pub membership_additions: u64,
@@ -223,9 +229,10 @@ struct RecomputeCtx<'a> {
     topk: &'a [TopKState],
     points: &'a std::collections::HashMap<PointId, Point>,
     cover: &'a rms_setcover::DynamicSetCover,
-    /// Utilities that lost an exact top-k member and need a full
-    /// tuple-index requery; all other affected utilities update
-    /// incrementally from their stored top-k plus the cone hits.
+    /// Utilities that lost an exact top-k member (deleted, or updated
+    /// away from its old score): their top-k is requeried from the ε-band
+    /// survivors; all other affected utilities update incrementally from
+    /// their stored top-k plus the cone hits.
     requery: &'a HashSet<usize>,
     /// Per-utility lists of written tuples whose score reaches the
     /// pre-batch threshold (from `ConeTree::affected_hits_many`).
@@ -233,152 +240,161 @@ struct RecomputeCtx<'a> {
     /// Per-utility lists of updated member tuples (their new attributes
     /// may have dropped them below an unchanged threshold).
     moved: &'a std::collections::HashMap<usize, Vec<PointId>>,
-    /// Tuples deleted by the batch (excluded from eviction deltas).
-    dead: &'a HashSet<PointId>,
     k: usize,
     eps: f64,
 }
 
 /// Recomputes one shard of affected utilities against the (post-batch)
-/// database.
-///
-/// Requery utilities (an exact top-k member was deleted or updated away)
-/// pay one branch-and-bound query each, with amortised buffers via
-/// `top_k_approx_many` — once per *batch*, where the sequential path
-/// pays once per deletion touching the utility. Incremental utilities
-/// mirror the sequential insertion path, batched: merge the cone hits
-/// into the stored exact top-k, recompute τ, and scan the membership for
-/// evictions *only when τ rose* — plus a rescore of just the updated
-/// members, whose new attributes may fall below an unchanged τ.
+/// database: requery utilities (an exact top-k member was deleted or
+/// updated away) via [`requeried`], once per *batch* where the sequential
+/// path pays once per deletion touching the utility, and every other one
+/// via [`incremental`].
 fn recompute_shard(ctx: &RecomputeCtx<'_>, idxs: &[usize]) -> Vec<UtilityRec> {
-    let requery_idxs: Vec<usize> = idxs
-        .iter()
-        .copied()
-        .filter(|i| ctx.requery.contains(i))
-        .collect();
-    let mut requeried = ctx
-        .kd
-        .top_k_approx_many(
-            requery_idxs.iter().map(|&i| &ctx.utilities[i]),
-            ctx.k,
-            ctx.eps,
-        )
-        .into_iter()
-        .zip(&requery_idxs)
-        .map(|((phi, omega), &idx)| {
-            // Deltas against the current membership.
-            let tau = omega.map_or(0.0, |w| (1.0 - ctx.eps) * w);
-            let adds: Vec<PointId> = phi
-                .iter()
-                .map(|rp| rp.id)
-                .filter(|&pid| !ctx.cover.set_contains(pid, idx as ElemId))
-                .collect();
-            let new_set: HashSet<PointId> = phi.iter().map(|rp| rp.id).collect();
-            let mut removals: Vec<PointId> = ctx
-                .cover
-                .sets_containing(idx as ElemId)
-                .filter(|pid| !new_set.contains(pid) && !ctx.dead.contains(pid))
-                .collect();
-            removals.sort_unstable();
-            let mut exact = phi;
-            exact.truncate(ctx.k);
-            UtilityRec {
-                idx,
-                exact,
-                tau,
-                adds,
-                removals,
+    let mut band = Vec::new();
+    idxs.iter()
+        .map(|&idx| {
+            if ctx.requery.contains(&idx) {
+                requeried(ctx, idx, &mut band)
+            } else {
+                incremental(ctx, idx)
             }
-        });
+        })
+        .collect()
+}
 
-    let mut out = Vec::with_capacity(idxs.len());
-    for &idx in idxs {
-        if ctx.requery.contains(&idx) {
-            out.push(requeried.next().expect("one rec per requery utility"));
-            continue;
-        }
-        let u = &ctx.utilities[idx];
-        let st = &ctx.topk[idx];
-        let tau_old = st.tau;
-        // Merge the hits into the stored exact top-k. Hits are written
-        // tuples clearing the old threshold — the only possible new
-        // entrants (a threshold can only rise here, and any tuple
-        // entering the exact top-k must clear the old τ). Updated tuples
-        // in the old exact top-k are requery class, so the stored
-        // entries are all live with unchanged attributes.
-        let mut exact = st.exact.clone();
-        let empty = Vec::new();
-        let hits = ctx.hits.get(&idx).unwrap_or(&empty);
-        let mut scored_hits: Vec<RankedPoint> = hits
+/// The written tuples reaching utility `idx`'s pre-batch threshold.
+fn hits_of<'a>(ctx: &RecomputeCtx<'a>, idx: usize) -> &'a [PointId] {
+    ctx.hits.get(&idx).map_or(&[], Vec::as_slice)
+}
+
+/// A requery utility, answered from its ε-band (see [`requery`]): the
+/// pre-batch `Φ` members that survived, rescored at their post-batch
+/// attributes, plus the cone hits that were not members hold every tuple
+/// clearing the old τ. The kd-tree is asked for the top-k only when fewer
+/// than `k` of them still clear it, and walked only for the entrants when
+/// τ fell. `band` is scratch reused across the shard.
+fn requeried(ctx: &RecomputeCtx<'_>, idx: usize, band: &mut Vec<RankedPoint>) -> UtilityRec {
+    let u = &ctx.utilities[idx];
+    let elem = idx as ElemId;
+    // Surviving members first (a deleted tuple has left `points`), then
+    // the hits `Φ` does not hold yet.
+    band.clear();
+    band.extend(ctx.cover.sets_containing(elem).filter_map(|pid| {
+        ctx.points.get(&pid).map(|p| RankedPoint {
+            id: pid,
+            score: u.score(p),
+        })
+    }));
+    let members = band.len();
+    band.extend(
+        hits_of(ctx, idx)
             .iter()
+            .filter(|&&pid| !ctx.cover.set_contains(pid, elem))
             .map(|pid| RankedPoint {
                 id: *pid,
                 score: u.score(&ctx.points[pid]),
-            })
-            .collect();
-        scored_hits.sort_unstable_by(|a, b| {
-            if crate::algorithm::rank_before(a.score, a.id, b) {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Greater
-            }
-        });
-        for rp in &scored_hits {
-            let enters = exact.len() < ctx.k
-                || crate::algorithm::rank_before(rp.score, rp.id, &exact[exact.len() - 1]);
-            if enters {
-                let pos =
-                    exact.partition_point(|e| crate::algorithm::rank_before(e.score, e.id, rp));
-                exact.insert(pos, rp.clone());
-                exact.truncate(ctx.k);
-            }
-        }
-        let tau = if exact.len() < ctx.k {
-            0.0
-        } else {
-            (1.0 - ctx.eps) * exact[ctx.k - 1].score
-        };
-        debug_assert!(tau >= tau_old - 1e-12, "incremental τ fell");
-
-        // Admissions: hits clearing the new threshold that are not yet
-        // members (a hit below the risen τ sat only in the old band).
-        let adds: Vec<PointId> = scored_hits
-            .iter()
-            .take_while(|rp| rp.score >= tau)
-            .map(|rp| rp.id)
-            .filter(|&pid| !ctx.cover.set_contains(pid, idx as ElemId))
-            .collect();
-
-        // Evictions: when τ rose, any member may have fallen below it;
-        // otherwise only updated members can have dropped out.
-        let mut removals: Vec<PointId> = Vec::new();
-        if tau > tau_old {
-            for pid in ctx.cover.sets_containing(idx as ElemId) {
-                if let Some(p) = ctx.points.get(&pid) {
-                    if u.score(p) < tau {
-                        removals.push(pid);
-                    }
-                }
-            }
-            removals.sort_unstable();
-        } else if let Some(moved) = ctx.moved.get(&idx) {
-            for &pid in moved {
-                if let Some(p) = ctx.points.get(&pid) {
-                    if u.score(p) < tau {
-                        removals.push(pid);
-                    }
-                }
-            }
-        }
-        out.push(UtilityRec {
-            idx,
-            exact,
-            tau,
-            adds,
-            removals,
-        });
+            }),
+    );
+    let Requery {
+        exact,
+        tau,
+        entrants,
+    } = requery(ctx.kd, u, ctx.k, ctx.eps, ctx.topk[idx].tau, band, |pid| {
+        ctx.cover.set_contains(pid, elem)
+    });
+    // Admissions in rank order: the new hits clearing τ′ (all at or above
+    // the old τ), then the entrants below it.
+    let mut hit_adds: Vec<&RankedPoint> = band[members..]
+        .iter()
+        .filter(|rp| rp.score >= tau)
+        .collect();
+    hit_adds.sort_unstable_by(|a, b| rank_cmp(a, b));
+    let adds = hit_adds
+        .into_iter()
+        .chain(&entrants)
+        .map(|rp| rp.id)
+        .collect();
+    // Evictions: the surviving members below τ′.
+    let mut removals: Vec<PointId> = band[..members]
+        .iter()
+        .filter(|rp| rp.score < tau)
+        .map(|rp| rp.id)
+        .collect();
+    removals.sort_unstable();
+    UtilityRec {
+        idx,
+        exact,
+        tau,
+        adds,
+        removals,
     }
-    out
+}
+
+/// An incremental utility, mirroring the sequential insertion path,
+/// batched: merge the cone hits into the stored exact top-k, recompute
+/// τ, and scan the membership for evictions *only when τ rose* — plus a
+/// rescore of just the updated members, whose new attributes may fall
+/// below an unchanged τ.
+fn incremental(ctx: &RecomputeCtx<'_>, idx: usize) -> UtilityRec {
+    let u = &ctx.utilities[idx];
+    let elem = idx as ElemId;
+    let st = &ctx.topk[idx];
+    let tau_old = st.tau;
+    // Merge the hits into the stored exact top-k. Hits are written tuples
+    // clearing the old threshold — the only possible new entrants (a
+    // threshold can only rise here, and any tuple entering the exact
+    // top-k must clear the old τ). Updated tuples in the old exact top-k
+    // are requery class, so the stored entries are all live with
+    // unchanged attributes.
+    let mut scored_hits: Vec<RankedPoint> = hits_of(ctx, idx)
+        .iter()
+        .map(|pid| RankedPoint {
+            id: *pid,
+            score: u.score(&ctx.points[pid]),
+        })
+        .collect();
+    scored_hits.sort_unstable_by(rank_cmp);
+    let exact = top_k_of(st.exact.iter().chain(&scored_hits), ctx.k);
+    let tau = threshold(&exact, ctx.k, ctx.eps);
+    debug_assert!(tau >= tau_old - 1e-12, "incremental τ fell");
+
+    // Admissions: hits clearing the new threshold that are not yet
+    // members (a hit below the risen τ sat only in the old band).
+    let adds: Vec<PointId> = scored_hits
+        .iter()
+        .take_while(|rp| rp.score >= tau)
+        .map(|rp| rp.id)
+        .filter(|&pid| !ctx.cover.set_contains(pid, elem))
+        .collect();
+
+    // Evictions: when τ rose, any member may have fallen below it;
+    // otherwise only updated members can have dropped out.
+    let mut removals: Vec<PointId> = Vec::new();
+    if tau > tau_old {
+        for pid in ctx.cover.sets_containing(elem) {
+            if let Some(p) = ctx.points.get(&pid) {
+                if u.score(p) < tau {
+                    removals.push(pid);
+                }
+            }
+        }
+        removals.sort_unstable();
+    } else if let Some(moved) = ctx.moved.get(&idx) {
+        for &pid in moved {
+            if let Some(p) = ctx.points.get(&pid) {
+                if u.score(p) < tau {
+                    removals.push(pid);
+                }
+            }
+        }
+    }
+    UtilityRec {
+        idx,
+        exact,
+        tau,
+        adds,
+        removals,
+    }
 }
 
 impl FdRms {
@@ -580,8 +596,8 @@ impl FdRms {
             affected.insert(idx);
             hit_lists.insert(idx, hits.into_iter().map(|i| written[i].id()).collect());
         }
-        // Utilities that lost an exact top-k member must requery the
-        // tuple index; everything else updates incrementally.
+        // Utilities that lost an exact top-k member requery their
+        // top-k; everything else updates incrementally.
         let requery: HashSet<usize> = affected
             .iter()
             .copied()
@@ -615,7 +631,6 @@ impl FdRms {
         // Phase 3: recompute every affected utility once, sharded.
         // ------------------------------------------------------------
         let idxs: Vec<usize> = affected.iter().copied().collect();
-        let dead_ids: HashSet<PointId> = net_delete.iter().copied().collect();
         report.affected_utilities = idxs.len();
         report.requeried_utilities = requery.len();
         self.stats.affected_utilities += idxs.len() as u64;
@@ -632,7 +647,6 @@ impl FdRms {
                 requery: &requery,
                 hits: &hit_lists,
                 moved: &moved_members,
-                dead: &dead_ids,
                 k: self.k,
                 eps: self.eps,
             };

@@ -30,7 +30,7 @@ mod utility;
 pub use dominance::{dominates, strictly_dominates, DominanceRelation};
 pub use error::GeomError;
 pub use point::{normalize_to_unit_box, Point, PointId};
-pub use topk::{kth_score, top1, top_k, top_k_approx, RankedPoint};
+pub use topk::{kth_score, rank_cmp, top1, top_k, top_k_approx, RankedPoint};
 pub use utility::{sample_utilities, standard_basis, with_basis_prefix, Utility};
 
 /// Numerical tolerance used by geometric predicates throughout the

@@ -19,7 +19,7 @@ pub struct RankedPoint {
 /// Orders by descending score, breaking ties by ascending id (the
 /// workspace-wide consistent tie-breaking rule).
 #[inline]
-fn rank_cmp(a: &RankedPoint, b: &RankedPoint) -> std::cmp::Ordering {
+pub fn rank_cmp(a: &RankedPoint, b: &RankedPoint) -> std::cmp::Ordering {
     b.score
         .partial_cmp(&a.score)
         .expect("scores are finite")

@@ -383,81 +383,16 @@ impl ConeTree {
         out
     }
 
-    /// The union of [`ConeTree::affected_by`] over a batch of tuples, in
-    /// one traversal: a subtree is pruned only when *no* tuple in the
-    /// batch can reach its minimum threshold, so shared cones are visited
-    /// once instead of once per tuple. Returns sorted, deduplicated
-    /// utility indices.
-    pub fn affected_by_batch<'a, I>(&self, points: I) -> Vec<usize>
-    where
-        I: IntoIterator<Item = &'a Point>,
-    {
-        self.affected_hits_batch(points)
-            .into_iter()
-            .map(|(m, _)| m)
-            .collect()
-    }
-
-    /// Like [`ConeTree::affected_by_batch`], but reports *which* tuples
-    /// reach each utility's threshold: for every affected utility index
-    /// `m` (ascending), the indices (into the input order) of the tuples
-    /// with `⟨u_m, p⟩ ≥ τ_m`, via one joint traversal.
-    ///
-    /// The joint traversal only wins when the tuples are tightly
-    /// clustered (shared cones get visited once); for spread-out batches
-    /// prefer [`ConeTree::affected_hits_many`] — the per-tuple variant
-    /// the batch update engine uses — whose pruning stays per-tuple
-    /// tight.
-    pub fn affected_hits_batch<'a, I>(&self, points: I) -> Vec<(usize, Vec<usize>)>
-    where
-        I: IntoIterator<Item = &'a Point>,
-    {
-        let pts: Vec<(&Point, f64)> = points.into_iter().map(|p| (p, p.norm())).collect();
-        let mut out = Vec::new();
-        if pts.is_empty() {
-            return out;
-        }
-        let mut stack = vec![self.root];
-        while let Some(n) = stack.pop() {
-            if pts
-                .iter()
-                .all(|&(p, norm)| self.node_bound(n, p, norm) < self.min_threshold[n])
-            {
-                continue;
-            }
-            if !self.is_leaf(n) {
-                stack.push(self.left[n] as usize);
-                stack.push(self.right[n] as usize);
-                continue;
-            }
-            for slot in self.member_range(n) {
-                let w = &self.packed_weights[slot * self.dim..(slot + 1) * self.dim];
-                let tau = self.packed_thresholds[slot];
-                let hits: Vec<usize> = pts
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, (p, _))| dot(w, p.coords()) >= tau)
-                    .map(|(i, _)| i)
-                    .collect();
-                if !hits.is_empty() {
-                    out.push((self.members[slot] as usize, hits));
-                }
-            }
-        }
-        out.sort_unstable_by_key(|&(m, _)| m);
-        out
-    }
-
     /// Per-utility hit lists for a batch of tuples, via one *individually
     /// pruned* traversal per tuple (sharing the traversal stack): for
     /// every utility some tuple reaches, the indices (into the input
     /// order) of the tuples with `⟨u_m, p⟩ ≥ τ_m`, keyed by ascending
     /// utility index.
     ///
-    /// Prefer this over [`ConeTree::affected_hits_batch`] when the tuples
-    /// are spread out: a joint traversal can only prune a cone that *no*
-    /// tuple reaches, so diverse batches degrade it towards a full scan,
-    /// while per-tuple traversals keep the threshold pruning intact.
+    /// One traversal per tuple rather than one joint traversal: a joint
+    /// traversal can only prune a cone that *no* tuple reaches, so
+    /// diverse batches degrade it towards a full scan, while per-tuple
+    /// traversals keep the threshold pruning intact.
     pub fn affected_hits_many<'a, I>(&self, points: I) -> Vec<(usize, Vec<usize>)>
     where
         I: IntoIterator<Item = &'a Point>,
@@ -550,14 +485,14 @@ mod tests {
             let mut want: Vec<usize> = pts.iter().flat_map(|p| tree.affected_by(p)).collect();
             want.sort_unstable();
             want.dedup();
+            // The affected utilities are the union of the singles, and
+            // each one's hits are exactly the tuples that reach it.
+            let many = tree.affected_hits_many(pts.iter());
             assert_eq!(
-                tree.affected_by_batch(pts.iter()),
+                many.iter().map(|(m, _)| *m).collect::<Vec<_>>(),
                 want,
                 "size {batch_size}"
             );
-            // The per-point traversal variant agrees exactly, per utility.
-            let many = tree.affected_hits_many(pts.iter());
-            assert_eq!(many.iter().map(|(m, _)| *m).collect::<Vec<_>>(), want);
             for (m, hit_idxs) in many {
                 let from_singles: Vec<usize> = pts
                     .iter()
@@ -568,7 +503,6 @@ mod tests {
                 assert_eq!(hit_idxs, from_singles, "utility {m}");
             }
         }
-        assert!(tree.affected_by_batch(std::iter::empty()).is_empty());
         assert!(tree.affected_hits_many(std::iter::empty()).is_empty());
     }
 

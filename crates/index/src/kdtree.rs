@@ -7,7 +7,7 @@
 //! indirection survives on the query path.
 
 use crate::kernels::{dot, score_block_into};
-use rms_geom::{Point, PointId, RankedPoint, Utility};
+use rms_geom::{rank_cmp, Point, PointId, RankedPoint, Utility};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -449,8 +449,8 @@ impl KdTree {
     /// Exact top-k for a whole batch of utilities, amortising the
     /// branch-and-bound frontier allocation across queries. Results are
     /// in input order. Bulk counterpart of [`KdTree::top_k`]; callers
-    /// that also need the ε-band membership (the batch update engine's
-    /// requery path) use [`KdTree::top_k_approx_many`] instead.
+    /// that also need the ε-band membership use
+    /// [`KdTree::top_k_approx_many`] instead.
     pub fn top_k_many<'a, I>(&self, utilities: I, k: usize) -> Vec<Vec<RankedPoint>>
     where
         I: IntoIterator<Item = &'a Utility>,
@@ -536,7 +536,9 @@ impl KdTree {
         }
     }
 
-    /// All points with score `≥ threshold`, in descending score order.
+    /// All points with score `≥ threshold`, in unspecified order. Callers
+    /// that need ranked output sort what they keep with
+    /// [`rms_geom::rank_cmp`].
     pub fn above_threshold(&self, u: &Utility, threshold: f64) -> Vec<RankedPoint> {
         let mut stack = Vec::new();
         let mut scores = Vec::new();
@@ -578,13 +580,6 @@ impl KdTree {
                 }
             }
         }
-        out.sort_unstable_by(|a, b| {
-            if better(a.score, a.id, b.score, b.id) {
-                Ordering::Less
-            } else {
-                Ordering::Greater
-            }
-        });
     }
 
     /// The ε-approximate top-k `Φ_{k,ε}(u, P)`: all points with score at
@@ -597,10 +592,10 @@ impl KdTree {
     }
 
     /// [`KdTree::top_k_approx`] for a whole batch of utilities, reusing
-    /// traversal buffers across queries. Results are in input order. This
-    /// is the query the batch update engine's shard workers issue: each
-    /// affected utility needs its exact top-k (the `Φ` prefix), the new
-    /// threshold, and the full ε-band membership in one shot.
+    /// traversal buffers across queries. Results are in input order, each
+    /// band sorted descending: its exact top-k (the `Φ` prefix), the
+    /// threshold, and the full ε-band membership in one shot, as an
+    /// engine build needs them for every utility.
     pub fn top_k_approx_many<'a, I>(
         &self,
         utilities: I,
@@ -624,6 +619,7 @@ impl KdTree {
             let omega_k = exact[k - 1].score;
             let mut phi = Vec::new();
             self.above_threshold_into(u, (1.0 - eps) * omega_k, &mut stack, &mut scores, &mut phi);
+            phi.sort_unstable_by(rank_cmp);
             out.push((phi, Some(omega_k)));
         }
         out
@@ -692,7 +688,8 @@ mod tests {
         let tree = KdTree::build(3, pts.clone()).unwrap();
         for u in sample_utilities(&mut rng, 3, 10) {
             let tau = 0.8;
-            let got: Vec<_> = tree.above_threshold(&u, tau);
+            let mut got: Vec<_> = tree.above_threshold(&u, tau);
+            got.sort_unstable_by(rank_cmp);
             let mut want: Vec<_> = pts
                 .iter()
                 .map(|p| RankedPoint {

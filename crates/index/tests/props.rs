@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use rms_geom::{top_k as brute_top_k, Point, Utility};
 use rms_index::{ConeTree, KdTree};
+use std::collections::BTreeSet;
 
 fn arb_points(d: usize, n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Point>> {
     prop::collection::vec(prop::collection::vec(0.0f64..=1.0, d), n).prop_map(|rows| {
@@ -15,6 +16,23 @@ fn arb_points(d: usize, n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<
 
 fn arb_utility(d: usize) -> impl Strategy<Value = Utility> {
     prop::collection::vec(0.01f64..=1.0, d).prop_map(|w| Utility::new(w).unwrap())
+}
+
+/// `above_threshold` as a set of (id, score bits): its order is
+/// unspecified.
+fn above_threshold_set(tree: &KdTree, u: &Utility, tau: f64) -> BTreeSet<(u64, u64)> {
+    tree.above_threshold(u, tau)
+        .iter()
+        .map(|r| (r.id, r.score.to_bits()))
+        .collect()
+}
+
+fn brute_above(pts: &[Point], u: &Utility, tau: f64) -> BTreeSet<(u64, u64)> {
+    pts.iter()
+        .map(|p| (p.id(), u.score(p)))
+        .filter(|&(_, s)| s >= tau)
+        .map(|(id, s)| (id, s.to_bits()))
+        .collect()
 }
 
 proptest! {
@@ -37,17 +55,7 @@ proptest! {
         tau in 0.0f64..2.0,
     ) {
         let tree = KdTree::build(4, pts.clone()).unwrap();
-        let got: Vec<u64> = tree.above_threshold(&u, tau).iter().map(|r| r.id).collect();
-        let mut want: Vec<(f64, u64)> = pts
-            .iter()
-            .filter_map(|p| {
-                let s = u.score(p);
-                (s >= tau).then_some((s, p.id()))
-            })
-            .collect();
-        want.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
-        let want: Vec<u64> = want.into_iter().map(|(_, id)| id).collect();
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(above_threshold_set(&tree, &u, tau), brute_above(&pts, &u, tau));
     }
 
     #[test]
@@ -75,18 +83,20 @@ proptest! {
         prop_assert_eq!(tree.top_k(&u, 8), brute_top_k(&all, &u, 8));
     }
 
-    /// The bulk query paths (the ones the batch update engine drives)
-    /// stay exact across edit scripts that exercise the flat leaf blocks:
-    /// deferred deletes compact packed coordinate rows in place, the
+    /// The query paths the engine drives stay exact across edit scripts
+    /// that exercise the flat leaf blocks: deferred deletes compact
+    /// packed coordinate rows in place and leave the boxes stale, the
     /// single `maybe_rebuild` decision repacks everything, and
-    /// `top_k_many` / `top_k_approx_many` must agree with brute force
-    /// throughout.
+    /// `above_threshold` (the requery walk, which per-op deletions run on
+    /// stale trees between rebuilds), `top_k_many` and
+    /// `top_k_approx_many` must agree with brute force throughout.
     #[test]
     fn kdtree_bulk_queries_survive_edit_scripts(
         pts in arb_points(3, 1..60),
         script in prop::collection::vec((0.0f64..=1.0, 0.0f64..=1.0, 0.0f64..=1.0, any::<bool>()), 0..80),
         us in prop::collection::vec(arb_utility(3), 1..6),
         k in 1usize..10,
+        tau in 0.0f64..1.5,
     ) {
         let mut all = pts.clone();
         let mut tree = KdTree::build(3, pts).unwrap();
@@ -102,6 +112,9 @@ proptest! {
                 let id = all.swap_remove(idx).id();
                 tree.delete_deferred(id).unwrap();
             }
+        }
+        for u in &us {
+            prop_assert_eq!(above_threshold_set(&tree, u, tau), brute_above(&all, u, tau));
         }
         tree.maybe_rebuild();
         prop_assert_eq!(tree.len(), all.len());
@@ -137,8 +150,10 @@ proptest! {
         prop_assert_eq!(tree.affected_by(&p), tree.affected_by_scan(&p));
     }
 
-    /// Batch traversal over the packed leaf blocks after a bulk
-    /// `set_thresholds` sweep agrees with the union of brute-force scans.
+    /// The batch probe over the packed leaf blocks after a bulk
+    /// `set_thresholds` sweep agrees with brute-force scans: the union of
+    /// the affected utilities, and per utility exactly the tuples that
+    /// reach it.
     #[test]
     fn conetree_batch_affected_equals_scan_after_bulk_thresholds(
         dirs in prop::collection::vec(prop::collection::vec(0.05f64..=1.0, 3), 1..80),
@@ -157,8 +172,16 @@ proptest! {
         let mut want: Vec<usize> = pts.iter().flat_map(|p| tree.affected_by_scan(p)).collect();
         want.sort_unstable();
         want.dedup();
-        prop_assert_eq!(tree.affected_by_batch(pts.iter()), want.clone());
-        let many: Vec<usize> = tree.affected_hits_many(pts.iter()).into_iter().map(|(m, _)| m).collect();
-        prop_assert_eq!(many, want);
+        let many = tree.affected_hits_many(pts.iter());
+        prop_assert_eq!(many.iter().map(|(m, _)| *m).collect::<Vec<_>>(), want);
+        for (m, hits) in many {
+            let from_scans: Vec<usize> = pts
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| tree.affected_by_scan(p).contains(&m))
+                .map(|(i, _)| i)
+                .collect();
+            prop_assert_eq!(hits, from_scans);
+        }
     }
 }

@@ -98,5 +98,5 @@ pub mod wal;
 pub use backend::{BackendView, DeltaReceiver, RmsBackend, RmsBackendHandle};
 pub use service::{RmsHandle, RmsService, ServeConfig, ServeError, SubmitError};
 pub use sharded::{AggregateSnapshot, ShardedHandle, ShardedRmsService};
-pub use snapshot::{ResultSnapshot, ServiceStats, SnapshotDelta, StatsDelta};
+pub use snapshot::{ResultSnapshot, ServiceStats, SnapshotDelta};
 pub use tcp::RmsServer;

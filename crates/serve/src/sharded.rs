@@ -17,7 +17,7 @@
 
 use crate::backend::{BackendView, DeltaReceiver};
 use crate::service::{RmsService, ServeConfig, ServeError, SubmitError};
-use crate::snapshot::{diff_results, ResultSnapshot, ServiceStats, SnapshotDelta, StatsDelta};
+use crate::snapshot::{diff_results, ResultSnapshot, ServiceStats, SnapshotDelta};
 use crate::sync::recover_poisoned;
 use fdrms::{FdRms, FdRmsBuilder, Op};
 use rms_baselines::{GreedyStar, StaticRms};
@@ -76,7 +76,6 @@ impl AggregateSnapshot {
             added,
             removed,
             len: self.len,
-            stats: StatsDelta::between(&prev.stats, &self.stats),
         }
     }
 }

@@ -110,44 +110,7 @@ impl ResultSnapshot {
             added,
             removed,
             len: self.len,
-            stats: StatsDelta::between(&prev.stats, &self.stats),
         }
-    }
-}
-
-/// Counter increments across a delta's epoch range — the "stats diff"
-/// carried on every [`SnapshotDelta`] (high-water marks and wall-clock
-/// means do not diff meaningfully and are read from full snapshots).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsDelta {
-    /// Operations the engine accepted in the range.
-    pub ops_applied: u64,
-    /// Operations validation rejected in the range.
-    pub ops_rejected: u64,
-    /// Coalesced batches applied in the range.
-    pub batches: u64,
-    /// Atomically-rejected batches salvaged per-op in the range.
-    pub replayed_batches: u64,
-}
-
-impl StatsDelta {
-    /// The counter increments from `prev` to `next` (saturating, so a
-    /// stale `prev` never underflows).
-    pub fn between(prev: &ServiceStats, next: &ServiceStats) -> Self {
-        Self {
-            ops_applied: next.ops_applied.saturating_sub(prev.ops_applied),
-            ops_rejected: next.ops_rejected.saturating_sub(prev.ops_rejected),
-            batches: next.batches.saturating_sub(prev.batches),
-            replayed_batches: next.replayed_batches.saturating_sub(prev.replayed_batches),
-        }
-    }
-
-    /// Accumulates another range's increments.
-    pub fn absorb(&mut self, other: &StatsDelta) {
-        self.ops_applied += other.ops_applied;
-        self.ops_rejected += other.ops_rejected;
-        self.batches += other.batches;
-        self.replayed_batches += other.replayed_batches;
     }
 }
 
@@ -178,8 +141,6 @@ pub struct SnapshotDelta {
     pub removed: Vec<PointId>,
     /// Live tuples `n` at `version`.
     pub len: usize,
-    /// Counter increments across the range.
-    pub stats: StatsDelta,
 }
 
 impl SnapshotDelta {
@@ -200,7 +161,6 @@ impl SnapshotDelta {
         self.version = next.version;
         self.epochs = next.epochs.clone();
         self.len = next.len;
-        self.stats.absorb(&next.stats);
         for id in &next.removed {
             // Drop any pending upsert of the id — but still record the
             // removal: the upsert may have been a coordinate change of an
@@ -272,7 +232,6 @@ mod tests {
             added,
             removed,
             len: 0,
-            stats: StatsDelta::default(),
         }
     }
 
