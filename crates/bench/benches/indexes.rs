@@ -1,12 +1,13 @@
-//! Micro-benchmarks for the dual-tree indexes (Section III-C), including
-//! the `ablation_dualtree` (cone tree vs brute-force scan) and
-//! `ablation_kd_rebuild` (lazy-deletion threshold) studies.
+//! Micro-benchmarks for the kd-tree tuple index (Section III-C): top-k
+//! against brute force, inserts, and the `ablation_kd_rebuild`
+//! (lazy-deletion threshold) study. The utility index is a blocked scan
+//! of all `M` thresholds, so it has no pruning to ablate.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rms_data::generators;
 use rms_geom::{sample_utilities, Point};
-use rms_index::{ConeTree, KdTree};
+use rms_index::KdTree;
 
 fn db(seed: u64, n: usize, d: usize) -> Vec<Point> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -99,52 +100,10 @@ fn bench_ablation_kd_rebuild(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation: cone-tree pruning vs scanning all M utility thresholds on an
-/// insertion (the paper's UI versus the naive alternative).
-fn bench_ablation_dualtree(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_dualtree");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    for &m in &[1_024usize, 8_192] {
-        let mut rng = StdRng::seed_from_u64(7);
-        let us = sample_utilities(&mut rng, 6, m);
-        let points = db(8, 20_000, 6);
-        let mut tree = ConeTree::build(us);
-        // Realistic thresholds: (1 − ε)·ω_1 per utility.
-        for i in 0..m {
-            let u = tree.utility(i).clone();
-            let omega = rms_geom::top1(&points, &u).unwrap().score;
-            tree.set_threshold(i, 0.99 * omega);
-        }
-        let probes: Vec<Point> = (0..64)
-            .map(|i| Point::new_unchecked(i, (0..6).map(|_| rng.gen()).collect()))
-            .collect();
-        let mut i = 0;
-        group.bench_with_input(BenchmarkId::new("conetree", m), &m, |b, _| {
-            b.iter(|| {
-                let p = &probes[i % probes.len()];
-                i += 1;
-                black_box(tree.affected_by(p))
-            });
-        });
-        let mut j = 0;
-        group.bench_with_input(BenchmarkId::new("scan", m), &m, |b, _| {
-            b.iter(|| {
-                let p = &probes[j % probes.len()];
-                j += 1;
-                black_box(tree.affected_by_scan(p))
-            });
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_kdtree_topk,
     bench_kdtree_updates,
-    bench_ablation_kd_rebuild,
-    bench_ablation_dualtree
+    bench_ablation_kd_rebuild
 );
 criterion_main!(benches);

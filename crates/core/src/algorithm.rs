@@ -457,8 +457,8 @@ impl FdRms {
         self.kd.insert(p.clone()).expect("id vetted above");
         self.points.insert(pid, p.clone());
 
-        // Utilities whose ε-approximate top-k admits p (the cone tree
-        // prunes the scan; thresholds are 0 while fewer than k tuples
+        // Utilities whose ε-approximate top-k admits p (one blocked scan
+        // of every threshold; thresholds are 0 while fewer than k tuples
         // exist, so those utilities always appear).
         let affected = self.cone.affected_by(p);
         self.stats.affected_utilities += affected.len() as u64;

@@ -40,7 +40,7 @@
 //!    / [`commit`](rms_setcover::DynamicSetCover::commit) transaction:
 //!    additions are applied before removals (so no utility transiently
 //!    loses coverage) and `STABILIZE` runs once at commit, followed by
-//!    one bulk cone-tree threshold repair
+//!    one bulk threshold write on the utility index
 //!    ([`ConeTree::set_thresholds`](rms_index::ConeTree::set_thresholds)).
 //! 5. **Rebalance** — `UPDATE-M` (Algorithm 4) runs once to steer the
 //!    solution back to size `r`.
@@ -48,9 +48,9 @@
 //! Batching is not a throughput win on the benchmark's `maintain`
 //! workload (`perfbench`: anticorrelated `d = 6`, `n₀ = 3 000`, `k = 3`,
 //! `r = 50`, `ε = 0.1`, `M = 2 048`, one recompute thread, 2-core host):
-//! `apply_batch` over batches of 100 ops ran at a median of about 21k
+//! `apply_batch` over batches of 100 ops ran at a median of about 22k
 //! ops/s (`core.batch_ops_per_s`, three traced runs) against a median of
-//! about 35k ops/s for per-op calls (`ops_per_s`, sixteen seeds).
+//! about 39k ops/s for per-op calls (`ops_per_s`, twelve seeds).
 //!
 //! Because the per-utility states are canonical — fully determined by the
 //! final database — the batched path reaches exactly the state that
@@ -739,7 +739,8 @@ impl FdRms {
         self.stats.evictions += report.membership_removals;
         self.stats.admissions += report.membership_additions;
 
-        // New top-k states and one bulk threshold repair on the cone tree.
+        // New top-k states and one bulk threshold write on the utility
+        // index.
         let taus: Vec<(usize, f64)> = recs.iter().map(|r| (r.idx, r.tau)).collect();
         for r in recs {
             self.topk[r.idx] = TopKState {

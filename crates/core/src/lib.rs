@@ -14,8 +14,9 @@
 //! 1. Draw `M` utility vectors — the first `d` are the standard basis, the
 //!    rest uniform on the positive unit sphere — and maintain the
 //!    ε-approximate top-k result `Φ_{k,ε}(u_i, P_t)` of each under every
-//!    update, using a k-d tree over tuples (TI) and a cone tree over
-//!    utilities (UI).
+//!    update, using a k-d tree over tuples (TI) and a utility index (UI)
+//!    that scans every utility's threshold eight lanes at a time (the
+//!    paper uses a cone tree there; the type keeps that name).
 //! 2. Transpose those results into a set system: tuple `p` covers utility
 //!    `u` iff `p ∈ Φ_{k,ε}(u, P_t)`. A set-cover solution over the first
 //!    `m ≤ M` utilities, maintained *stably* (crate `rms-setcover`), is

@@ -2,11 +2,11 @@
 //!
 //! The tree is stored flat: nodes live in one contiguous `Vec` addressed
 //! by index, per-node bounding corners are packed into a single `f64`
-//! array, and every leaf owns a packed coordinate block scored by the
-//! straight-line kernels in [`crate::kernels`]. No per-node heap
-//! indirection survives on the query path.
+//! array, and every leaf owns a lane-blocked coordinate block
+//! ([`RowBlock`]) scored eight rows per packed multiply-add. No per-node
+//! heap indirection survives on the query path.
 
-use crate::kernels::{dot, score_block_into};
+use crate::kernels::{dot, RowBlock};
 use rms_geom::{rank_cmp, Point, PointId, RankedPoint, Utility};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -52,19 +52,19 @@ impl std::fmt::Display for KdTreeError {
 impl std::error::Error for KdTreeError {}
 
 /// Flat node record. Internal nodes use `split_dim`/`split_val` and the
-/// two child indices; a leaf is marked by `left == NO_CHILD` and owns a
-/// packed block of point ids and coordinates (point `i` of the leaf lives
-/// at `coords[i·dim .. (i+1)·dim]`). The per-node upper corner `hi` lives
-/// in the tree-level `bounds` array at `node·dim`, so bound evaluation
-/// never touches the node record at all.
-#[derive(Debug, Clone, Default)]
+/// two child indices; a leaf is marked by `left == NO_CHILD` and owns its
+/// point ids plus a lane-blocked coordinate block (point `i` of the leaf
+/// is row `i` of `coords`). The per-node upper corner `hi` lives in the
+/// tree-level `bounds` array at `node·dim`, so bound evaluation never
+/// touches the node record at all.
+#[derive(Debug, Clone)]
 struct Node {
     split_dim: u32,
     split_val: f64,
     left: u32,
     right: u32,
     ids: Vec<PointId>,
-    coords: Vec<f64>,
+    coords: RowBlock,
 }
 
 impl Node {
@@ -174,8 +174,8 @@ impl KdTree {
         let mut out = Vec::with_capacity(self.len);
         for node in &self.nodes {
             if node.is_leaf() {
-                for (&id, row) in node.ids.iter().zip(node.coords.chunks_exact(self.dim)) {
-                    out.push(Point::new_unchecked(id, row.to_vec()));
+                for (i, &id) in node.ids.iter().enumerate() {
+                    out.push(Point::new_unchecked(id, node.coords.row(i)));
                 }
             }
         }
@@ -221,7 +221,7 @@ impl KdTree {
             left: left_idx as u32,
             right: right_idx as u32,
             ids: Vec::new(),
-            coords: Vec::new(),
+            coords: RowBlock::new(self.dim),
         });
         idx
     }
@@ -232,10 +232,10 @@ impl KdTree {
         let idx = self.nodes.len();
         self.bounds.extend_from_slice(hi);
         let mut ids = Vec::with_capacity(points.len());
-        let mut coords = Vec::with_capacity(points.len() * self.dim);
+        let mut coords = RowBlock::new(self.dim);
         for p in points {
             ids.push(p.id());
-            coords.extend_from_slice(p.coords());
+            coords.push(p.coords());
             self.leaf_of.insert(p.id(), idx);
         }
         self.nodes.push(Node {
@@ -308,7 +308,7 @@ impl KdTree {
             let node = &mut self.nodes[idx];
             if node.is_leaf() {
                 node.ids.push(p.id());
-                node.coords.extend_from_slice(p.coords());
+                node.coords.push(p.coords());
                 let grew_past = node.ids.len() > 2 * LEAF_CAPACITY;
                 self.leaf_of.insert(p.id(), idx);
                 self.len += 1;
@@ -329,19 +329,18 @@ impl KdTree {
     /// an internal node pointing at two fresh leaves; its bounds row stays
     /// valid because it already covered every member).
     fn split_leaf(&mut self, idx: usize) {
-        let dim = self.dim;
         let (ids, coords) = {
             let node = &mut self.nodes[idx];
             debug_assert!(node.is_leaf(), "split_leaf on internal node");
             (
                 std::mem::take(&mut node.ids),
-                std::mem::take(&mut node.coords),
+                std::mem::replace(&mut node.coords, RowBlock::new(self.dim)),
             )
         };
         let mut pts: Vec<Point> = ids
             .iter()
-            .zip(coords.chunks_exact(dim))
-            .map(|(&id, row)| Point::new_unchecked(id, row.to_vec()))
+            .enumerate()
+            .map(|(i, &id)| Point::new_unchecked(id, coords.row(i)))
             .collect();
         let split_dim = self.widest_dim(&pts).unwrap_or(0);
         let mid = pts.len() / 2;
@@ -386,7 +385,6 @@ impl KdTree {
         let Some(leaf_idx) = self.leaf_of.remove(&id) else {
             return Err(KdTreeError::UnknownId(id));
         };
-        let dim = self.dim;
         let node = &mut self.nodes[leaf_idx];
         debug_assert!(node.is_leaf(), "leaf_of points at an internal node");
         let pos = node
@@ -395,12 +393,7 @@ impl KdTree {
             .position(|&x| x == id)
             .expect("leaf_of is consistent");
         node.ids.swap_remove(pos);
-        // Mirror the swap_remove on the packed coordinate block: move the
-        // last dim-sized row into the vacated slot, then shrink.
-        let last = node.ids.len();
-        node.coords
-            .copy_within(last * dim..(last + 1) * dim, pos * dim);
-        node.coords.truncate(last * dim);
+        node.coords.swap_remove(pos);
         self.len -= 1;
         self.stale_ops += 1;
         Ok(())
@@ -508,9 +501,9 @@ impl KdTree {
                 });
                 continue;
             }
-            // Score the whole packed leaf block in one kernel sweep, then
-            // run selection over the scalar results.
-            score_block_into(&n.coords, self.dim, u.weights(), scores);
+            // Score the whole leaf block in one kernel sweep, then run
+            // selection over the scalar results.
+            n.coords.scores_into(u.weights(), scores);
             for (&id, &score) in n.ids.iter().zip(scores.iter()) {
                 let candidate_better = best.len() < k || {
                     let kth = &best[k - 1];
@@ -573,7 +566,7 @@ impl KdTree {
                 stack.push(n.right as usize);
                 continue;
             }
-            score_block_into(&n.coords, self.dim, u.weights(), scores);
+            n.coords.scores_into(u.weights(), scores);
             for (&id, &score) in n.ids.iter().zip(scores.iter()) {
                 if score >= threshold {
                     out.push(RankedPoint { id, score });
@@ -833,6 +826,53 @@ mod tests {
             tree.delete_deferred(999_999),
             Err(KdTreeError::UnknownId(999_999))
         );
+    }
+
+    /// Every leaf's lane-blocked coordinates stay row-aligned with its ids
+    /// through inserts that split leaves, deletes and deferred deletes,
+    /// and score bit-identically to `Utility::score`.
+    #[test]
+    fn leaf_blocks_stay_aligned_with_ids() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let d = 5;
+        let u = sample_utilities(&mut rng, d, 1).pop().unwrap();
+        let mut all = random_points(&mut rng, 100, d);
+        let mut tree = KdTree::build(d, all.clone()).unwrap();
+        let check = |tree: &KdTree, all: &[Point]| {
+            let model: HashMap<PointId, &Point> = all.iter().map(|p| (p.id(), p)).collect();
+            let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut scores = Vec::new();
+            let mut rows = 0;
+            for node in tree.nodes.iter().filter(|n| n.is_leaf()) {
+                node.coords.scores_into(u.weights(), &mut scores);
+                assert_eq!(scores.len(), node.ids.len());
+                for (i, (id, s)) in node.ids.iter().zip(&scores).enumerate() {
+                    let p = model[id];
+                    assert_eq!(bits(&node.coords.row(i)), bits(p.coords()), "id {id}");
+                    assert_eq!(s.to_bits(), u.score(p).to_bits(), "id {id}");
+                }
+                rows += node.ids.len();
+            }
+            assert_eq!(rows, all.len());
+        };
+        check(&tree, &all);
+        for i in 0..300 {
+            let p = Point::new_unchecked(1_000 + i, (0..d).map(|_| rng.gen()).collect());
+            all.push(p.clone());
+            tree.insert(p).unwrap();
+        }
+        check(&tree, &all);
+        for step in 0..250 {
+            let id = all.swap_remove(rng.gen_range(0..all.len())).id();
+            if step % 2 == 0 {
+                tree.delete(id).unwrap();
+            } else {
+                tree.delete_deferred(id).unwrap();
+            }
+        }
+        check(&tree, &all);
+        tree.maybe_rebuild();
+        check(&tree, &all);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Dual-tree indexes for maintaining many (approximate) top-k results over
-//! a dynamic database (Section III-C of the paper).
+//! The two indexes FD-RMS uses to maintain many (approximate) top-k
+//! results over a dynamic database (Section III-C of the paper).
 //!
 //! * [`KdTree`] — the **tuple index TI**: a bulk-loaded k-d tree over the
 //!   database supporting exact top-k queries and score-threshold queries
@@ -11,13 +11,17 @@
 //!   branch-and-bound search; lazy rebuilding is our documented
 //!   equivalent for the update path — see the `ablation_kd_rebuild`
 //!   bench).
-//! * [`ConeTree`] — the **utility index UI** (Ram & Gray, KDD 2012): an
-//!   angular space-partitioning tree over the sampled utility vectors.
-//!   Each node is a cone (unit centre, half-angle) with the minimum
-//!   per-utility threshold of its subtree; on a tuple insertion it reports
-//!   exactly the utilities whose threshold the new tuple reaches, pruning
-//!   whole cones by the maximum-inner-product bound
-//!   `⟨u, p⟩ ≤ ‖p‖·cos(max(0, θ(c, p) − φ))`.
+//! * [`ConeTree`] — the **utility index UI**: on a tuple insertion it
+//!   reports exactly the utilities whose threshold the new tuple reaches,
+//!   `{i : ⟨u_i, p⟩ ≥ τ_i}`. The paper uses a cone tree (Ram & Gray, KDD
+//!   2012) for this; at FD-RMS's dimensionalities its bound prunes little,
+//!   so this index scans all `M` utilities and keeps the paper's name.
+//!
+//! Both score rows eight at a time: kd-tree leaves and the utility
+//! weights are stored lane-blocked (coordinate `j` of row `i` at
+//! `(i/8·d + j)·8 + i%8`), so one sweep multiplies a column of eight rows
+//! by one weight in packed `mulpd`/`addpd`. Every score is bit-identical
+//! to [`Utility::score`](rms_geom::Utility::score).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,21 +1,88 @@
 //! Property-based tests: index queries always agree with brute force.
+//!
+//! Every property draws its dimensionality `d` from `1..=9`: both indexes
+//! store rows lane-blocked, and the block stride depends on `d`.
+//! Coordinates and weights are drawn nine wide and cut to `d`.
 
 use proptest::prelude::*;
 use rms_geom::{top_k as brute_top_k, Point, Utility};
 use rms_index::{ConeTree, KdTree};
 use std::collections::BTreeSet;
 
-fn arb_points(d: usize, n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Point>> {
-    prop::collection::vec(prop::collection::vec(0.0f64..=1.0, d), n).prop_map(|rows| {
-        rows.into_iter()
-            .enumerate()
-            .map(|(i, c)| Point::new_unchecked(i as u64, c))
-            .collect()
-    })
+/// Largest dimensionality drawn.
+const MAX_D: usize = 9;
+
+fn arb_dim() -> impl Strategy<Value = usize> {
+    1usize..=MAX_D
 }
 
-fn arb_utility(d: usize) -> impl Strategy<Value = Utility> {
-    prop::collection::vec(0.01f64..=1.0, d).prop_map(|w| Utility::new(w).unwrap())
+fn arb_rows(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec<f64>>> {
+    prop::collection::vec(prop::collection::vec(0.0f64..=1.0, MAX_D), n)
+}
+
+fn arb_weights() -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec(0.01f64..=1.0, MAX_D)
+}
+
+/// Edit-script steps: a tuple's coordinates and whether to insert it (a
+/// deletion picks its victim from the first coordinate).
+fn arb_script(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(Vec<f64>, bool)>> {
+    prop::collection::vec(
+        (prop::collection::vec(0.0f64..=1.0, MAX_D), any::<bool>()),
+        n,
+    )
+}
+
+/// Points `0, 1, …` with each row cut to `d` coordinates.
+fn points(rows: &[Vec<f64>], d: usize) -> Vec<Point> {
+    rows.iter()
+        .enumerate()
+        .map(|(i, c)| Point::new_unchecked(i as u64, c[..d].to_vec()))
+        .collect()
+}
+
+fn utility(w: &[f64], d: usize) -> Utility {
+    Utility::new(w[..d].to_vec()).unwrap()
+}
+
+/// Runs an edit script against the tree and the model `all`: inserts get
+/// fresh ids from 10 000 on, deletions go through `delete` (with its
+/// per-call rebuild decision) or `delete_deferred`.
+fn run_script(
+    tree: &mut KdTree,
+    all: &mut Vec<Point>,
+    script: Vec<(Vec<f64>, bool)>,
+    d: usize,
+    deferred: bool,
+) {
+    let mut next = 10_000u64;
+    for (c, insert) in script {
+        if insert || all.is_empty() {
+            let p = Point::new_unchecked(next, c[..d].to_vec());
+            next += 1;
+            all.push(p.clone());
+            tree.insert(p).unwrap();
+        } else {
+            let idx = (c[0] * all.len() as f64) as usize % all.len();
+            let id = all.swap_remove(idx).id();
+            if deferred {
+                tree.delete_deferred(id).unwrap();
+            } else {
+                tree.delete(id).unwrap();
+            }
+        }
+    }
+}
+
+/// Points as (id, coordinate bits), sorted by id: `KdTree::points` has
+/// no specified order.
+fn point_bits(pts: &[Point]) -> Vec<(u64, Vec<u64>)> {
+    let mut out: Vec<(u64, Vec<u64>)> = pts
+        .iter()
+        .map(|p| (p.id(), p.coords().iter().map(|c| c.to_bits()).collect()))
+        .collect();
+    out.sort_unstable();
+    out
 }
 
 /// `above_threshold` as a set of (id, score bits): its order is
@@ -40,84 +107,73 @@ proptest! {
 
     #[test]
     fn kdtree_topk_equals_bruteforce(
-        pts in arb_points(3, 1..120),
-        u in arb_utility(3),
+        d in arb_dim(),
+        rows in arb_rows(1..120),
+        w in arb_weights(),
         k in 1usize..12,
     ) {
-        let tree = KdTree::build(3, pts.clone()).unwrap();
+        let pts = points(&rows, d);
+        let u = utility(&w, d);
+        let tree = KdTree::build(d, pts.clone()).unwrap();
         prop_assert_eq!(tree.top_k(&u, k), brute_top_k(&pts, &u, k));
     }
 
     #[test]
     fn kdtree_threshold_equals_filter(
-        pts in arb_points(4, 1..80),
-        u in arb_utility(4),
-        tau in 0.0f64..2.0,
+        d in arb_dim(),
+        rows in arb_rows(1..80),
+        w in arb_weights(),
+        tau in 0.0f64..3.0,
     ) {
-        let tree = KdTree::build(4, pts.clone()).unwrap();
+        let pts = points(&rows, d);
+        let u = utility(&w, d);
+        let tree = KdTree::build(d, pts.clone()).unwrap();
         prop_assert_eq!(above_threshold_set(&tree, &u, tau), brute_above(&pts, &u, tau));
     }
 
     #[test]
     fn kdtree_survives_edit_scripts(
-        pts in arb_points(3, 1..60),
-        script in prop::collection::vec((0.0f64..=1.0, 0.0f64..=1.0, 0.0f64..=1.0, any::<bool>()), 0..60),
-        u in arb_utility(3),
+        d in arb_dim(),
+        rows in arb_rows(1..60),
+        script in arb_script(0..60),
+        w in arb_weights(),
     ) {
-        let mut all = pts.clone();
-        let mut tree = KdTree::build(3, pts).unwrap();
-        let mut next = 10_000u64;
-        for (x, y, z, insert) in script {
-            if insert || all.is_empty() {
-                let p = Point::new_unchecked(next, vec![x, y, z]);
-                next += 1;
-                all.push(p.clone());
-                tree.insert(p).unwrap();
-            } else {
-                let idx = (x * all.len() as f64) as usize % all.len();
-                let id = all.swap_remove(idx).id();
-                tree.delete(id).unwrap();
-            }
-        }
+        let mut all = points(&rows, d);
+        let mut tree = KdTree::build(d, all.clone()).unwrap();
+        run_script(&mut tree, &mut all, script, d, false);
         prop_assert_eq!(tree.len(), all.len());
+        prop_assert_eq!(point_bits(&tree.points()), point_bits(&all));
+        let u = utility(&w, d);
         prop_assert_eq!(tree.top_k(&u, 8), brute_top_k(&all, &u, 8));
     }
 
     /// The query paths the engine drives stay exact across edit scripts
-    /// that exercise the flat leaf blocks: deferred deletes compact
-    /// packed coordinate rows in place and leave the boxes stale, the
+    /// that exercise the lane-blocked leaves: deferred deletes swap-remove
+    /// rows across lane-block boundaries and leave the boxes stale, the
     /// single `maybe_rebuild` decision repacks everything, and
     /// `above_threshold` (the requery walk, which per-op deletions run on
     /// stale trees between rebuilds), `top_k_many` and
     /// `top_k_approx_many` must agree with brute force throughout.
     #[test]
     fn kdtree_bulk_queries_survive_edit_scripts(
-        pts in arb_points(3, 1..60),
-        script in prop::collection::vec((0.0f64..=1.0, 0.0f64..=1.0, 0.0f64..=1.0, any::<bool>()), 0..80),
-        us in prop::collection::vec(arb_utility(3), 1..6),
+        d in arb_dim(),
+        rows in arb_rows(1..60),
+        script in arb_script(0..80),
+        ws in prop::collection::vec(arb_weights(), 1..6),
         k in 1usize..10,
-        tau in 0.0f64..1.5,
+        tau in 0.0f64..2.0,
     ) {
-        let mut all = pts.clone();
-        let mut tree = KdTree::build(3, pts).unwrap();
-        let mut next = 10_000u64;
-        for (x, y, z, insert) in script {
-            if insert || all.is_empty() {
-                let p = Point::new_unchecked(next, vec![x, y, z]);
-                next += 1;
-                all.push(p.clone());
-                tree.insert(p).unwrap();
-            } else {
-                let idx = (x * all.len() as f64) as usize % all.len();
-                let id = all.swap_remove(idx).id();
-                tree.delete_deferred(id).unwrap();
-            }
-        }
+        let mut all = points(&rows, d);
+        let mut tree = KdTree::build(d, all.clone()).unwrap();
+        run_script(&mut tree, &mut all, script, d, true);
+        prop_assert_eq!(point_bits(&tree.points()), point_bits(&all));
+        let us: Vec<Utility> = ws.iter().map(|w| utility(w, d)).collect();
         for u in &us {
             prop_assert_eq!(above_threshold_set(&tree, u, tau), brute_above(&all, u, tau));
         }
         tree.maybe_rebuild();
         prop_assert_eq!(tree.len(), all.len());
+        prop_assert_eq!(point_bits(&tree.points()), point_bits(&all));
         let many = tree.top_k_many(us.iter(), k);
         for (u, got) in us.iter().zip(many) {
             prop_assert_eq!(got, brute_top_k(&all, u, k));
@@ -136,39 +192,36 @@ proptest! {
 
     #[test]
     fn conetree_affected_equals_scan(
-        dirs in prop::collection::vec(prop::collection::vec(0.05f64..=1.0, 3), 1..100),
+        d in arb_dim(),
+        dirs in prop::collection::vec(arb_weights(), 1..100),
         taus in prop::collection::vec(0.0f64..=1.6, 100),
-        probe in prop::collection::vec(0.0f64..=1.0, 3),
+        probe in prop::collection::vec(0.0f64..=1.0, MAX_D),
     ) {
-        let us: Vec<Utility> = dirs.into_iter().map(|w| Utility::new(w).unwrap()).collect();
+        let us: Vec<Utility> = dirs.iter().map(|w| utility(w, d)).collect();
         let n = us.len();
         let mut tree = ConeTree::build(us);
         for (i, tau) in taus.into_iter().take(n).enumerate() {
             tree.set_threshold(i, tau);
         }
-        let p = Point::new_unchecked(0, probe);
+        let p = Point::new_unchecked(0, probe[..d].to_vec());
         prop_assert_eq!(tree.affected_by(&p), tree.affected_by_scan(&p));
     }
 
-    /// The batch probe over the packed leaf blocks after a bulk
-    /// `set_thresholds` sweep agrees with brute-force scans: the union of
-    /// the affected utilities, and per utility exactly the tuples that
-    /// reach it.
+    /// The batch probe after a bulk `set_thresholds` write agrees with
+    /// brute-force scans: the union of the affected utilities, and per
+    /// utility exactly the tuples that reach it.
     #[test]
     fn conetree_batch_affected_equals_scan_after_bulk_thresholds(
-        dirs in prop::collection::vec(prop::collection::vec(0.05f64..=1.0, 3), 1..80),
+        d in arb_dim(),
+        dirs in prop::collection::vec(arb_weights(), 1..80),
         taus in prop::collection::vec(0.0f64..=1.6, 80),
-        probes in prop::collection::vec(prop::collection::vec(0.0f64..=1.0, 3), 0..6),
+        probes in arb_rows(0..6),
     ) {
-        let us: Vec<Utility> = dirs.into_iter().map(|w| Utility::new(w).unwrap()).collect();
+        let us: Vec<Utility> = dirs.iter().map(|w| utility(w, d)).collect();
         let n = us.len();
         let mut tree = ConeTree::build(us);
         tree.set_thresholds(taus.into_iter().take(n).enumerate());
-        let pts: Vec<Point> = probes
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| Point::new_unchecked(i as u64, c))
-            .collect();
+        let pts = points(&probes, d);
         let mut want: Vec<usize> = pts.iter().flat_map(|p| tree.affected_by_scan(p)).collect();
         want.sort_unstable();
         want.dedup();

@@ -12,7 +12,8 @@ use std::time::Duration;
 
 /// Environment variable forcing the `poll(2)` fallback backend even
 /// where epoll is available — set to a non-empty value other than `0`.
-/// The loopback test suite runs once per backend through this switch.
+/// The loopback test suite runs once per backend through this switch:
+/// CI runs the `rms-net` and `rms-serve` tests a second time with it set.
 pub const FORCE_POLL_ENV: &str = "KRMS_NET_FORCE_POLL";
 
 /// Identifies one registered descriptor across the poller and the
@@ -335,6 +336,14 @@ mod tests {
         assert!(events[0].readable);
         let mut buf = [0u8; 8];
         assert_eq!(server.read(&mut buf).unwrap(), 2);
+    }
+
+    /// The backend follows [`FORCE_POLL_ENV`], so a test run with the
+    /// variable set provably exercises the `poll(2)` fallback.
+    #[test]
+    fn backend_follows_force_poll_env() {
+        let forced = std::env::var_os(FORCE_POLL_ENV).is_some_and(|v| !v.is_empty() && v != "0");
+        assert_eq!(Poller::new().unwrap().is_fallback(), forced);
     }
 
     #[test]
