@@ -76,9 +76,10 @@ impl StaticRms for Greedy {
 /// of the upper convex hull. Only happy points can ever be the max-regret
 /// witness or reduce regret when added, so the pruning is lossless while
 /// shrinking the per-round LP count. The original uses an explicit convex
-/// hull; we decide the same predicate with one LP per tuple (DESIGN.md
-/// §2), which also reproduces the original's poor scaling in `d` (the
-/// pruning step itself becomes the bottleneck, cf. Fig. 8).
+/// hull; we decide the same predicate with one LP per tuple
+/// (`rms_lp::regret::is_happy_point`), which needs no hull code and also
+/// reproduces the original's poor scaling in `d` (the pruning step
+/// itself becomes the bottleneck, cf. Fig. 8).
 #[derive(Debug, Clone, Default)]
 pub struct GeoGreedy;
 

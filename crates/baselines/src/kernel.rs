@@ -94,9 +94,9 @@ impl StaticRms for EpsKernel {
 /// Construction: the `d` basis-direction extremes are always kept; the
 /// remaining budget is filled with the extreme tuples of `r − d`
 /// well-spread directions (farthest-point sampling on the direction pool
-/// stands in for the original's structured sphere partition — same
-/// coverage intent, see DESIGN.md §2), then deduplicated and topped up
-/// greedily on the worst uncovered sampled direction.
+/// stands in for the original's structured sphere partition — both
+/// spread the directions evenly over the sphere), then deduplicated and
+/// topped up greedily on the worst uncovered sampled direction.
 #[derive(Debug, Clone)]
 pub struct Sphere {
     /// Size of the direction pool.

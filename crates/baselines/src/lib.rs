@@ -10,7 +10,7 @@
 //! |------|-----------|--------|-------|
 //! | [`Greedy`] | Nanongkai et al. PVLDB'10 [22] | no | adds the max-regret witness each round (exact LP regret) |
 //! | [`GreedyStar`] | Chester et al. PVLDB'14 [11] | yes | randomized greedy over sampled utilities |
-//! | [`GeoGreedy`] | Peng & Wong ICDE'14 [23] | no | Greedy restricted to happy points (LP hull-vertex test; see DESIGN.md §2) |
+//! | [`GeoGreedy`] | Peng & Wong ICDE'14 [23] | no | Greedy restricted to happy points (hull-vertex test as one LP per tuple, no hull built) |
 //! | [`DmmRrms`] | Asudeh et al. SIGMOD'17 [4] | no | discretized matrix min-max via threshold binary search + set cover |
 //! | [`DmmGreedy`] | Asudeh et al. SIGMOD'17 [4] | no | greedy on the discretized regret matrix |
 //! | [`EpsKernel`] | Agarwal et al. [2,3,10] | yes | direction-net extreme-point coreset, ε binary-searched to fit `r` |

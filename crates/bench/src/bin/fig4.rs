@@ -7,12 +7,12 @@
 //! cargo run --release -p rms-bench --bin fig4 [-- --scale 0.05 | --full]
 //! ```
 
-use rms_bench::Scale;
+use rms_bench::Args;
 use rms_data::NamedDataset;
 use rms_skyline::skyline;
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = Args::from_process(&[]).scale;
     println!(
         "Fig. 4 — sizes of skylines of synthetic datasets ({})",
         scale.banner()

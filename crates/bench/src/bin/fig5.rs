@@ -8,12 +8,13 @@
 //! cargo run --release -p rms-bench --bin fig5 [-- --scale 0.02 --save]
 //! ```
 
-use rms_bench::{maybe_save, run_cells, Algo, Cell, Scale};
+use rms_bench::{run_cells, Algo, Args, Cell};
 use rms_data::NamedDataset;
 use rms_eval::format_table;
 
 fn main() {
-    let scale = Scale::from_args();
+    let args = Args::from_process(&["--save"]);
+    let scale = args.scale;
     println!(
         "Fig. 5 — performance of FD-RMS with varying eps ({})",
         scale.banner()
@@ -42,7 +43,7 @@ fn main() {
     }
     let records = run_cells(&cells, scale);
     println!("{}", format_table(&records));
-    maybe_save("fig5", &records);
+    args.maybe_save("fig5", &records);
     println!(
         "Expected shape (paper): update time grows with eps; mrr first improves \
          with eps (larger m, smaller delta) then degrades once eps exceeds the \

@@ -1,7 +1,9 @@
 //! Fig. 6: update time and maximum regret ratios with varying result size
-//! r (k = 1), all eight algorithms on all six datasets.
+//! r (k = 1), all nine algorithms on all six datasets.
 //!
-//! Paper grid: r ∈ {10, 40, 70, 100} (BB: {5, 10, 15, 20, 25}).
+//! Paper grid: r ∈ {10, 40, 70, 100} (BB: {5, 10, 15, 20, 25}). Cells with
+//! r < d are skipped for every algorithm: Definition 1 requires r ≥ d, so
+//! Movie (d = 12) starts at r = 40.
 //!
 //! ```sh
 //! cargo run --release -p rms-bench --bin fig6 \
@@ -11,13 +13,14 @@
 //! The slow baselines (Greedy, GeoGreedy at high d; DMM at d > 7) dominate
 //! the runtime; restrict with `--algos` for quick runs.
 
-use rms_bench::{maybe_save, run_cells, Algo, Cell, Scale};
+use rms_bench::{run_cells, Algo, Args, Cell};
 use rms_data::NamedDataset;
 use rms_eval::format_table;
 
 fn main() {
-    let scale = Scale::from_args();
-    let algos = Algo::filter_from_args().unwrap_or_else(|| Algo::ALL.to_vec());
+    let args = Args::from_process(&["--algos", "--save"]);
+    let scale = args.scale;
+    let algos = args.algos_or(&Algo::ALL);
     println!(
         "Fig. 6 — varying the result size r, k = 1 ({})",
         scale.banner()
@@ -38,12 +41,12 @@ fn main() {
         } else {
             &[10, 40, 70, 100]
         };
-        for &r in r_grid {
+        let d = ds.spec().d;
+        for &r in r_grid.iter().filter(|&&r| r >= d) {
             for &algo in &algos {
                 // The paper's DMM variants exhaust memory at d > 7 and
                 // GeoGreedy cannot scale past d = 7 — skip those cells,
                 // as the original figures leave them blank.
-                let d = ds.spec().d;
                 if d > 7 && matches!(algo, Algo::DmmRrms | Algo::DmmGreedy | Algo::GeoGreedy) {
                     continue;
                 }
@@ -62,7 +65,7 @@ fn main() {
     }
     let records = run_cells(&cells, scale);
     println!("{}", format_table(&records));
-    maybe_save("fig6", &records);
+    args.maybe_save("fig6", &records);
     println!(
         "Expected shape (paper): FD-RMS fastest overall (up to 3 orders of \
          magnitude vs Sphere on large-skyline datasets like CT/AntiCor), \

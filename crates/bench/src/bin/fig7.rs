@@ -7,13 +7,14 @@
 //! cargo run --release -p rms-bench --bin fig7 [-- --scale 0.02 --save]
 //! ```
 
-use rms_bench::{maybe_save, run_cells, Algo, Cell, Scale};
+use rms_bench::{run_cells, Algo, Args, Cell};
 use rms_data::NamedDataset;
 use rms_eval::format_table;
 
 fn main() {
-    let scale = Scale::from_args();
-    let algos = Algo::filter_from_args().unwrap_or_else(|| Algo::K_CAPABLE.to_vec());
+    let args = Args::from_process(&["--algos", "--save"]);
+    let scale = args.scale;
+    let algos = args.algos_or(&Algo::K_CAPABLE);
     println!("Fig. 7 — varying k ({})", scale.banner());
 
     let mut cells = Vec::new();
@@ -40,7 +41,7 @@ fn main() {
     }
     let records = run_cells(&cells, scale);
     println!("{}", format_table(&records));
-    maybe_save("fig7", &records);
+    args.maybe_save("fig7", &records);
     println!(
         "Expected shape (paper): all algorithms slow down as k grows; the \
          regret ratios drop with k by definition; FD-RMS is up to four \

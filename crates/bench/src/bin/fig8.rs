@@ -9,24 +9,17 @@
 //!     [-- --axis d|n --scale 0.02 --algos FD-RMS,Sphere,HS --save]
 //! ```
 
-use rms_bench::{maybe_save, run_cells, Algo, Cell, Scale};
+use rms_bench::{run_cells, Algo, Args, Cell};
 use rms_data::NamedDataset;
 use rms_eval::format_table;
 
 fn main() {
-    let scale = Scale::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let axis = args
-        .iter()
-        .position(|a| a == "--axis")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("both")
-        .to_string();
+    let args = Args::from_process(&["--algos", "--axis", "--save"]);
+    let scale = args.scale;
+    let axis = args.axis.as_str();
     // Default algorithm set: the ones the paper shows surviving the sweep
     // plus the DMM/GeoGreedy variants at low d (they drop out beyond 7).
-    let algos = Algo::filter_from_args()
-        .unwrap_or_else(|| vec![Algo::FdRms, Algo::Sphere, Algo::Hs, Algo::EpsKernel]);
+    let algos = args.algos_or(&[Algo::FdRms, Algo::Sphere, Algo::Hs, Algo::EpsKernel]);
     println!("Fig. 8 — scalability ({}; axis={axis})", scale.banner());
 
     let mut cells = Vec::new();
@@ -72,7 +65,7 @@ fn main() {
     }
     let records = run_cells(&cells, scale);
     println!("{}", format_table(&records));
-    maybe_save(&format!("fig8_{axis}"), &records);
+    args.maybe_save(&format!("fig8_{axis}"), &records);
     println!(
         "Expected shape (paper): update time and mrr grow sharply with d for \
          everyone; FD-RMS gains ~100x over Sphere at d ≥ 8. With n, static \

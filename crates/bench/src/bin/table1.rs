@@ -8,12 +8,12 @@
 //! Movie 3 293 skyline tuples. At reduced scale the *fractions* are
 //! comparable; the binary prints both.
 
-use rms_bench::Scale;
+use rms_bench::Args;
 use rms_data::NamedDataset;
 use rms_skyline::skyline;
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = Args::from_process(&[]).scale;
     println!("Table I — statistics of datasets ({})", scale.banner());
     println!(
         "{:<8} {:>9} {:>4} {:>10} {:>10}  paper (full scale)",

@@ -1,9 +1,10 @@
 //! Shared harness for regenerating the paper's tables and figures.
 //!
-//! Each `src/bin/*.rs` binary reproduces one table or figure (see
-//! `DESIGN.md` §4 for the index); this library holds the common plumbing:
-//! scale handling, the dynamic-workload experiment runner for FD-RMS and
-//! every static baseline, and parallel execution of independent cells.
+//! Each `src/bin/*.rs` binary reproduces one exhibit of the paper's
+//! Section IV: `table1` is Table I and `fig4` … `fig8` are Figs. 4–8.
+//! This library holds the common plumbing: the command line, the
+//! dynamic-workload experiment runner for FD-RMS and every static
+//! baseline, and parallel execution of independent cells.
 //!
 //! ## Scaling
 //!
@@ -11,13 +12,12 @@
 //! 500 K-vector regret test set — hours of compute for the slow baselines.
 //! Every binary therefore runs at a *reduced default scale* and prints the
 //! scale it used; pass `--full` for paper scale or `--scale <f>` /
-//! `--ops <n>` / `--eval <n>` to tune. Trends and orderings (who wins,
-//! where the crossovers sit) are preserved; absolute numbers shrink.
+//! `--ops <n>` / `--eval <n>` / `--max-m <n>` to tune. Trends and
+//! orderings (who wins, where the crossovers sit) are preserved; absolute
+//! numbers shrink.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod report;
 
 use rms_baselines::{
     DmmGreedy, DmmRrms, DynamicAdapter, EpsKernel, GeoGreedy, Greedy, GreedyStar, HittingSet,
@@ -29,7 +29,7 @@ use rms_geom::Point;
 use rms_serve::sync::recover_poisoned;
 
 /// Harness-wide scale knobs parsed from the command line.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {
     /// Dataset cardinality fraction (1.0 = paper scale).
     pub frac: f64,
@@ -53,42 +53,14 @@ impl Default for Scale {
 }
 
 impl Scale {
-    /// Parses `--full`, `--scale f`, `--eval n`, `--ops n`, `--max-m n`
-    /// from the process arguments.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let mut s = Self::default();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--full" => {
-                    s.frac = 1.0;
-                    s.eval_vectors = 500_000;
-                    s.max_m = 1 << 20;
-                    s.ops = usize::MAX;
-                }
-                "--scale" => {
-                    i += 1;
-                    s.frac = args[i].parse().expect("--scale takes a float");
-                }
-                "--eval" => {
-                    i += 1;
-                    s.eval_vectors = args[i].parse().expect("--eval takes an int");
-                }
-                "--ops" => {
-                    i += 1;
-                    s.ops = args[i].parse().expect("--ops takes an int");
-                }
-                "--max-m" => {
-                    i += 1;
-                    s.max_m = args[i].parse().expect("--max-m takes an int");
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        s
-    }
+    /// The paper's scale (`--full`): whole datasets, 500 000 evaluation
+    /// vectors, M up to 2^20, and every workload operation.
+    pub const FULL: Scale = Scale {
+        frac: 1.0,
+        eval_vectors: 500_000,
+        max_m: 1 << 20,
+        ops: usize::MAX,
+    };
 
     /// Human-readable banner describing the scale.
     pub fn banner(&self) -> String {
@@ -177,21 +149,134 @@ impl Algo {
         }
     }
 
-    /// Parses `--algos a,b,c` from the process arguments; `None` when the
-    /// flag is absent (caller uses its figure-specific default list).
-    pub fn filter_from_args() -> Option<Vec<Algo>> {
-        let args: Vec<String> = std::env::args().collect();
-        let pos = args.iter().position(|a| a == "--algos")?;
-        let list = args.get(pos + 1)?;
-        Some(
-            list.split(',')
-                .filter_map(|name| {
-                    Algo::ALL
+    /// Looks an algorithm up by its display name, ignoring ASCII case.
+    pub fn from_name(name: &str) -> Option<Algo> {
+        Algo::ALL
+            .into_iter()
+            .find(|a| a.name().eq_ignore_ascii_case(name))
+    }
+}
+
+/// The command line of the figure binaries.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Args {
+    /// `--full`, `--scale F`, `--eval N`, `--ops N`, `--max-m N`.
+    pub scale: Scale,
+    /// `--algos A,B,…`; `None` keeps the figure's default list.
+    pub algos: Option<Vec<Algo>>,
+    /// `--axis d|n|both`: which of Fig. 8's sweeps to run (default both).
+    pub axis: String,
+    /// `--save`: also write the records to `results/<name>.tsv`.
+    pub save: bool,
+}
+
+impl Args {
+    /// Parses `args`, the process arguments after the program name.
+    /// Every binary accepts the scale flags; `extra` names which of
+    /// `--algos`, `--axis` and `--save` this one reads as well.
+    ///
+    /// # Errors
+    ///
+    /// Any other token, a flag without its value, a value that does not
+    /// parse, a `--scale` outside (0, 1], an unknown algorithm name, or
+    /// an axis other than `d`, `n` or `both`.
+    pub fn parse(args: &[String], extra: &[&str]) -> Result<Self, String> {
+        let mut out = Args {
+            scale: Scale::default(),
+            algos: None,
+            axis: "both".into(),
+            save: false,
+        };
+        let mut tokens = args.iter();
+        while let Some(flag) = tokens.next() {
+            let flag = flag.as_str();
+            let mut value = || {
+                tokens
+                    .next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("flag {flag} is missing its value"))
+            };
+            let count = |v: &String| {
+                v.parse::<usize>()
+                    .map_err(|_| format!("invalid {flag} value `{v}`"))
+            };
+            match flag {
+                "--full" => out.scale = Scale::FULL,
+                "--scale" => {
+                    let v = value()?;
+                    out.scale.frac = v
+                        .parse()
+                        .ok()
+                        .filter(|f| *f > 0.0 && *f <= 1.0)
+                        .ok_or_else(|| format!("invalid --scale value `{v}` (want 0 < F <= 1)"))?;
+                }
+                "--eval" => out.scale.eval_vectors = count(value()?)?,
+                "--ops" => out.scale.ops = count(value()?)?,
+                "--max-m" => out.scale.max_m = count(value()?)?,
+                "--algos" if extra.contains(&flag) => {
+                    let algos = value()?
+                        .split(',')
+                        .map(|name| {
+                            Algo::from_name(name)
+                                .ok_or_else(|| format!("unknown algorithm `{name}`"))
+                        })
+                        .collect::<Result<Vec<_>, _>>()?;
+                    out.algos = Some(algos);
+                }
+                "--axis" if extra.contains(&flag) => {
+                    let v = value()?;
+                    if !matches!(v.as_str(), "d" | "n" | "both") {
+                        return Err(format!("invalid --axis value `{v}` (want d, n or both)"));
+                    }
+                    out.axis.clone_from(v);
+                }
+                "--save" if extra.contains(&flag) => out.save = true,
+                _ => {
+                    let accepted: Vec<&str> = ["--full", "--scale", "--eval", "--ops", "--max-m"]
                         .into_iter()
-                        .find(|a| a.name().eq_ignore_ascii_case(name))
-                })
-                .collect(),
-        )
+                        .chain(extra.iter().copied())
+                        .collect();
+                    return Err(format!(
+                        "unknown argument `{flag}` (accepted: {})",
+                        accepted.join(" ")
+                    ));
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// [`Args::parse`] over the process arguments. On an error it prints
+    /// `error: …` and exits with status 1, as the `krms` CLI does.
+    pub fn from_process(extra: &[&str]) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(&args, extra).unwrap_or_else(|msg| {
+            eprintln!("error: {msg}");
+            std::process::exit(1);
+        })
+    }
+
+    /// The `--algos` list, or `default` when the flag is absent.
+    pub fn algos_or(&self, default: &[Algo]) -> Vec<Algo> {
+        self.algos.clone().unwrap_or_else(|| default.to_vec())
+    }
+
+    /// Writes `records` to `results/<name>.tsv` when `--save` was passed.
+    pub fn maybe_save(&self, name: &str, records: &[ExperimentRecord]) {
+        if !self.save {
+            return;
+        }
+        let dir = std::path::Path::new("results");
+        std::fs::create_dir_all(dir).expect("results dir");
+        let mut out = String::from(ExperimentRecord::HEADER);
+        out.push('\n');
+        for r in records {
+            out.push_str(&r.to_row());
+            out.push('\n');
+        }
+        let path = dir.join(format!("{name}.tsv"));
+        std::fs::write(&path, out).expect("write results");
+        eprintln!("saved {}", path.display());
     }
 }
 
@@ -392,24 +477,6 @@ pub fn run_cells(cells: &[Cell], scale: Scale) -> Vec<ExperimentRecord> {
         .collect()
 }
 
-/// Writes records to `results/<name>.tsv` when `--save` was passed.
-pub fn maybe_save(name: &str, records: &[ExperimentRecord]) {
-    if !std::env::args().any(|a| a == "--save") {
-        return;
-    }
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).expect("results dir");
-    let mut out = String::from(ExperimentRecord::HEADER);
-    out.push('\n');
-    for r in records {
-        out.push_str(&r.to_row());
-        out.push('\n');
-    }
-    let path = dir.join(format!("{name}.tsv"));
-    std::fs::write(&path, out).expect("write results");
-    eprintln!("saved {}", path.display());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,9 +494,92 @@ mod tests {
         assert_eq!(Algo::ALL.len(), 9);
         let names: std::collections::HashSet<_> = Algo::ALL.iter().map(|a| a.name()).collect();
         assert_eq!(names.len(), 9);
+        for a in Algo::ALL {
+            assert_eq!(Algo::from_name(a.name()), Some(a));
+            assert_eq!(Algo::from_name(&a.name().to_lowercase()), Some(a));
+        }
         for a in Algo::K_CAPABLE {
             assert!(a == Algo::FdRms || a.static_algo().supports_k(3));
         }
+    }
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn args_parse_a_valid_line() {
+        let args = Args::parse(
+            &argv("--scale 0.002 --eval 300 --ops 20 --max-m 128 --algos FD-RMS,sphere --axis d --save"),
+            &["--algos", "--axis", "--save"],
+        )
+        .unwrap();
+        assert_eq!(
+            args.scale,
+            Scale {
+                frac: 0.002,
+                eval_vectors: 300,
+                max_m: 128,
+                ops: 20,
+            }
+        );
+        assert_eq!(args.algos, Some(vec![Algo::FdRms, Algo::Sphere]));
+        assert_eq!(args.axis, "d");
+        assert!(args.save);
+
+        let none = Args::parse(&[], &[]).unwrap();
+        assert_eq!(none.scale, Scale::default());
+        assert_eq!(
+            (none.algos, none.axis.as_str(), none.save),
+            (None, "both", false)
+        );
+        let full = Args::parse(&argv("--full"), &[]).unwrap();
+        assert_eq!(full.scale, Scale::FULL);
+    }
+
+    #[test]
+    fn args_reject_a_missing_value() {
+        for line in [
+            "--scale",
+            "--eval",
+            "--ops",
+            "--max-m",
+            "--scale --eval 300",
+        ] {
+            let err = Args::parse(&argv(line), &[]).unwrap_err();
+            assert!(err.contains("is missing its value"), "{line}: {err}");
+        }
+        let err = Args::parse(&argv("--algos"), &["--algos"]).unwrap_err();
+        assert!(err.contains("--algos is missing its value"), "{err}");
+        for line in ["--ops ten", "--scale 0", "--scale 2", "--eval -1"] {
+            let err = Args::parse(&argv(line), &[]).unwrap_err();
+            assert!(err.contains("invalid --"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn args_reject_an_unknown_flag() {
+        let err = Args::parse(&argv("--scal 0.001"), &[]).unwrap_err();
+        assert!(err.contains("unknown argument `--scal`"), "{err}");
+        let err = Args::parse(&argv("0.001"), &[]).unwrap_err();
+        assert!(err.contains("unknown argument `0.001`"), "{err}");
+        // A flag that only other binaries read is unknown here.
+        let err = Args::parse(&argv("--save"), &["--algos"]).unwrap_err();
+        assert!(err.contains("unknown argument `--save`"), "{err}");
+        assert!(
+            err.contains("--max-m --algos"),
+            "lists what is accepted: {err}"
+        );
+    }
+
+    #[test]
+    fn args_reject_an_unknown_algorithm() {
+        let err = Args::parse(&argv("--algos FD-RMS,Bogus"), &["--algos"]).unwrap_err();
+        assert!(err.contains("unknown algorithm `Bogus`"), "{err}");
+        let err = Args::parse(&argv("--algos FD-RMS,"), &["--algos"]).unwrap_err();
+        assert!(err.contains("unknown algorithm ``"), "{err}");
+        let err = Args::parse(&argv("--axis x"), &["--axis"]).unwrap_err();
+        assert!(err.contains("invalid --axis value `x`"), "{err}");
     }
 
     #[test]

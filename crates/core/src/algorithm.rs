@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rms_geom::{rank_cmp, with_basis_prefix, Point, PointId, RankedPoint, Utility};
 use rms_index::{ConeTree, KdTree};
-use rms_setcover::{DynamicSetCover, ElemId};
+use rms_setcover::{DynamicSetCover, ElemId, LevelBase};
 use std::collections::{BTreeSet, HashMap};
 
 /// Per-utility top-k maintenance state.
@@ -151,8 +151,8 @@ pub struct FdRms {
     pub(crate) batch_threads: usize,
 }
 
-/// Cumulative instrumentation counters exposed for the ablation benches
-/// and for production observability.
+/// Cumulative instrumentation counters, exported for observability and
+/// read by the benchmark's per-layer figures.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UpdateStats {
     /// Multi-operation batches applied through the engine's batched path
@@ -212,7 +212,8 @@ impl FdRms {
             topk: vec![TopKState::default(); cfg.max_utilities],
             kd,
             cone,
-            cover: DynamicSetCover::new(cfg.level_base),
+            // The paper's level base b = 2 (footnote 2).
+            cover: DynamicSetCover::new(LevelBase::TWO),
             points,
             pending: BTreeSet::new(),
             ops: 0,
@@ -366,7 +367,7 @@ impl FdRms {
         self.ops
     }
 
-    /// Cumulative STABILIZE element moves (ablation instrumentation).
+    /// Cumulative STABILIZE element moves.
     pub fn stabilize_moves(&self) -> u64 {
         self.cover.stabilize_moves()
     }

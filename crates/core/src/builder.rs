@@ -2,7 +2,6 @@
 
 use crate::algorithm::FdRms;
 use rms_geom::{Point, PointId};
-use rms_setcover::LevelBase;
 
 /// Errors raised by FD-RMS construction and updates.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,7 +46,6 @@ pub struct FdRmsBuilder {
     pub(crate) epsilon: f64,
     pub(crate) max_utilities: usize,
     pub(crate) seed: u64,
-    pub(crate) level_base: LevelBase,
     pub(crate) batch_threads: Option<usize>,
 }
 
@@ -60,7 +58,6 @@ impl FdRmsBuilder {
             epsilon: 0.02,
             max_utilities: 1 << 12,
             seed: 42,
-            level_base: LevelBase::TWO,
             batch_threads: None,
         }
     }
@@ -96,12 +93,6 @@ impl FdRmsBuilder {
     /// RNG seed for utility sampling (results are deterministic per seed).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Base of the set-cover level hierarchy (paper footnote 2; default 2).
-    pub fn level_base(mut self, base: f64) -> Self {
-        self.level_base = LevelBase::new(base);
         self
     }
 

@@ -5,8 +5,9 @@
 //! "The Skyline Operator", ICDE 2001). The real datasets are not
 //! redistributable offline, so this crate ships *stand-ins*: synthetic
 //! generators with the same cardinality and dimensionality, tuned to
-//! produce skylines in the same size regime as Table I (see `DESIGN.md`
-//! §2 for the substitution rationale).
+//! produce skylines in the same size regime as Table I: the skyline is
+//! what the static baselines re-run on, so its size is what the stand-ins
+//! must match (the `table1` binary prints both).
 //!
 //! It also implements the paper's dynamic workload (Section IV-A):
 //! start from a random 50% of the tuples, insert the remaining 50% one by

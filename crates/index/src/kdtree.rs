@@ -14,9 +14,9 @@ use std::collections::HashMap;
 /// Maximum number of points in a leaf before it splits.
 const LEAF_CAPACITY: usize = 24;
 
-/// Fraction of stale (deleted or box-loosening) operations that triggers a
-/// full rebuild. Swept by the `ablation_kd_rebuild` bench.
-const DEFAULT_REBUILD_FRACTION: f64 = 0.5;
+/// Share of the live points that the stale (deleted or box-loosening)
+/// operations must exceed to trigger a full rebuild.
+const REBUILD_FRACTION: f64 = 0.5;
 
 /// Child-index sentinel marking a node as a leaf.
 const NO_CHILD: u32 = u32::MAX;
@@ -89,7 +89,6 @@ pub struct KdTree {
     leaf_of: HashMap<PointId, usize>,
     /// Operations since the last build that may have loosened boxes.
     stale_ops: usize,
-    rebuild_fraction: f64,
 }
 
 /// Max-heap ordering for (score, id): larger score first, then smaller id.
@@ -106,18 +105,7 @@ impl KdTree {
     /// Bulk-loads a tree from `points`. `dim` must be positive and all
     /// points must match it.
     pub fn build(dim: usize, points: Vec<Point>) -> Result<Self, KdTreeError> {
-        Self::build_with_rebuild_fraction(dim, points, DEFAULT_REBUILD_FRACTION)
-    }
-
-    /// [`KdTree::build`] with an explicit lazy-rebuild threshold: the tree
-    /// rebuilds itself once `stale_ops > rebuild_fraction × len`.
-    pub fn build_with_rebuild_fraction(
-        dim: usize,
-        points: Vec<Point>,
-        rebuild_fraction: f64,
-    ) -> Result<Self, KdTreeError> {
         assert!(dim > 0, "dimension must be positive");
-        assert!(rebuild_fraction > 0.0, "rebuild fraction must be positive");
         let mut tree = Self {
             dim,
             nodes: Vec::new(),
@@ -126,7 +114,6 @@ impl KdTree {
             len: 0,
             leaf_of: HashMap::new(),
             stale_ops: 0,
-            rebuild_fraction,
         };
         for p in &points {
             if p.dim() != dim {
@@ -400,10 +387,10 @@ impl KdTree {
     }
 
     /// Takes the lazy-rebuild decision once: rebuilds (and returns `true`)
-    /// when the stale operations accumulated by deletions exceed
-    /// `rebuild_fraction × len`. Companion of [`KdTree::delete_deferred`].
+    /// when the stale operations accumulated by deletions exceed half the
+    /// live points. Companion of [`KdTree::delete_deferred`].
     pub fn maybe_rebuild(&mut self) -> bool {
-        if (self.stale_ops as f64) > self.rebuild_fraction * (self.len.max(1) as f64) {
+        if (self.stale_ops as f64) > REBUILD_FRACTION * (self.len.max(1) as f64) {
             let pts = self.points();
             self.rebuild_from(pts);
             true

@@ -8,9 +8,9 @@
 //!   expand bounding boxes exactly; deletions leave conservative boxes and
 //!   trigger a full rebuild once enough staleness accumulates (the paper
 //!   uses "standard top-down methods" for construction plus
-//!   branch-and-bound search; lazy rebuilding is our documented
-//!   equivalent for the update path — see the `ablation_kd_rebuild`
-//!   bench).
+//!   branch-and-bound search; lazy rebuilding, once stale operations
+//!   exceed half the live points, is our equivalent for the update
+//!   path).
 //! * [`ConeTree`] — the **utility index UI**: on a tuple insertion it
 //!   reports exactly the utilities whose threshold the new tuple reaches,
 //!   `{i : ⟨u_i, p⟩ ≥ τ_i}`. The paper uses a cone tree (Ram & Gray, KDD

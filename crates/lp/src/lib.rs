@@ -16,7 +16,8 @@
 //! * [`regret::is_happy_point`] — whether a tuple is the top-1 for *some*
 //!   utility vector, i.e. a vertex of the upper convex hull. This is the
 //!   predicate GEOGREEDY uses to prune candidates; solving it as an LP
-//!   avoids building a d-dimensional convex hull (see DESIGN.md §2).
+//!   avoids building a d-dimensional convex hull, whose size can grow as
+//!   `n^⌊d/2⌋`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,8 +7,7 @@
 //! - [`Counter`] — monotonically increasing `u64`;
 //! - [`Gauge`] — signed value that can go up and down;
 //! - [`Histogram`] — fixed log₂-bucket latency histogram (64 buckets,
-//!   one per power-of-two nanosecond range), the same layout the serve
-//!   bench's read tally has used since PR 3.
+//!   one per power-of-two nanosecond range).
 //!
 //! Instrument handles are cheap `Arc` clones over plain atomics: the
 //! hot path (`inc`/`add`/`record`) is a relaxed `fetch_add` with no
@@ -29,14 +28,6 @@
 //! `_bucket`/`_sum`/`_count` histogram series with `le` upper edges in
 //! seconds). Output is deterministic: families and series are stored
 //! in ordered maps, so two encodes of the same state are byte-equal.
-//!
-//! # Disabled mode
-//!
-//! [`Registry::disabled`] (or [`Registry::from_env`] with
-//! `KRMS_METRICS_DISABLED=1`) returns a registry whose handles are
-//! no-ops — registration still validates and the catalog still
-//! encodes, but every `inc`/`record` is a single predictable branch.
-//! The bench report uses this to price the instrumentation.
 //!
 //! ```
 //! use rms_metrics::Registry;
@@ -70,10 +61,6 @@ use std::time::Duration;
 /// observations in `[2^i, 2^(i+1))` nanoseconds, so 64 buckets span
 /// the full `u64` nanosecond range (~584 years).
 pub const HISTOGRAM_BUCKETS: usize = 64;
-
-/// The environment variable [`Registry::from_env`] consults: set to a
-/// non-empty value other than `0` to construct a disabled registry.
-pub const DISABLE_ENV: &str = "KRMS_METRICS_DISABLED";
 
 /// Sole poison policy of this crate, mirroring `rms-serve`: the
 /// registry map holds no invariants a panicking registrant could
@@ -174,7 +161,6 @@ struct Family {
 /// several isolated instances in one process.
 #[derive(Debug)]
 pub struct Registry {
-    on: bool,
     families: Mutex<BTreeMap<String, Family>>,
 }
 
@@ -185,43 +171,12 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// Creates an enabled registry.
+    /// Creates an empty registry.
     #[must_use]
     pub fn new() -> Self {
         Registry {
-            on: true,
             families: Mutex::new(BTreeMap::new()),
         }
-    }
-
-    /// Creates a registry whose instruments are no-ops: registration
-    /// still validates names and the catalog still encodes (with zero
-    /// values), but the hot-path record calls return immediately.
-    #[must_use]
-    pub fn disabled() -> Self {
-        Registry {
-            on: false,
-            families: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Creates [`Registry::disabled`] when [`DISABLE_ENV`] is set to a
-    /// non-empty value other than `0`, else [`Registry::new`]. The
-    /// bench-overhead comparison flips this switch.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let off = matches!(std::env::var(DISABLE_ENV), Ok(v) if !v.is_empty() && v != "0");
-        if off {
-            Self::disabled()
-        } else {
-            Self::new()
-        }
-    }
-
-    /// Whether instruments from this registry record anything.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.on
     }
 
     /// Registers (or looks up) the counter series `name{labels}`.
@@ -242,7 +197,7 @@ impl Registry {
             SeriesCell::Counter(Arc::new(AtomicU64::new(0)))
         });
         match cell {
-            SeriesCell::Counter(cell) => Counter { cell, on: self.on },
+            SeriesCell::Counter(cell) => Counter { cell },
             // rms-analyze: allow(unwrap-nontest, "register_cell asserts the family kind matches, so the cell variant is Counter")
             _ => unreachable!("kind checked by register_cell"),
         }
@@ -258,7 +213,7 @@ impl Registry {
             SeriesCell::Gauge(Arc::new(AtomicI64::new(0)))
         });
         match cell {
-            SeriesCell::Gauge(cell) => Gauge { cell, on: self.on },
+            SeriesCell::Gauge(cell) => Gauge { cell },
             // rms-analyze: allow(unwrap-nontest, "register_cell asserts the family kind matches, so the cell variant is Gauge")
             _ => unreachable!("kind checked by register_cell"),
         }
@@ -276,7 +231,7 @@ impl Registry {
             SeriesCell::Histogram(Arc::new(HistogramCore::new(NANOS_PER_SECOND)))
         });
         match cell {
-            SeriesCell::Histogram(core) => Histogram { core, on: self.on },
+            SeriesCell::Histogram(core) => Histogram { core },
             // rms-analyze: allow(unwrap-nontest, "register_cell asserts the family kind matches, so the cell variant is Histogram")
             _ => unreachable!("kind checked by register_cell"),
         }
@@ -302,7 +257,7 @@ impl Registry {
             SeriesCell::Histogram(Arc::new(HistogramCore::new(1.0)))
         });
         match cell {
-            SeriesCell::Histogram(core) => Histogram { core, on: self.on },
+            SeriesCell::Histogram(core) => Histogram { core },
             // rms-analyze: allow(unwrap-nontest, "register_cell asserts the family kind matches, so the cell variant is Histogram")
             _ => unreachable!("kind checked by register_cell"),
         }
@@ -497,7 +452,6 @@ fn encode_histogram(out: &mut String, name: &str, labels: &[(String, String)], h
 #[derive(Clone, Debug)]
 pub struct Counter {
     cell: Arc<AtomicU64>,
-    on: bool,
 }
 
 impl Counter {
@@ -508,9 +462,7 @@ impl Counter {
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        if self.on {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -525,22 +477,17 @@ impl Counter {
 #[derive(Clone, Debug)]
 pub struct Gauge {
     cell: Arc<AtomicI64>,
-    on: bool,
 }
 
 impl Gauge {
     /// Sets the gauge to `v`.
     pub fn set(&self, v: i64) {
-        if self.on {
-            self.cell.store(v, Ordering::Relaxed);
-        }
+        self.cell.store(v, Ordering::Relaxed);
     }
 
     /// Adds `n` (may be negative).
     pub fn add(&self, n: i64) {
-        if self.on {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one.
@@ -588,7 +535,6 @@ impl HistogramCore {
 #[derive(Clone, Debug)]
 pub struct Histogram {
     core: Arc<HistogramCore>,
-    on: bool,
 }
 
 impl Histogram {
@@ -606,9 +552,6 @@ impl Histogram {
     /// Records one raw observation. Zero is clamped to 1 so every
     /// observation lands in a bucket.
     pub fn record_value(&self, v: u64) {
-        if !self.on {
-            return;
-        }
         let v = v.max(1);
         let idx = 63 - v.leading_zeros() as usize;
         self.core.buckets[idx].fetch_add(1, Ordering::Relaxed);
@@ -683,25 +626,6 @@ mod tests {
         b.add(2);
         assert_eq!(a.value(), 3);
         assert_eq!(b.value(), 3);
-    }
-
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let reg = Registry::disabled();
-        assert!(!reg.is_enabled());
-        let c = reg.register_counter("rms_x_y_total", "a", &[]);
-        let g = reg.register_gauge("rms_x_depth", "b", &[]);
-        let h = reg.register_histogram("rms_x_y_seconds", "c", &[]);
-        c.inc();
-        g.set(7);
-        h.record_ns(1000);
-        assert_eq!(c.value(), 0);
-        assert_eq!(g.value(), 0);
-        assert_eq!(h.count(), 0);
-        // The catalog still encodes, with zero values.
-        let text = reg.encode();
-        assert!(text.contains("rms_x_y_total 0"));
-        assert!(text.contains("rms_x_y_seconds_count 0"));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! exactly the readiness surface the reactor needs — `epoll` (Linux),
 //! `poll(2)` as the portable fallback, a nonblocking pipe for the
 //! waker, socket buffer knobs, and the `RLIMIT_NOFILE` raise used by
-//! the fan-out bench.
+//! the thousand-subscriber fan-out test.
 //!
 //! Everything else in `rms-net` is safe Rust; this module wraps each
 //! call in a safe function that owns the invariant making it sound
@@ -268,8 +268,8 @@ pub fn set_recv_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
 }
 
 /// Raises the soft `RLIMIT_NOFILE` toward `target`, capped at the hard
-/// limit, and returns the resulting soft limit. The 10k-subscriber
-/// fan-out bench calls this before opening its socket flood.
+/// limit, and returns the resulting soft limit. The thousand-subscriber
+/// fan-out test in `rms-serve` calls this before opening its sockets.
 pub fn raise_nofile_limit(target: u64) -> io::Result<u64> {
     let mut lim = Rlimit { cur: 0, max: 0 };
     // SAFETY: `lim` is a live out-buffer of the right layout.

@@ -462,14 +462,14 @@ impl RmsService {
     /// Builds the engine from `builder` + `initial` (synchronously, so
     /// configuration errors surface here), publishes the epoch-0
     /// snapshot, and starts the applier thread. Instruments register
-    /// into a fresh [`Registry::from_env`] (so `KRMS_METRICS_DISABLED`
-    /// is honored); read it back via [`RmsService::registry`].
+    /// into a fresh [`Registry`]; read it back via
+    /// [`RmsService::registry`].
     pub fn start(
         builder: FdRmsBuilder,
         initial: Vec<Point>,
         cfg: ServeConfig,
     ) -> Result<Self, FdRmsError> {
-        let registry = Arc::new(Registry::from_env());
+        let registry = Arc::new(Registry::new());
         Self::start_labeled(builder, initial, cfg, &registry, None)
     }
 
@@ -521,7 +521,7 @@ impl RmsService {
         cfg: ServeConfig,
         wal_path: &Path,
     ) -> Result<Self, ServeError> {
-        let registry = Arc::new(Registry::from_env());
+        let registry = Arc::new(Registry::new());
         Self::start_with_wal_labeled(builder, initial, cfg, wal_path, &registry, None)
     }
 
@@ -657,8 +657,8 @@ impl RmsService {
     }
 
     /// The metrics registry every instrument of this service reports
-    /// into ([`Registry::from_env`]-fresh unless the service was started
-    /// inside a shard group, which shares one registry across shards).
+    /// into (fresh per service unless the service was started inside a
+    /// shard group, which shares one registry across shards).
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
     }

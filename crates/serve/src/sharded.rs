@@ -398,7 +398,7 @@ impl ShardedRmsService {
         }
         // One registry for the whole group: every shard's families carry
         // a `shard="N"` label, so one exposition covers the group.
-        let registry = Arc::new(Registry::from_env());
+        let registry = Arc::new(Registry::new());
         let mut services = Vec::with_capacity(shards);
         for (i, part) in partitions.into_iter().enumerate() {
             let service = match wal_base {

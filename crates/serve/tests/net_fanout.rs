@@ -1,8 +1,8 @@
 //! Loopback coverage of the evented fan-out path: the slow-subscriber
 //! eviction policy, server-side filtered subscriptions against the
 //! unfiltered stream, and the encode-once contract under a thousand
-//! concurrent subscribers — each pinned through the server's own
-//! metrics rather than timing.
+//! concurrent subscribers, half of them filtered — each pinned through
+//! the server's own metrics rather than timing.
 
 use fdrms::FdRms;
 use rms_client::RmsClient;
@@ -211,14 +211,20 @@ fn filtered_subscription_is_range_slice_of_unfiltered() {
 }
 
 /// One thousand concurrent subscribers, and the server still encodes
-/// each published delta exactly once — read off
-/// `rms_net_delta_encodes_total{kind="unfiltered"}`, the counter the
-/// fan-out path increments per publish, not per subscriber. Every
-/// subscriber then replays the identical line sequence to EOF.
+/// each published delta once per distinct filter — read off
+/// `rms_net_delta_encodes_total`, the counter the fan-out path
+/// increments per publish, not per subscriber. Half the swarm shares one
+/// `ids=` filter that covers the initial ids but not the inserted ones,
+/// so those subscribers get real slices (header-only lines for the
+/// inserts). With one reactor, the server encodes one unfiltered line
+/// and one filtered line per publish. Every subscriber, filtered or not,
+/// then reads exactly one `DELTA` line per publish to EOF.
 #[test]
-fn thousand_subscribers_one_unfiltered_encode_per_publish() {
+fn thousand_subscribers_one_encode_per_filter_per_publish() {
     const SUBS: usize = 1_000;
     const PUBLISHES: u64 = 5;
+    // The initial ids are 0..50; the inserts below use 900.. .
+    const FILTER_HI: u64 = 899;
     rms_net::raise_nofile_limit(1 << 20).expect("raise fd limit");
 
     let service = RmsService::start(
@@ -231,8 +237,16 @@ fn thousand_subscribers_one_unfiltered_encode_per_publish() {
     let addr = server.local_addr().unwrap();
     let server = std::thread::spawn(move || server.run().expect("server run"));
 
+    let filtered_request = format!("SUBSCRIBE every=1 ids=0..{FILTER_HI}");
     let mut swarm: Vec<BufReader<TcpStream>> = (0..SUBS)
-        .map(|_| raw_subscribe(addr, "SUBSCRIBE every=1"))
+        .map(|i| {
+            let request = if i < SUBS / 2 {
+                filtered_request.as_str()
+            } else {
+                "SUBSCRIBE every=1"
+            };
+            raw_subscribe(addr, request)
+        })
         .collect();
     // The probe paces the publishes so each insert lands as its own
     // epoch, and later counts the shutdown drain's trailing deltas.
@@ -255,6 +269,12 @@ fn thousand_subscribers_one_unfiltered_encode_per_publish() {
         PUBLISHES,
         "encode-once violated across {SUBS} subscribers"
     );
+    assert_eq!(
+        counter_total(&body, "rms_net_delta_encodes_total{kind=\"filtered\"}"),
+        PUBLISHES,
+        "filter cache missed: {} subscribers share one filter",
+        SUBS / 2
+    );
 
     writer.shutdown().expect("shutdown");
     let mut total_publishes = PUBLISHES;
@@ -264,6 +284,7 @@ fn thousand_subscribers_one_unfiltered_encode_per_publish() {
     server.join().expect("server thread");
 
     for (i, sub) in swarm.iter_mut().enumerate() {
+        let filtered = i < SUBS / 2;
         let mut lines = 0u64;
         let mut line = String::new();
         loop {
@@ -272,6 +293,17 @@ fn thousand_subscribers_one_unfiltered_encode_per_publish() {
                 break;
             }
             assert!(line.starts_with("DELTA "), "subscriber {i}: {line}");
+            if filtered {
+                let out_of_range = line
+                    .split_whitespace()
+                    .filter_map(|t| t.strip_prefix('+').or_else(|| t.strip_prefix('-')))
+                    .flat_map(|ids| ids.split(','))
+                    .any(|id| id.parse::<u64>().unwrap() > FILTER_HI);
+                assert!(
+                    !out_of_range,
+                    "subscriber {i} got ids past its filter: {line}"
+                );
+            }
             lines += 1;
         }
         assert_eq!(lines, total_publishes, "subscriber {i} missed deltas");

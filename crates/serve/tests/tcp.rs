@@ -13,6 +13,8 @@ use rms_geom::Point;
 use rms_serve::{RmsServer, RmsService, ServeConfig, ShardedRmsService};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 struct Client {
@@ -431,9 +433,9 @@ fn v2_subscribe_raw_stream_reconstructs_query() {
 }
 
 /// The typed client against both backends: negotiation, batch ingest,
-/// query/stats, and a subscription whose replay matches the final
-/// QUERY — the protocol's second, independent implementation driving
-/// the first.
+/// query/stats, a reader whose `QUERY` epochs never go backwards during
+/// ingest, and a subscription whose replay matches the final QUERY —
+/// the protocol's second, independent implementation driving the first.
 #[test]
 fn rms_client_end_to_end_single_and_sharded() {
     for shards in [1usize, 3] {
@@ -471,6 +473,25 @@ fn rms_client_end_to_end_single_and_sharded() {
             sub.ids()
         });
 
+        // A reader polls QUERY until the ingest below is visible: no
+        // epoch component may go backwards over the wire.
+        let stop = Arc::new(AtomicBool::new(false));
+        let reader = {
+            let stop = Arc::clone(&stop);
+            let mut reader = RmsClient::connect(addr).expect("reader connect");
+            std::thread::spawn(move || {
+                let mut last = reader.query().expect("reader query").epochs;
+                while !stop.load(Ordering::Relaxed) {
+                    let epochs = reader.query().expect("reader query").epochs;
+                    assert!(
+                        epochs.iter().zip(&last).all(|(now, before)| now >= before),
+                        "epochs went backwards over the wire: {last:?} -> {epochs:?}"
+                    );
+                    last = epochs;
+                }
+            })
+        };
+
         let mut client = RmsClient::connect(addr).expect("client connect");
         let hello = client.hello();
         assert_eq!(
@@ -501,6 +522,8 @@ fn rms_client_end_to_end_single_and_sharded() {
             assert!(Instant::now() < deadline, "ops never became visible");
             std::thread::sleep(Duration::from_millis(5));
         }
+        stop.store(true, Ordering::Relaxed);
+        reader.join().expect("reader thread");
         let q = client.query().expect("query");
         assert_eq!(q.n, 60 + 21 - 1);
         assert_eq!(q.epochs.len(), shards);

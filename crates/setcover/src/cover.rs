@@ -256,8 +256,8 @@ pub struct DynamicSetCover {
     /// `|C|`.
     solution_len: usize,
     counters: Counters,
-    /// Cumulative number of stabilisation element moves (for the ablation
-    /// benches).
+    /// Cumulative number of stabilisation element moves (reported by
+    /// [`DynamicSetCover::stabilize_moves`]).
     stabilize_moves: u64,
     /// When `true` (between [`DynamicSetCover::begin_batch`] and
     /// [`DynamicSetCover::commit`]), mutations accumulate violation
@@ -414,8 +414,7 @@ impl DynamicSetCover {
         self.slot_of.get(&s).is_some_and(|&t| self.contains(t, u))
     }
 
-    /// Total element moves performed by `STABILIZE` so far (ablation
-    /// instrumentation).
+    /// Total element moves performed by `STABILIZE` so far.
     pub fn stabilize_moves(&self) -> u64 {
         self.stabilize_moves
     }
@@ -1359,7 +1358,7 @@ mod tests {
     }
 
     #[test]
-    fn configurable_level_base() {
+    fn level_base_is_configurable() {
         let mut c = DynamicSetCover::new(LevelBase::new(4.0));
         c.insert_set(1, 0..16).unwrap();
         for u in 0..16 {

@@ -4,7 +4,7 @@
 ///
 /// Level `j` holds sets whose cover sets have size in `[b^j, b^{j+1})`.
 /// The paper fixes `b = 2` but notes (footnote 2) that any constant
-/// greater than 1 works; the ablation benches sweep this.
+/// greater than 1 works; FD-RMS uses [`LevelBase::TWO`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LevelBase(f64);
 
