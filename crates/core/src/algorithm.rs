@@ -1,6 +1,7 @@
 //! The FD-RMS maintenance algorithm (Algorithms 2–4 of the paper).
 
 use crate::builder::{FdRmsBuilder, FdRmsError};
+use crate::engine::BatchTables;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rms_geom::{rank_cmp, with_basis_prefix, Point, PointId, RankedPoint, Utility};
@@ -53,6 +54,17 @@ pub(crate) fn top_k_of<'a>(
     k: usize,
 ) -> Vec<RankedPoint> {
     let mut best: Vec<RankedPoint> = Vec::with_capacity(k);
+    merge_top_k(&mut best, cands, k);
+    best
+}
+
+/// Merges `cands` into `best`, a rank-ordered list of at most `k`, in
+/// place: `best` ends as the `k` best of both.
+pub(crate) fn merge_top_k<'a>(
+    best: &mut Vec<RankedPoint>,
+    cands: impl IntoIterator<Item = &'a RankedPoint>,
+    k: usize,
+) {
     for rp in cands {
         if best.len() == k {
             if !rank_before(rp.score, rp.id, &best[k - 1]) {
@@ -63,7 +75,6 @@ pub(crate) fn top_k_of<'a>(
         let pos = best.partition_point(|e| rank_before(e.score, e.id, rp));
         best.insert(pos, rp.clone());
     }
-    best
 }
 
 /// A utility's post-requery state (see [`requery`]).
@@ -121,9 +132,9 @@ pub(crate) fn requery(
 /// Single-tuple mutations ([`FdRms::insert`], [`FdRms::delete`],
 /// [`FdRms::update`]) are routed through the batch update engine in
 /// [`crate::engine`] as one-operation batches; multi-operation batches go
-/// through [`FdRms::apply_batch`], which shards the affected utility
-/// recomputation across threads and defers set-cover stabilisation to one
-/// pass per batch.
+/// through [`FdRms::apply_batch`], which recomputes each affected utility
+/// once, on the calling thread over working tables kept from batch to
+/// batch, and defers set-cover stabilisation to one pass per batch.
 #[derive(Debug)]
 pub struct FdRms {
     pub(crate) d: usize,
@@ -147,8 +158,8 @@ pub struct FdRms {
     pub(crate) ops: u64,
     /// Per-structure instrumentation.
     pub(crate) stats: UpdateStats,
-    /// Worker-thread budget for [`FdRms::apply_batch`] shard recomputes.
-    pub(crate) batch_threads: usize,
+    /// [`FdRms::apply_batch`]'s working tables, reused across batches.
+    pub(crate) batch: BatchTables,
 }
 
 /// Cumulative instrumentation counters, exported for observability and
@@ -218,11 +229,7 @@ impl FdRms {
             pending: BTreeSet::new(),
             ops: 0,
             stats: UpdateStats::default(),
-            batch_threads: cfg.batch_threads.unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-            }),
+            batch: BatchTables::default(),
         };
 
         // Compute Φ_{k,ε}(u_i, P0) for every i ∈ [1, M] and build the full
@@ -747,7 +754,7 @@ impl FdRms {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::Rng;
 
@@ -1136,7 +1143,7 @@ mod tests {
     }
 
     /// Memberships gained and lost by the tuples live in both engines.
-    fn membership_diff(before: &FdRms, after: &FdRms) -> (u64, u64) {
+    pub(crate) fn membership_diff(before: &FdRms, after: &FdRms) -> (u64, u64) {
         let (mut gained, mut lost) = (0, 0);
         for &id in before.points.keys().filter(|id| after.contains(**id)) {
             let b: BTreeSet<ElemId> = before.cover.members(id).unwrap().iter().copied().collect();

@@ -46,7 +46,6 @@ pub struct FdRmsBuilder {
     pub(crate) epsilon: f64,
     pub(crate) max_utilities: usize,
     pub(crate) seed: u64,
-    pub(crate) batch_threads: Option<usize>,
 }
 
 impl FdRmsBuilder {
@@ -58,7 +57,6 @@ impl FdRmsBuilder {
             epsilon: 0.02,
             max_utilities: 1 << 12,
             seed: 42,
-            batch_threads: None,
         }
     }
 
@@ -96,11 +94,9 @@ impl FdRmsBuilder {
         self
     }
 
-    /// Worker-thread budget for the batch update engine's sharded top-k
-    /// recomputation ([`FdRms::apply_batch`]). Defaults to the machine's
-    /// available parallelism; `1` forces fully sequential batches.
-    pub fn batch_threads(mut self, threads: usize) -> Self {
-        self.batch_threads = Some(threads);
+    /// Does nothing: [`FdRms::apply_batch`] recomputes on the calling
+    /// thread. Kept only while the benchmark still calls it.
+    pub fn batch_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -124,11 +120,6 @@ impl FdRmsBuilder {
                 "epsilon = {} must lie in (0, 1)",
                 self.epsilon
             )));
-        }
-        if self.batch_threads == Some(0) {
-            return Err(FdRmsError::InvalidParameter(
-                "batch_threads must be positive".into(),
-            ));
         }
         if self.max_utilities <= self.r {
             return Err(FdRmsError::InvalidParameter(format!(

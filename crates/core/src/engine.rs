@@ -1,5 +1,5 @@
-//! The batch update engine: amortised, sharded maintenance for streams
-//! of tuple operations.
+//! The batch update engine: amortised maintenance for streams of tuple
+//! operations.
 //!
 //! The paper's maintenance loop (Algorithms 3–4) re-balances after
 //! *every* operation: each insert/delete recomputes the affected top-k
@@ -18,39 +18,47 @@
 //!    stored tuple's is dropped.
 //! 2. **Tuple index** — all kd-tree mutations are applied up front, so
 //!    every later query sees the post-batch database.
-//! 3. **Sharded recompute** — the affected utilities (the deleted and
-//!    updated tuples' memberships ∪ the cone-tree hits of the written
-//!    tuples) are partitioned into shards; `std::thread::scope` workers
-//!    bring each utility to its post-batch state **once**, no matter how
-//!    many operations touched it. A utility that lost an exact top-k
-//!    member pays one *requery*, answered from its ε-band — the
-//!    sequential path pays one per deletion. The pre-batch `Φ` members
-//!    that survived, rescored at their post-batch attributes, plus the
-//!    cone hits hold every tuple that clears the old `τ`: when `k` of
-//!    them still clear it, their best `k` are the new exact top-k, and
-//!    otherwise the kd-tree's [`top_k`](rms_index::KdTree::top_k)
-//!    answers. The kd-tree is walked once, and only when `τ` fell, for
-//!    the entrants in `[τ′, τ)`.
+//! 3. **Recompute** — the affected utilities (the deleted and updated
+//!    tuples' memberships ∪ the utilities the written tuples reach, found
+//!    by one [`ConeTree::visit_hits`](rms_index::ConeTree::visit_hits)
+//!    sweep) are brought to their post-batch state **once**, in ascending
+//!    order on the calling thread, no matter how many operations touched
+//!    them. A utility that lost an exact top-k member pays one *requery*,
+//!    answered from its ε-band — the sequential path pays one per
+//!    deletion. The pre-batch `Φ` members that survived, rescored at
+//!    their post-batch attributes, plus the cone hits hold every tuple
+//!    that clears the old `τ`: when `k` of them still clear it, their
+//!    best `k` are the new exact top-k, and otherwise the kd-tree's
+//!    [`top_k`](rms_index::KdTree::top_k) answers. The kd-tree is walked
+//!    once, and only when `τ` fell, for the entrants in `[τ′, τ)`.
 //!    Every other affected utility updates *incrementally*, exactly like
 //!    the sequential insertion path but batched: merge the cone hits into
-//!    the stored top-k, recompute `τ`, scan for evictions only when `τ`
-//!    rose. Workers emit membership *deltas*, not full `Φ` sets.
+//!    the stored top-k in place, recompute `τ`, scan for evictions only
+//!    when `τ` rose. Each new top-k and `τ` is written back as it is
+//!    computed, the utility index's threshold included; the recompute
+//!    emits membership *deltas*, not full `Φ` sets.
 //! 4. **Cover transaction** — the deltas feed the set cover inside a
 //!    [`begin_batch`](rms_setcover::DynamicSetCover::begin_batch)
 //!    / [`commit`](rms_setcover::DynamicSetCover::commit) transaction:
 //!    additions are applied before removals (so no utility transiently
-//!    loses coverage) and `STABILIZE` runs once at commit, followed by
-//!    one bulk threshold write on the utility index
-//!    ([`ConeTree::set_thresholds`](rms_index::ConeTree::set_thresholds)).
+//!    loses coverage) and `STABILIZE` runs once at commit.
 //! 5. **Rebalance** — `UPDATE-M` (Algorithm 4) runs once to steer the
 //!    solution back to size `r`.
 //!
-//! Batching is not a throughput win on the benchmark's `maintain`
-//! workload (`perfbench`: anticorrelated `d = 6`, `n₀ = 3 000`, `k = 3`,
-//! `r = 50`, `ε = 0.1`, `M = 2 048`, one recompute thread, 2-core host):
-//! `apply_batch` over batches of 100 ops ran at a median of about 22k
-//! ops/s (`core.batch_ops_per_s`, three traced runs) against a median of
-//! about 39k ops/s for per-op calls (`ops_per_s`, twelve seeds).
+//! Phases 2–4 work in tables the engine owns and reuses from batch to
+//! batch: one row per utility (its affected and requery flags, and where
+//! its runs sit in the flat lists), the affected utilities in one list
+//! sorted once, and flat lists of cone hits, updated members and
+//! membership deltas. They build no map, and apart from what a requery
+//! returns, a batch allocates nothing per affected utility.
+//!
+//! Whether batching pays depends on ε. On the benchmark's `maintain`
+//! data (`perfbench`: anticorrelated `d = 6`, `n₀ = 3 000`, `k = 3`,
+//! `r = 50`, `M = 2 048`, 2-core host), with each call keeping its
+//! fastest time over three to five repetitions as `perfbench` does,
+//! `apply_batch` over batches of 100 ops ran at 0.83–1.08× the throughput
+//! of per-op calls over the same ops at `ε = 0.1` (twelve streams, seeds
+//! 7–9), and at 1.00–1.69× at `ε = 0.01` (eight streams, seeds 7–8).
 //!
 //! Because the per-utility states are canonical — fully determined by the
 //! final database — the batched path reaches exactly the state that
@@ -64,16 +72,12 @@
 //! [`FdRms::insert`], [`FdRms::delete`], and [`FdRms::update`] behave
 //! exactly as before this engine existed.
 
-use crate::algorithm::{requery, threshold, top_k_of, FdRms, Requery, TopKState};
+use crate::algorithm::{merge_top_k, requery, threshold, FdRms, Requery, TopKState};
 use crate::builder::FdRmsError;
-use rms_geom::{rank_cmp, Point, PointId, RankedPoint, Utility};
-use rms_index::KdTree;
+use rms_geom::{rank_cmp, Point, PointId, RankedPoint};
 use rms_setcover::ElemId;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
-
-/// Minimum number of affected utilities a shard worker should own;
-/// batches touching fewer than two shards' worth run inline.
-const MIN_UTILITIES_PER_SHARD: usize = 16;
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// A single database operation in a batch (Section II-B's `Δ_t`, plus the
 /// update composite the paper models as delete-then-insert).
@@ -99,6 +103,11 @@ impl Op {
 }
 
 /// Per-batch instrumentation returned by [`FdRms::apply_batch`].
+///
+/// `affected_utilities`, `requeried_utilities`, `membership_additions`
+/// and `membership_removals` are the batch's share of [`FdRms::stats`]:
+/// they move its `affected_utilities`, `topk_requeries`, `admissions` and
+/// `evictions` by exactly as much.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BatchReport {
     /// Operations in the submitted batch.
@@ -118,9 +127,6 @@ pub struct BatchReport {
     /// fewer than `k` band tuples still clear the old threshold); the
     /// rest updated incrementally.
     pub requeried_utilities: usize,
-    /// Shard workers used for the recompute (0 when nothing was
-    /// recomputed, 1 when the batch ran inline).
-    pub shards: usize,
     /// Memberships added to surviving sets (`Φ` admissions).
     pub membership_additions: u64,
     /// Memberships removed from surviving sets (`Φ` evictions).
@@ -200,200 +206,93 @@ impl BatchRollup {
     }
 }
 
-/// One affected utility's recomputed state, produced by a shard worker:
-/// the new top-k/τ plus the membership *deltas* against the pre-batch
-/// set system (materialising the full `Φ` would cost `O(|Φ|)` per
-/// utility where the sequential path pays `O(1)` per op in the common
-/// no-threshold-change case).
-struct UtilityRec {
-    /// Index into the utility pool.
-    idx: usize,
-    /// New exact top-k against the post-batch database.
-    exact: Vec<RankedPoint>,
-    /// New admission threshold `τ = (1 − ε)·ω_k` (0 while `n < k`).
-    tau: f64,
-    /// Tuples entering `Φ` (tuples that are not yet members).
+/// The batched path's working tables (phases 2–4). [`FdRms`] owns them
+/// and reuses them across batches; between batches every row is default
+/// and every list empty.
+#[derive(Debug, Default)]
+pub(crate) struct BatchTables {
+    /// One row per utility.
+    rows: Vec<Row>,
+    /// The affected utilities, ascending once phase 2 ends.
+    touched: Vec<usize>,
+    /// Cone hits as indices into the written tuples, one run per utility.
+    hits: Vec<usize>,
+    /// `(utility, written index)` per updated member, sorted: one run per
+    /// utility, ids ascending within it.
+    moved: Vec<(usize, usize)>,
+    /// Scored candidates of the utility being recomputed.
+    band: Vec<RankedPoint>,
+    deltas: Deltas,
+}
+
+/// One utility's row in [`BatchTables`].
+#[derive(Debug, Clone, Default)]
+struct Row {
+    /// Listed in `touched`.
+    affected: bool,
+    /// Lost an exact top-k member, so its top-k is requeried.
+    requery: bool,
+    /// Its run in `hits`.
+    hits: Range<usize>,
+    /// Its run in `moved`.
+    moved: Range<usize>,
+}
+
+/// The membership deltas of one batch, utility by utility in ascending
+/// order: the cover transaction replays them as they stand. Deltas, not
+/// full `Φ` sets: materialising `Φ` would cost `O(|Φ|)` per utility where
+/// the sequential path pays `O(1)` per op while τ holds.
+#[derive(Debug, Default)]
+struct Deltas {
+    /// Admissions into surviving sets, each utility's in rank order.
     adds: Vec<PointId>,
-    /// Live tuples leaving `Φ` (current members scoring below the new
-    /// τ); never contains deleted tuples — their set removal already
-    /// drops every membership.
+    /// Evictions of live members, each utility's in ascending id order;
+    /// never a deleted tuple — its set removal drops every membership.
     removals: Vec<PointId>,
+    /// Per touched utility, where its runs in `adds` and `removals` end.
+    ends: Vec<(usize, usize)>,
+    /// `(index among the batch's inserts, utility)` per admission of a
+    /// new tuple: the memberships its set is registered with.
+    fresh: Vec<(usize, ElemId)>,
 }
 
-/// Shared read-only state for the shard workers (everything they need is
-/// immutable during the recompute phase, so `std::thread::scope` workers
-/// borrow it freely).
-struct RecomputeCtx<'a> {
-    kd: &'a KdTree,
-    utilities: &'a [Utility],
-    topk: &'a [TopKState],
-    points: &'a std::collections::HashMap<PointId, Point>,
-    cover: &'a rms_setcover::DynamicSetCover,
-    /// Utilities that lost an exact top-k member (deleted, or updated
-    /// away from its old score): their top-k is requeried from the ε-band
-    /// survivors; all other affected utilities update incrementally from
-    /// their stored top-k plus the cone hits.
-    requery: &'a HashSet<usize>,
-    /// Per-utility lists of written tuples whose score reaches the
-    /// pre-batch threshold (from `ConeTree::affected_hits_many`).
-    hits: &'a std::collections::HashMap<usize, Vec<PointId>>,
-    /// Per-utility lists of updated member tuples (their new attributes
-    /// may have dropped them below an unchanged threshold).
-    moved: &'a std::collections::HashMap<usize, Vec<PointId>>,
-    k: usize,
-    eps: f64,
-}
+impl BatchTables {
+    /// Lists utility `u` as affected (once) and returns its row.
+    fn touch(&mut self, u: usize) -> &mut Row {
+        let row = &mut self.rows[u];
+        if !row.affected {
+            row.affected = true;
+            self.touched.push(u);
+        }
+        row
+    }
 
-/// Recomputes one shard of affected utilities against the (post-batch)
-/// database: requery utilities (an exact top-k member was deleted or
-/// updated away) via [`requeried`], once per *batch* where the sequential
-/// path pays once per deletion touching the utility, and every other one
-/// via [`incremental`].
-fn recompute_shard(ctx: &RecomputeCtx<'_>, idxs: &[usize]) -> Vec<UtilityRec> {
-    let mut band = Vec::new();
-    idxs.iter()
-        .map(|&idx| {
-            if ctx.requery.contains(&idx) {
-                requeried(ctx, idx, &mut band)
-            } else {
-                incremental(ctx, idx)
-            }
-        })
-        .collect()
-}
-
-/// The written tuples reaching utility `idx`'s pre-batch threshold.
-fn hits_of<'a>(ctx: &RecomputeCtx<'a>, idx: usize) -> &'a [PointId] {
-    ctx.hits.get(&idx).map_or(&[], Vec::as_slice)
-}
-
-/// A requery utility, answered from its ε-band (see [`requery`]): the
-/// pre-batch `Φ` members that survived, rescored at their post-batch
-/// attributes, plus the cone hits that were not members hold every tuple
-/// clearing the old τ. The kd-tree is asked for the top-k only when fewer
-/// than `k` of them still clear it, and walked only for the entrants when
-/// τ fell. `band` is scratch reused across the shard.
-fn requeried(ctx: &RecomputeCtx<'_>, idx: usize, band: &mut Vec<RankedPoint>) -> UtilityRec {
-    let u = &ctx.utilities[idx];
-    let elem = idx as ElemId;
-    // Surviving members first (a deleted tuple has left `points`), then
-    // the hits `Φ` does not hold yet.
-    band.clear();
-    band.extend(ctx.cover.sets_containing(elem).filter_map(|pid| {
-        ctx.points.get(&pid).map(|p| RankedPoint {
-            id: pid,
-            score: u.score(p),
-        })
-    }));
-    let members = band.len();
-    band.extend(
-        hits_of(ctx, idx)
-            .iter()
-            .filter(|&&pid| !ctx.cover.set_contains(pid, elem))
-            .map(|pid| RankedPoint {
-                id: *pid,
-                score: u.score(&ctx.points[pid]),
-            }),
-    );
-    let Requery {
-        exact,
-        tau,
-        entrants,
-    } = requery(ctx.kd, u, ctx.k, ctx.eps, ctx.topk[idx].tau, band, |pid| {
-        ctx.cover.set_contains(pid, elem)
-    });
-    // Admissions in rank order: the new hits clearing τ′ (all at or above
-    // the old τ), then the entrants below it.
-    let mut hit_adds: Vec<&RankedPoint> = band[members..]
-        .iter()
-        .filter(|rp| rp.score >= tau)
-        .collect();
-    hit_adds.sort_unstable_by(|a, b| rank_cmp(a, b));
-    let adds = hit_adds
-        .into_iter()
-        .chain(&entrants)
-        .map(|rp| rp.id)
-        .collect();
-    // Evictions: the surviving members below τ′.
-    let mut removals: Vec<PointId> = band[..members]
-        .iter()
-        .filter(|rp| rp.score < tau)
-        .map(|rp| rp.id)
-        .collect();
-    removals.sort_unstable();
-    UtilityRec {
-        idx,
-        exact,
-        tau,
-        adds,
-        removals,
+    /// Returns the tables to their between-batches state, keeping every
+    /// allocation.
+    fn reset(&mut self) {
+        for &u in &self.touched {
+            self.rows[u] = Row::default();
+        }
+        self.touched.clear();
+        self.hits.clear();
+        self.moved.clear();
+        let d = &mut self.deltas;
+        d.adds.clear();
+        d.removals.clear();
+        d.ends.clear();
+        d.fresh.clear();
     }
 }
 
-/// An incremental utility, mirroring the sequential insertion path,
-/// batched: merge the cone hits into the stored exact top-k, recompute
-/// τ, and scan the membership for evictions *only when τ rose* — plus a
-/// rescore of just the updated members, whose new attributes may fall
-/// below an unchanged τ.
-fn incremental(ctx: &RecomputeCtx<'_>, idx: usize) -> UtilityRec {
-    let u = &ctx.utilities[idx];
-    let elem = idx as ElemId;
-    let st = &ctx.topk[idx];
-    let tau_old = st.tau;
-    // Merge the hits into the stored exact top-k. Hits are written tuples
-    // clearing the old threshold — the only possible new entrants (a
-    // threshold can only rise here, and any tuple entering the exact
-    // top-k must clear the old τ). Updated tuples in the old exact top-k
-    // are requery class, so the stored entries are all live with
-    // unchanged attributes.
-    let mut scored_hits: Vec<RankedPoint> = hits_of(ctx, idx)
-        .iter()
-        .map(|pid| RankedPoint {
-            id: *pid,
-            score: u.score(&ctx.points[pid]),
-        })
-        .collect();
-    scored_hits.sort_unstable_by(rank_cmp);
-    let exact = top_k_of(st.exact.iter().chain(&scored_hits), ctx.k);
-    let tau = threshold(&exact, ctx.k, ctx.eps);
-    debug_assert!(tau >= tau_old - 1e-12, "incremental τ fell");
-
-    // Admissions: hits clearing the new threshold that are not yet
-    // members (a hit below the risen τ sat only in the old band).
-    let adds: Vec<PointId> = scored_hits
-        .iter()
-        .take_while(|rp| rp.score >= tau)
-        .map(|rp| rp.id)
-        .filter(|&pid| !ctx.cover.set_contains(pid, elem))
-        .collect();
-
-    // Evictions: when τ rose, any member may have fallen below it;
-    // otherwise only updated members can have dropped out.
-    let mut removals: Vec<PointId> = Vec::new();
-    if tau > tau_old {
-        for pid in ctx.cover.sets_containing(elem) {
-            if let Some(p) = ctx.points.get(&pid) {
-                if u.score(p) < tau {
-                    removals.push(pid);
-                }
-            }
+impl Deltas {
+    /// Books the admission of `pid` into utility `elem`'s `Φ`: into the
+    /// membership of its new set when `pid` is one of the batch's
+    /// `inserted` tuples (ascending ids), else as an addition.
+    fn admit(&mut self, elem: ElemId, pid: PointId, inserted: &[Point]) {
+        match inserted.binary_search_by_key(&pid, Point::id) {
+            Ok(j) => self.fresh.push((j, elem)),
+            Err(_) => self.adds.push(pid),
         }
-        removals.sort_unstable();
-    } else if let Some(moved) = ctx.moved.get(&idx) {
-        for &pid in moved {
-            if let Some(p) = ctx.points.get(&pid) {
-                if u.score(p) < tau {
-                    removals.push(pid);
-                }
-            }
-        }
-    }
-    UtilityRec {
-        idx,
-        exact,
-        tau,
-        adds,
-        removals,
     }
 }
 
@@ -408,8 +307,8 @@ impl FdRms {
     /// returned and **no** mutation is applied.
     ///
     /// A batch of one routes to the classic per-operation path; larger
-    /// batches take the sharded, deferred-stabilisation path described in
-    /// the [module docs](crate::engine).
+    /// batches take the deferred-stabilisation path described in the
+    /// [module docs](crate::engine).
     ///
     /// ```
     /// use fdrms::{FdRms, Op};
@@ -519,7 +418,7 @@ impl FdRms {
 
         // Net effect versus the pre-batch database. `overlay` is a
         // BTreeMap, so all downstream iteration is id-ordered and the
-        // batch is deterministic regardless of thread count.
+        // batch is deterministic.
         let mut net_insert: Vec<Point> = Vec::new();
         let mut net_update: Vec<Point> = Vec::new();
         let mut net_delete: Vec<PointId> = Vec::new();
@@ -554,60 +453,55 @@ impl FdRms {
         // A utility's state can only change if (a) it loses a pre-batch
         // `Φ` member — then it appears in that tuple's membership list —
         // or (b) it admits a written tuple — then the tuple's score
-        // reaches its pre-batch threshold and the batched cone probe
-        // reports it (a threshold can only have risen if some written
-        // tuple already cleared the pre-batch value). The union is a
-        // sound over-approximation; over-reported utilities recompute to
-        // their unchanged state.
+        // reaches its pre-batch threshold and the cone sweep reports it
+        // (a threshold can only have risen if some written tuple already
+        // cleared the pre-batch value). The union is a sound
+        // over-approximation; over-reported utilities recompute to their
+        // unchanged state.
         // ------------------------------------------------------------
-        let mut affected: BTreeSet<usize> = BTreeSet::new();
-        let dead_or_moved: HashSet<PointId> = net_delete
-            .iter()
-            .copied()
-            .chain(net_update.iter().map(Point::id))
-            .collect();
-        for id in &net_delete {
-            if let Some(members) = self.cover.members(*id) {
-                affected.extend(members.iter().map(|&u| u as usize));
-            }
-        }
-        // Updated members additionally feed per-utility "moved" lists:
-        // their new attributes may fall below an unchanged threshold, so
-        // the incremental path must rescore exactly them. (`net_update`
-        // iterates in id order — the lists are deterministic.)
-        let mut moved_members: std::collections::HashMap<usize, Vec<PointId>> =
-            std::collections::HashMap::new();
-        for p in &net_update {
-            if let Some(members) = self.cover.members(p.id()) {
-                for &u in members {
-                    affected.insert(u as usize);
-                    moved_members.entry(u as usize).or_default().push(p.id());
+        let mut t = std::mem::take(&mut self.batch);
+        t.rows.resize(self.cap_m, Row::default());
+        // Written tuples: the inserts, then the updates, each id-ordered.
+        let written: Vec<&Point> = net_insert.iter().chain(&net_update).collect();
+        // The deleted tuples, then the updated ones with their index among
+        // the written tuples.
+        let gone = net_delete.iter().map(|&id| (id, None)).chain(
+            (net_insert.len()..)
+                .zip(&net_update)
+                .map(|(w, p)| (p.id(), Some(w))),
+        );
+        for (id, moved) in gone {
+            for &u in self.cover.members(id).into_iter().flatten() {
+                let u = u as usize;
+                // An updated member's new attributes may fall below an
+                // unchanged threshold: the incremental path rescores it.
+                if let Some(w) = moved {
+                    t.moved.push((u, w));
+                }
+                // A utility whose exact top-k held the tuple lost that
+                // member (`p ∈ exact(u)` implies `u ∈ S(p)`): it requeries
+                // its top-k, everything else updates incrementally.
+                let row = t.touch(u);
+                if !row.requery && self.topk[u].exact.iter().any(|e| e.id == id) {
+                    row.requery = true;
+                    report.requeried_utilities += 1;
                 }
             }
         }
-        // Cone-tree probes for all written tuples (individually pruned,
-        // shared traversal buffers), keeping the per-utility hit lists
-        // for the incremental update path. Hit indices are relative to
-        // the `net_insert ++ net_update` order.
-        let written: Vec<&Point> = net_insert.iter().chain(net_update.iter()).collect();
-        let mut hit_lists: std::collections::HashMap<usize, Vec<PointId>> =
-            std::collections::HashMap::new();
-        for (idx, hits) in self.cone.affected_hits_many(written.iter().copied()) {
-            affected.insert(idx);
-            hit_lists.insert(idx, hits.into_iter().map(|i| written[i].id()).collect());
+        // The utilities a written tuple reaches, each with its hits.
+        self.cone.visit_hits(&written, |u, hits| {
+            let start = t.hits.len();
+            t.hits.extend_from_slice(hits);
+            let end = t.hits.len();
+            t.touch(u).hits = start..end;
+        });
+        t.touched.sort_unstable();
+        t.moved.sort_unstable();
+        let mut start = 0;
+        for run in t.moved.chunk_by(|a, b| a.0 == b.0) {
+            t.rows[run[0].0].moved = start..start + run.len();
+            start += run.len();
         }
-        // Utilities that lost an exact top-k member requery their
-        // top-k; everything else updates incrementally.
-        let requery: HashSet<usize> = affected
-            .iter()
-            .copied()
-            .filter(|&i| {
-                self.topk[i]
-                    .exact
-                    .iter()
-                    .any(|e| dead_or_moved.contains(&e.id))
-            })
-            .collect();
 
         // All mutations go through the deferred-delete path so the lazy
         // rebuild is decided once per batch — after the inserts, so a
@@ -628,100 +522,70 @@ impl FdRms {
         self.kd.maybe_rebuild();
 
         // ------------------------------------------------------------
-        // Phase 3: recompute every affected utility once, sharded.
+        // Phase 3: recompute every affected utility once, in ascending
+        // order, writing its new top-k and threshold in place.
         // ------------------------------------------------------------
-        let idxs: Vec<usize> = affected.iter().copied().collect();
-        report.affected_utilities = idxs.len();
-        report.requeried_utilities = requery.len();
-        self.stats.affected_utilities += idxs.len() as u64;
-        let recs: Vec<UtilityRec> = if self.points.is_empty() {
-            Vec::new()
-        } else {
-            self.stats.topk_requeries += requery.len() as u64;
-            let ctx = RecomputeCtx {
-                kd: &self.kd,
-                utilities: &self.utilities,
-                topk: &self.topk,
-                points: &self.points,
-                cover: &self.cover,
-                requery: &requery,
-                hits: &hit_lists,
-                moved: &moved_members,
-                k: self.k,
-                eps: self.eps,
-            };
-            let shards = self
-                .batch_threads
-                .max(1)
-                .min(idxs.len().div_ceil(MIN_UTILITIES_PER_SHARD))
-                .max(1);
-            report.shards = shards;
-            if shards == 1 {
-                recompute_shard(&ctx, &idxs)
-            } else {
-                let ctx = &ctx;
-                let chunk = idxs.len().div_ceil(shards);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = idxs
-                        .chunks(chunk)
-                        .map(|c| scope.spawn(move || recompute_shard(ctx, c)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("shard worker panicked"))
-                        .collect()
-                })
+        // Held apart so the recompute can borrow the tables mutably.
+        let touched = std::mem::take(&mut t.touched);
+        report.affected_utilities = touched.len();
+        self.stats.affected_utilities += touched.len() as u64;
+        self.stats.topk_requeries += report.requeried_utilities as u64;
+        if !self.points.is_empty() {
+            for &u in &touched {
+                let old = std::mem::take(&mut self.topk[u]);
+                let new = if t.rows[u].requery {
+                    self.requeried(u, old.tau, &written, &net_insert, &mut t)
+                } else {
+                    self.incremental(u, old, &written, &net_insert, &mut t)
+                };
+                self.cone.set_threshold(u, new.tau);
+                self.topk[u] = new;
+                let d = &mut t.deltas;
+                d.ends.push((d.adds.len(), d.removals.len()));
             }
-        };
+        }
 
         // ------------------------------------------------------------
         // Phase 4: one set-cover transaction over the membership deltas.
         // ------------------------------------------------------------
-        let new_ids: HashSet<PointId> = net_insert.iter().map(Point::id).collect();
+        let d = &mut t.deltas;
         self.cover.begin_batch();
         // (a) Register the new tuples' sets, with their full post-batch
         // memberships, before any removal: utilities never transiently
         // lose their last covering set.
-        let mut new_memberships: BTreeMap<PointId, Vec<ElemId>> =
-            net_insert.iter().map(|p| (p.id(), Vec::new())).collect();
-        for r in &recs {
-            for pid in &r.adds {
-                if new_ids.contains(pid) {
-                    new_memberships
-                        .get_mut(pid)
-                        .expect("Φ members are live tuples")
-                        .push(r.idx as ElemId);
-                }
-            }
-        }
-        for p in &net_insert {
+        d.fresh.sort_unstable();
+        let mut fresh = &d.fresh[..];
+        for (j, p) in net_insert.iter().enumerate() {
+            let (members, rest) = fresh.split_at(fresh.partition_point(|&(i, _)| i == j));
             self.cover
-                .insert_set(p.id(), new_memberships.remove(&p.id()).unwrap_or_default())
+                .insert_set(p.id(), members.iter().map(|&(_, u)| u))
                 .expect("validated fresh ids");
+            fresh = rest;
         }
-        // (b) Admissions into surviving sets, then (c) evictions.
-        for r in &recs {
-            let u = r.idx as ElemId;
-            for pid in &r.adds {
-                if !new_ids.contains(pid) {
-                    self.cover
-                        .add_to_set(u, *pid)
-                        .expect("surviving sets exist");
-                    report.membership_additions += 1;
-                }
+        // (b) Admissions into surviving sets, then (c) evictions, utility
+        // by utility.
+        let (mut a, mut r) = (0, 0);
+        for (&u, &(a_end, r_end)) in touched.iter().zip(&d.ends) {
+            let elem = u as ElemId;
+            for &pid in &d.adds[a..a_end] {
+                self.cover
+                    .add_to_set(elem, pid)
+                    .expect("surviving sets exist");
             }
-            for pid in &r.removals {
+            for &pid in &d.removals[r..r_end] {
                 let kept = self
                     .cover
-                    .remove_from_set(u, *pid)
+                    .remove_from_set(elem, pid)
                     .expect("surviving sets exist");
                 debug_assert!(
-                    kept || r.idx >= self.m,
+                    kept || u >= self.m,
                     "universe element lost its last set mid-batch"
                 );
-                report.membership_removals += 1;
             }
+            (a, r) = (a_end, r_end);
         }
+        report.membership_additions = d.adds.len() as u64;
+        report.membership_removals = d.removals.len() as u64;
         // (d) Retire the deleted tuples' sets; orphaned elements are
         // reassigned, and drops only happen when the database emptied.
         for id in &net_delete {
@@ -738,17 +602,9 @@ impl FdRms {
         report.stabilize_moves = self.cover.commit();
         self.stats.evictions += report.membership_removals;
         self.stats.admissions += report.membership_additions;
-
-        // New top-k states and one bulk threshold write on the utility
-        // index.
-        let taus: Vec<(usize, f64)> = recs.iter().map(|r| (r.idx, r.tau)).collect();
-        for r in recs {
-            self.topk[r.idx] = TopKState {
-                exact: r.exact,
-                tau: r.tau,
-            };
-        }
-        self.cone.set_thresholds(taus);
+        t.touched = touched;
+        t.reset();
+        self.batch = t;
 
         // ------------------------------------------------------------
         // Phase 5: rebalance once.
@@ -767,6 +623,136 @@ impl FdRms {
         report.m = self.m;
         report.result_size = self.cover.solution_size();
         Ok(report)
+    }
+
+    /// A requery utility, answered from its ε-band (see [`requery`]): the
+    /// pre-batch `Φ` members that survived, rescored at their post-batch
+    /// attributes, plus the cone hits that were not members hold every
+    /// tuple clearing the old τ. The kd-tree is asked for the top-k only
+    /// when fewer than `k` of them still clear it, and walked only for the
+    /// entrants when τ fell.
+    fn requeried(
+        &self,
+        u: usize,
+        tau_old: f64,
+        written: &[&Point],
+        inserted: &[Point],
+        t: &mut BatchTables,
+    ) -> TopKState {
+        let w = &self.utilities[u];
+        let elem = u as ElemId;
+        // Surviving members first (a deleted tuple has left `points`), then
+        // the hits `Φ` does not hold yet.
+        t.band.clear();
+        t.band
+            .extend(self.cover.sets_containing(elem).filter_map(|pid| {
+                self.points.get(&pid).map(|p| RankedPoint {
+                    id: pid,
+                    score: w.score(p),
+                })
+            }));
+        let members = t.band.len();
+        t.band.extend(
+            t.hits[t.rows[u].hits.clone()]
+                .iter()
+                .map(|&i| written[i])
+                .filter(|p| !self.cover.set_contains(p.id(), elem))
+                .map(|p| RankedPoint {
+                    id: p.id(),
+                    score: w.score(p),
+                }),
+        );
+        let Requery {
+            exact,
+            tau,
+            entrants,
+        } = requery(&self.kd, w, self.k, self.eps, tau_old, &t.band, |pid| {
+            self.cover.set_contains(pid, elem)
+        });
+        // Admissions in rank order: the new hits clearing τ′ (all at or
+        // above the old τ), then the entrants below it.
+        let new_hits = &mut t.band[members..];
+        new_hits.sort_unstable_by(rank_cmp);
+        for rp in new_hits
+            .iter()
+            .take_while(|rp| rp.score >= tau)
+            .chain(&entrants)
+        {
+            t.deltas.admit(elem, rp.id, inserted);
+        }
+        // Evictions: the surviving members below τ′.
+        let removals = &mut t.deltas.removals;
+        let start = removals.len();
+        removals.extend(
+            t.band[..members]
+                .iter()
+                .filter(|rp| rp.score < tau)
+                .map(|rp| rp.id),
+        );
+        removals[start..].sort_unstable();
+        TopKState { exact, tau }
+    }
+
+    /// An incremental utility, mirroring the sequential insertion path,
+    /// batched: merge the cone hits into the stored exact top-k `st`,
+    /// recompute τ, and scan the membership for evictions *only when τ
+    /// rose* — plus a rescore of just the updated members, whose new
+    /// attributes may fall below an unchanged τ.
+    fn incremental(
+        &self,
+        u: usize,
+        mut st: TopKState,
+        written: &[&Point],
+        inserted: &[Point],
+        t: &mut BatchTables,
+    ) -> TopKState {
+        let w = &self.utilities[u];
+        let elem = u as ElemId;
+        let tau_old = st.tau;
+        // Merge the hits into the stored exact top-k, in place. Hits are
+        // written tuples clearing the old threshold — the only possible
+        // new entrants (a threshold can only rise here, and any tuple
+        // entering the exact top-k must clear the old τ). Updated tuples
+        // in the old exact top-k are requery class, so the stored entries
+        // are all live with unchanged attributes.
+        t.band.clear();
+        t.band
+            .extend(t.hits[t.rows[u].hits.clone()].iter().map(|&i| RankedPoint {
+                id: written[i].id(),
+                score: w.score(written[i]),
+            }));
+        t.band.sort_unstable_by(rank_cmp);
+        merge_top_k(&mut st.exact, &t.band, self.k);
+        st.tau = threshold(&st.exact, self.k, self.eps);
+        debug_assert!(st.tau >= tau_old - 1e-12, "incremental τ fell");
+
+        // Admissions: hits clearing the new threshold that are not yet
+        // members (a hit below the risen τ sat only in the old band).
+        for rp in t.band.iter().take_while(|rp| rp.score >= st.tau) {
+            if !self.cover.set_contains(rp.id, elem) {
+                t.deltas.admit(elem, rp.id, inserted);
+            }
+        }
+
+        // Evictions: when τ rose, any member may have fallen below it;
+        // otherwise only updated members can have dropped out.
+        let removals = &mut t.deltas.removals;
+        if st.tau > tau_old {
+            let start = removals.len();
+            for pid in self.cover.sets_containing(elem) {
+                if self.points.get(&pid).is_some_and(|p| w.score(p) < st.tau) {
+                    removals.push(pid);
+                }
+            }
+            removals[start..].sort_unstable();
+        } else {
+            for &(_, i) in &t.moved[t.rows[u].moved.clone()] {
+                if w.score(written[i]) < st.tau {
+                    removals.push(written[i].id());
+                }
+            }
+        }
+        st
     }
 
     /// Routes a one-operation batch to the classic per-op maintenance
@@ -795,7 +781,6 @@ impl FdRms {
                 }
             }
         }
-        report.shards = 1;
         report.affected_utilities =
             (self.stats.affected_utilities - before_stats.affected_utilities) as usize;
         report.requeried_utilities =
@@ -812,8 +797,10 @@ impl FdRms {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::tests::membership_diff;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn random_points(seed: u64, n: usize, d: usize) -> Vec<Point> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -900,26 +887,6 @@ mod tests {
         bat.check_invariants().unwrap();
         assert_eq!(seq.len(), bat.len());
         assert_eq!(seq.result().len(), bat.result().len());
-    }
-
-    #[test]
-    fn thread_counts_agree() {
-        let pts = random_points(5, 100, 3);
-        let mut one = builder(3).batch_threads(1).build(pts.clone()).unwrap();
-        let mut many = builder(3).batch_threads(8).build(pts.clone()).unwrap();
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut live: Vec<PointId> = pts.iter().map(|p| p.id()).collect();
-        let mut next = 50_000u64;
-        let ops = random_ops(&mut rng, &mut live, &mut next, 150, 3);
-        let r1 = one.apply_batch(ops.clone()).unwrap();
-        let r2 = many.apply_batch(ops).unwrap();
-        one.check_invariants().unwrap();
-        many.check_invariants().unwrap();
-        assert_eq!(one.result_ids(), many.result_ids());
-        assert_eq!(r1.affected_utilities, r2.affected_utilities);
-        assert_eq!(r1.membership_additions, r2.membership_additions);
-        assert_eq!(r1.membership_removals, r2.membership_removals);
-        assert!(r2.shards >= r1.shards);
     }
 
     #[test]
@@ -1065,9 +1032,22 @@ mod tests {
     fn batch_drains_to_empty_and_refills() {
         let pts = random_points(13, 25, 2);
         let mut fd = builder(2).build(pts.clone()).unwrap();
+        let before = fd.stats();
         let drain: Vec<Op> = pts.iter().map(|p| Op::Delete(p.id())).collect();
         let report = fd.apply_batch(drain).unwrap();
         assert_eq!(report.deleted, 25);
+        // Every utility lost its whole top-k, and the stats book the
+        // requeries as the per-op path's last delete does.
+        let after = fd.stats();
+        assert_eq!(report.requeried_utilities, fd.max_utilities());
+        assert_eq!(
+            report.affected_utilities as u64,
+            after.affected_utilities - before.affected_utilities
+        );
+        assert_eq!(
+            report.requeried_utilities as u64,
+            after.topk_requeries - before.topk_requeries
+        );
         assert!(fd.is_empty());
         assert!(fd.result().is_empty());
         fd.check_invariants().unwrap();
@@ -1129,11 +1109,131 @@ mod tests {
         assert_eq!(report.inserted, 20);
         assert_eq!(report.deleted, 20);
         assert!(report.affected_utilities > 0);
-        assert!(report.shards >= 1);
         assert_eq!(report.result_size, fd.result().len());
         assert_eq!(report.m, fd.m());
         assert_eq!(fd.stats().batches, 1);
         assert_eq!(fd.operations(), 40);
+    }
+
+    /// `BatchReport`'s counters against brute force after every batch of
+    /// 25, on `tests/determinism.rs`'s data (anticorrelated, d = 6, n =
+    /// 600, `StdRng` 2021), in two regimes: ε = 0.1 saturates the universe
+    /// (m = M), ε = 0.001 keeps m < M so UPDATE-M runs. `before` trails
+    /// `fd` by one batch, so it holds the pre-batch state.
+    #[test]
+    fn report_counters_match_brute_force() {
+        for (eps, r) in [(0.1, 50), (0.001, 20)] {
+            let mut rng = StdRng::seed_from_u64(2021);
+            let points = rms_data::anticorrelated(&mut rng, 600, 6);
+            let cfg = rms_data::MixedConfig {
+                ops: 300,
+                ..rms_data::MixedConfig::default()
+            };
+            let wl = rms_data::mixed_workload(&mut rng, points, cfg);
+            let build = || {
+                FdRms::builder(6)
+                    .k(3)
+                    .r(r)
+                    .epsilon(eps)
+                    .max_utilities(256)
+                    .seed(7)
+                    .build(wl.initial.clone())
+                    .unwrap()
+            };
+            let (mut before, mut fd) = (build(), build());
+            for (b, batch) in wl.batches(25).enumerate() {
+                let ops: Vec<Op> = batch
+                    .iter()
+                    .map(|op| match op {
+                        rms_data::Operation::Insert(p) => Op::Insert(p.clone()),
+                        rms_data::Operation::Delete(id) => Op::Delete(*id),
+                        rms_data::Operation::Update(p) => Op::Update(p.clone()),
+                    })
+                    .collect();
+                let stats = fd.stats();
+                let report = fd.apply_batch(ops.clone()).unwrap();
+                let at = format!("eps {eps}, batch {b}");
+                fd.check_invariants()
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert_eq!(
+                    (report.membership_additions, report.membership_removals),
+                    membership_diff(&before, &fd),
+                    "{at}"
+                );
+                // Tuples deleted or given new attributes, and the tuples
+                // written at new attributes.
+                let kept = |p: &Point, other: &FdRms| {
+                    other
+                        .points
+                        .get(&p.id())
+                        .is_some_and(|q| q.coords() == p.coords())
+                };
+                let gone: Vec<PointId> = before
+                    .points
+                    .values()
+                    .filter(|p| !kept(p, &fd))
+                    .map(Point::id)
+                    .collect();
+                let written: Vec<&Point> =
+                    fd.points.values().filter(|p| !kept(p, &before)).collect();
+                let requery = (0..fd.cap_m)
+                    .filter(|&u| before.topk[u].exact.iter().any(|e| gone.contains(&e.id)))
+                    .count();
+                assert_eq!(report.requeried_utilities, requery, "{at}");
+                // The affected class: the gone tuples' pre-batch
+                // memberships, plus the utilities a written tuple reaches
+                // at their pre-batch threshold.
+                let reached = (0..fd.cap_m).filter(|&u| {
+                    let (w, tau) = (&before.utilities[u], before.cone.threshold(u));
+                    written.iter().any(|p| w.score(p) >= tau)
+                });
+                let affected: BTreeSet<usize> = gone
+                    .iter()
+                    .flat_map(|&id| before.cover.members(id).unwrap())
+                    .map(|&u| u as usize)
+                    .chain(reached)
+                    .collect();
+                assert_eq!(report.affected_utilities, affected.len(), "{at}");
+                let phi = |e: &FdRms, u: usize| -> BTreeSet<PointId> {
+                    e.cover.sets_containing(u as ElemId).collect()
+                };
+                for u in (0..fd.cap_m).filter(|u| !affected.contains(u)) {
+                    assert_eq!(fd.topk[u].exact, before.topk[u].exact, "{at}: utility {u}");
+                    assert_eq!(fd.topk[u].tau, before.topk[u].tau, "{at}: utility {u}");
+                    assert_eq!(phi(&fd, u), phi(&before, u), "{at}: utility {u}");
+                }
+                // The stats book exactly what the report does.
+                let s = fd.stats();
+                assert_eq!(
+                    (
+                        s.affected_utilities - stats.affected_utilities,
+                        s.topk_requeries - stats.topk_requeries,
+                        s.admissions - stats.admissions,
+                        s.evictions - stats.evictions,
+                    ),
+                    (
+                        report.affected_utilities as u64,
+                        report.requeried_utilities as u64,
+                        report.membership_additions,
+                        report.membership_removals,
+                    ),
+                    "{at}"
+                );
+                assert_eq!(
+                    fd.m() < fd.max_utilities(),
+                    eps < 0.01,
+                    "{at}: m = {}",
+                    fd.m()
+                );
+                before.apply_batch(ops).unwrap();
+            }
+            let s = fd.stats();
+            assert_eq!(
+                s.m_grow_steps + s.m_shrink_steps > 0,
+                eps < 0.01,
+                "eps {eps}"
+            );
+        }
     }
 
     #[test]

@@ -122,17 +122,14 @@ impl ConeTree {
         out
     }
 
-    /// Per-utility hit lists for a batch of tuples: for every utility some
-    /// tuple reaches, the indices (into the input order) of the tuples
-    /// with `⟨u_m, p⟩ ≥ τ_m`, keyed by ascending utility index. Each lane
+    /// Calls `visit(m, hits)` for every utility `m` some tuple of `points`
+    /// reaches, in ascending `m`, where `hits` lists the indices into
+    /// `points` of the tuples with `⟨u_m, p⟩ ≥ τ_m`, ascending. Each lane
     /// block is scored against every tuple in turn, so the hits come out
-    /// grouped and ordered without a map.
-    pub fn affected_hits_many<'a, I>(&self, points: I) -> Vec<(usize, Vec<usize>)>
-    where
-        I: IntoIterator<Item = &'a Point>,
-    {
-        let points: Vec<&Point> = points.into_iter().collect();
-        let mut out = Vec::new();
+    /// grouped and ordered without a map. The eight lane lists are cleared
+    /// and reused block after block, so a sweep allocates nothing per
+    /// utility.
+    pub fn visit_hits(&self, points: &[&Point], mut visit: impl FnMut(usize, &[usize])) {
         let mut lane_hits: [Vec<usize>; LANES] = Default::default();
         let blocks = self
             .weights
@@ -149,10 +146,22 @@ impl ConeTree {
             }
             for (l, hits) in lane_hits.iter_mut().enumerate() {
                 if !hits.is_empty() {
-                    out.push((b * LANES + l, std::mem::take(hits)));
+                    visit(b * LANES + l, hits);
+                    hits.clear();
                 }
             }
         }
+    }
+
+    /// [`ConeTree::visit_hits`] collected: `(m, hits)` per reached
+    /// utility, ascending `m`.
+    pub fn affected_hits_many<'a, I>(&self, points: I) -> Vec<(usize, Vec<usize>)>
+    where
+        I: IntoIterator<Item = &'a Point>,
+    {
+        let points: Vec<&Point> = points.into_iter().collect();
+        let mut out = Vec::new();
+        self.visit_hits(&points, |m, hits| out.push((m, hits.to_vec())));
         out
     }
 

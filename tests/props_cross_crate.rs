@@ -151,8 +151,7 @@ proptest! {
     /// canonical maintenance state — identical databases, and identical
     /// per-utility top-k / τ / `Φ` membership systems, which is exactly
     /// what `check_invariants()` certifies against brute-force
-    /// recomputation on both sides. The batched path is additionally
-    /// deterministic: every shard count yields the identical solution.
+    /// recomputation on both sides.
     ///
     /// The two *solutions* (which stable cover of that canonical set
     /// system you hold) may legitimately differ between the disciplines:
@@ -165,19 +164,18 @@ proptest! {
         db in arb_db(3, 4..40),
         intents in arb_op_intents(3, 10..45),
     ) {
-        let build = |threads: usize| {
+        let build = || {
             FdRms::builder(3)
                 .r(4)
                 .max_utilities(64)
                 .seed(17)
-                .batch_threads(threads)
                 .build(db.clone())
                 .unwrap()
         };
         let ops = materialise_ops(&db, &intents);
 
         // Sequential per-op loop (the classic Algorithm-3 path).
-        let mut seq = build(1);
+        let mut seq = build();
         for op in ops.clone() {
             match op {
                 Op::Insert(p) => seq.insert(p).unwrap(),
@@ -185,32 +183,24 @@ proptest! {
                 Op::Update(p) => seq.update(p).unwrap(),
             }
         }
-        // One batch, two shard configurations.
-        let mut bat_seq_shard = build(1);
-        bat_seq_shard.apply_batch(ops.clone()).map_err(|e| {
-            TestCaseError::fail(format!("single-shard batch failed: {e}"))
-        })?;
-        let mut bat_par_shard = build(4);
-        bat_par_shard.apply_batch(ops).map_err(|e| {
-            TestCaseError::fail(format!("multi-shard batch failed: {e}"))
-        })?;
+        // One batch.
+        let mut bat = build();
+        bat.apply_batch(ops)
+            .map_err(|e| TestCaseError::fail(format!("batch failed: {e}")))?;
 
         // Canonical state identity (top-k, τ, memberships vs brute force).
         seq.check_invariants().map_err(TestCaseError::fail)?;
-        bat_seq_shard.check_invariants().map_err(TestCaseError::fail)?;
-        bat_par_shard.check_invariants().map_err(TestCaseError::fail)?;
+        bat.check_invariants().map_err(TestCaseError::fail)?;
         // Identical databases.
-        prop_assert_eq!(seq.len(), bat_seq_shard.len());
+        prop_assert_eq!(seq.len(), bat.len());
         for q in seq.result() {
-            prop_assert!(bat_seq_shard.contains(q.id()));
+            prop_assert!(bat.contains(q.id()));
         }
-        for q in bat_seq_shard.result() {
+        for q in bat.result() {
             prop_assert!(seq.contains(q.id()));
         }
-        // Shard-count determinism of the batched solution.
-        prop_assert_eq!(bat_seq_shard.result_ids(), bat_par_shard.result_ids());
         // Both disciplines respect the budget.
         prop_assert!(seq.result().len() <= 4);
-        prop_assert!(bat_seq_shard.result().len() <= 4);
+        prop_assert!(bat.result().len() <= 4);
     }
 }
