@@ -22,7 +22,7 @@ fn directional_coreset(full: &[Point], dirs: &[Utility], k: usize) -> Vec<Point>
         .collect()
 }
 
-/// ε-KERNEL (Agarwal et al. [2]; used for k-RMS in [3], [10], [19]).
+/// ε-KERNEL (Agarwal et al. \[2\]; used for k-RMS in \[3\], \[10\], \[19\]).
 ///
 /// The min-size formulation returns the smallest coreset whose maximum
 /// k-regret is at most ε; following Section IV-A we adapt it to the

@@ -8,15 +8,15 @@
 //!
 //! | name | paper ref | k > 1? | notes |
 //! |------|-----------|--------|-------|
-//! | [`Greedy`] | Nanongkai et al. PVLDB'10 [22] | no | adds the max-regret witness each round (exact LP regret) |
-//! | [`GreedyStar`] | Chester et al. PVLDB'14 [11] | yes | randomized greedy over sampled utilities |
-//! | [`GeoGreedy`] | Peng & Wong ICDE'14 [23] | no | Greedy restricted to happy points (hull-vertex test as one LP per tuple, no hull built) |
-//! | [`DmmRrms`] | Asudeh et al. SIGMOD'17 [4] | no | discretized matrix min-max via threshold binary search + set cover |
-//! | [`DmmGreedy`] | Asudeh et al. SIGMOD'17 [4] | no | greedy on the discretized regret matrix |
-//! | [`EpsKernel`] | Agarwal et al. [2,3,10] | yes | direction-net extreme-point coreset, ε binary-searched to fit `r` |
-//! | [`HittingSet`] | Agarwal et al. SEA'17 / Kumar & Sintos ALENEX'18 [3,19] | yes | sampled-utility set cover, ε binary-searched to fit `r` |
-//! | [`Sphere`] | Xie et al. SIGMOD'18 [32] | no | basis + spread directions + greedy fill |
-//! | [`TwoDSweep`] | the d = 2 exact family [4], [10], [11] | no | angular sweep + interval cover; effectively optimal for d = 2 |
+//! | [`Greedy`] | Nanongkai et al. PVLDB'10 \[22\] | no | adds the max-regret witness each round (exact LP regret) |
+//! | [`GreedyStar`] | Chester et al. PVLDB'14 \[11\] | yes | randomized greedy over sampled utilities |
+//! | [`GeoGreedy`] | Peng & Wong ICDE'14 \[23\] | no | Greedy restricted to happy points (hull-vertex test as one LP per tuple, no hull built) |
+//! | [`DmmRrms`] | Asudeh et al. SIGMOD'17 \[4\] | no | discretized matrix min-max via threshold binary search + set cover |
+//! | [`DmmGreedy`] | Asudeh et al. SIGMOD'17 \[4\] | no | greedy on the discretized regret matrix |
+//! | [`EpsKernel`] | Agarwal et al. \[2,3,10\] | yes | direction-net extreme-point coreset, ε binary-searched to fit `r` |
+//! | [`HittingSet`] | Agarwal et al. SEA'17 / Kumar & Sintos ALENEX'18 \[3,19\] | yes | sampled-utility set cover, ε binary-searched to fit `r` |
+//! | [`Sphere`] | Xie et al. SIGMOD'18 \[32\] | no | basis + spread directions + greedy fill |
+//! | [`TwoDSweep`] | the d = 2 exact family \[4\], \[10\], \[11\] | no | angular sweep + interval cover; effectively optimal for d = 2 |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

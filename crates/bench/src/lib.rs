@@ -83,21 +83,21 @@ impl Scale {
 pub enum Algo {
     /// The paper's contribution.
     FdRms,
-    /// GREEDY [22].
+    /// GREEDY \[22\].
     Greedy,
-    /// GEOGREEDY [23].
+    /// GEOGREEDY \[23\].
     GeoGreedy,
-    /// GREEDY* [11].
+    /// GREEDY* \[11\].
     GreedyStar,
-    /// DMM-RRMS [4].
+    /// DMM-RRMS \[4\].
     DmmRrms,
-    /// DMM-GREEDY [4].
+    /// DMM-GREEDY \[4\].
     DmmGreedy,
-    /// ε-KERNEL [3], [10].
+    /// ε-KERNEL \[3\], \[10\].
     EpsKernel,
-    /// HS [3].
+    /// HS \[3\].
     Hs,
-    /// SPHERE [32].
+    /// SPHERE \[32\].
     Sphere,
 }
 

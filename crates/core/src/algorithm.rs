@@ -2,6 +2,7 @@
 
 use crate::builder::{FdRmsBuilder, FdRmsError};
 use crate::engine::BatchTables;
+use crate::tuples::Tuples;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rms_geom::{rank_cmp, with_basis_prefix, Point, PointId, RankedPoint, Utility};
@@ -135,6 +136,12 @@ pub(crate) fn requery(
 /// through [`FdRms::apply_batch`], which recomputes each affected utility
 /// once, on the calling thread over working tables kept from batch to
 /// batch, and defers set-cover stabilisation to one pass per batch.
+///
+/// The engine keeps one copy of each live tuple beside the kd-tree's: a
+/// table whose rows are the set-cover slots the tuples' sets hold. Every
+/// rescore of a utility's `Φ` members (the eviction scan of a rising
+/// threshold, the ε-band of a requery) walks the utility's set row and
+/// reads each member's id and attributes from that table.
 #[derive(Debug)]
 pub struct FdRms {
     pub(crate) d: usize,
@@ -150,7 +157,8 @@ pub struct FdRms {
     pub(crate) kd: KdTree,
     pub(crate) cone: ConeTree,
     pub(crate) cover: DynamicSetCover,
-    pub(crate) points: HashMap<PointId, Point>,
+    /// The live tuples, one row per set-cover slot.
+    pub(crate) tuples: Tuples,
     /// Universe indices `< m` that were dropped as uncoverable (only
     /// possible while the database is empty); re-admitted on insertion.
     pub(crate) pending: BTreeSet<ElemId>,
@@ -198,13 +206,15 @@ impl FdRms {
     // Algorithm 2: INITIALIZATION
     // ------------------------------------------------------------------
 
-    pub(crate) fn initialize(cfg: &FdRmsBuilder, initial: Vec<Point>) -> Result<Self, FdRmsError> {
+    pub(crate) fn initialize(
+        cfg: &FdRmsBuilder,
+        mut initial: Vec<Point>,
+    ) -> Result<Self, FdRmsError> {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let utilities = with_basis_prefix(&mut rng, cfg.d, cfg.max_utilities);
-        let points: HashMap<_, _> = initial.iter().map(|p| (p.id(), p.clone())).collect();
         let mut memberships: HashMap<PointId, Vec<ElemId>> =
             initial.iter().map(|p| (p.id(), Vec::new())).collect();
-        let kd = KdTree::build(cfg.d, initial).map_err(|e| match e {
+        let kd = KdTree::build(cfg.d, initial.clone()).map_err(|e| match e {
             rms_index::KdTreeError::DuplicateId(id) => FdRmsError::DuplicateId(id),
             rms_index::KdTreeError::DimensionMismatch { expected, got } => {
                 FdRmsError::DimensionMismatch { expected, got }
@@ -225,7 +235,7 @@ impl FdRms {
             cone,
             // The paper's level base b = 2 (footnote 2).
             cover: DynamicSetCover::new(LevelBase::TWO),
-            points,
+            tuples: Tuples::new(cfg.d),
             pending: BTreeSet::new(),
             ops: 0,
             stats: UpdateStats::default(),
@@ -248,19 +258,24 @@ impl FdRms {
             }
         }
         // Sets enter in id order: the cover's rows keep call order, so
-        // the maintained solution then depends only on the input.
+        // the maintained solution then depends only on the input. Each
+        // tuple's row goes to the slot its set was handed.
         let mut memberships: Vec<(PointId, Vec<ElemId>)> = memberships.into_iter().collect();
         memberships.sort_unstable_by_key(|(pid, _)| *pid);
-        for (pid, members) in memberships {
+        initial.sort_unstable_by_key(Point::id);
+        for (p, (pid, members)) in initial.iter().zip(memberships) {
+            debug_assert_eq!(p.id(), pid);
             fd.cover
                 .insert_set(pid, members)
                 .expect("fresh tuple ids are unique");
+            let slot = fd.cover.slot(pid).expect("set just inserted");
+            fd.tuples.write(slot, p);
         }
 
         // Binary search m ∈ [r, M] so that the greedy cover has size r
         // (Lines 3–14). |C| grows with m; we keep the largest probe whose
         // cover size does not exceed r.
-        if fd.points.is_empty() {
+        if fd.kd.is_empty() {
             fd.m = cfg.r;
             fd.cover.reset_universe(std::iter::empty());
             fd.pending = (0..cfg.r as ElemId).collect();
@@ -301,10 +316,15 @@ impl FdRms {
         let mut out: Vec<Point> = self
             .cover
             .solution()
-            .map(|pid| self.points[&pid].clone())
+            .map(|pid| self.tuple(pid).expect("solution sets are live tuples"))
             .collect();
         out.sort_unstable_by_key(Point::id);
         out
+    }
+
+    /// Live tuple `id`, read from its table row.
+    pub(crate) fn tuple(&self, id: PointId) -> Option<Point> {
+        self.cover.slot(id).map(|s| self.tuples.point(s))
     }
 
     /// Ids of the current result.
@@ -316,12 +336,12 @@ impl FdRms {
 
     /// Number of live tuples `n_t`.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.kd.len()
     }
 
     /// Whether the database is empty.
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.kd.is_empty()
     }
 
     /// The configured dimensionality `d`.
@@ -357,14 +377,18 @@ impl FdRms {
 
     /// Whether tuple `id` is live.
     pub fn contains(&self, id: PointId) -> bool {
-        self.points.contains_key(&id)
+        self.cover.has_set(id)
     }
 
     /// A copy of the live database, sorted by id. Snapshot-extraction
     /// hook for the serving layer (regret estimation needs the full point
     /// set); `O(n)` — call per published snapshot, not per operation.
     pub fn live_points(&self) -> Vec<Point> {
-        let mut out: Vec<Point> = self.points.values().cloned().collect();
+        let mut out: Vec<Point> = self
+            .tuples
+            .live_slots()
+            .map(|s| self.tuples.point(s))
+            .collect();
         out.sort_unstable_by_key(Point::id);
         out
     }
@@ -406,10 +430,10 @@ impl FdRms {
                 got: p.dim(),
             });
         }
-        let Some(stored) = self.points.get(&p.id()) else {
+        let Some(slot) = self.cover.slot(p.id()) else {
             return Err(FdRmsError::UnknownId(p.id()));
         };
-        if stored.coords() == p.coords() {
+        if self.tuples.coords(slot) == p.coords() {
             return Ok(false);
         }
         self.delete_one(p.id()).expect("checked live above");
@@ -418,14 +442,14 @@ impl FdRms {
     }
 
     /// Solves the **min-size** variant referenced in the related work
-    /// ([3], [19]): the smallest subset whose maximum k-regret ratio is at
+    /// (\[3\], \[19\]): the smallest subset whose maximum k-regret ratio is at
     /// most ε (with respect to the full sampled net of `M` utility
     /// vectors, not just the tuned prefix `m`). Runs greedy set cover on
     /// a clone of the maintained system, so the dynamic state is
     /// untouched. Cost is one greedy pass — `O(r'·n)` — so call it on
     /// demand, not per update.
     pub fn min_size_result(&self) -> Vec<Point> {
-        if self.points.is_empty() {
+        if self.kd.is_empty() {
             return Vec::new();
         }
         let mut cover = self.cover.clone();
@@ -433,7 +457,7 @@ impl FdRms {
         cover.greedy().expect("every utility has a top-1 tuple");
         let mut out: Vec<Point> = cover
             .solution()
-            .map(|pid| self.points[&pid].clone())
+            .map(|pid| self.tuple(pid).expect("solution sets are live tuples"))
             .collect();
         out.sort_unstable_by_key(Point::id);
         out
@@ -457,13 +481,12 @@ impl FdRms {
                 got: p.dim(),
             });
         }
-        if self.points.contains_key(&p.id()) {
+        if self.cover.has_set(p.id()) {
             return Err(FdRmsError::DuplicateId(p.id()));
         }
         self.ops += 1;
         let pid = p.id();
         self.kd.insert(p.clone()).expect("id vetted above");
-        self.points.insert(pid, p.clone());
 
         // Utilities whose ε-approximate top-k admits p (one blocked scan
         // of every threshold; thresholds are 0 while fewer than k tuples
@@ -472,11 +495,15 @@ impl FdRms {
         self.stats.affected_utilities += affected.len() as u64;
 
         // p joins Φ_{k,ε}(u_i) for every affected i: register S(p) first
-        // so evicted utilities can be reassigned into it.
+        // so evicted utilities can be reassigned into it, then write p's
+        // row at the slot S(p) was handed.
         self.cover
             .insert_set(pid, affected.iter().map(|&i| i as ElemId))
             .expect("id vetted above");
+        let slot = self.cover.slot(pid).expect("set just inserted");
+        self.tuples.write(slot, p);
 
+        let mut evicted: Vec<PointId> = Vec::new();
         for &i in &affected {
             let score = self.utilities[i].score(p);
             let k = self.k;
@@ -496,24 +523,28 @@ impl FdRms {
                 if new_tau > old_tau {
                     // ω_k increased: evict Φ members that fell below the
                     // new threshold (the "series of deletions" of the
-                    // insertion path, Lines 5–8 of Algorithm 3).
-                    let members: Vec<PointId> = self.cover.sets_containing(i as ElemId).collect();
-                    for q_id in members {
-                        if q_id == pid {
-                            continue;
-                        }
-                        let q_score = self.utilities[i].score(&self.points[&q_id]);
-                        if q_score < new_tau {
-                            self.stats.evictions += 1;
-                            let kept = self
-                                .cover
-                                .remove_from_set(i as ElemId, q_id)
-                                .expect("member sets exist");
-                            debug_assert!(
-                                kept || i >= self.m,
-                                "universe element lost its last set during insert"
-                            );
-                        }
+                    // insertion path, Lines 5–8 of Algorithm 3), rescored
+                    // from the table along the utility's set row. The
+                    // evictions follow row order as the row stood.
+                    let (u, tuples) = (&self.utilities[i], &self.tuples);
+                    evicted.clear();
+                    evicted.extend(
+                        self.cover
+                            .slots_containing(i as ElemId)
+                            .iter()
+                            .filter(|&&q| q != slot && u.score_coords(tuples.coords(q)) < new_tau)
+                            .map(|&q| tuples.id(q)),
+                    );
+                    for &q_id in &evicted {
+                        self.stats.evictions += 1;
+                        let kept = self
+                            .cover
+                            .remove_from_set(i as ElemId, q_id)
+                            .expect("member sets exist");
+                        debug_assert!(
+                            kept || i >= self.m,
+                            "universe element lost its last set during insert"
+                        );
                     }
                     self.cone.set_threshold(i, new_tau);
                 }
@@ -541,11 +572,12 @@ impl FdRms {
 
     /// The classic single-delete path (Algorithm 3, deletion).
     pub(crate) fn delete_one(&mut self, pid: PointId) -> Result<(), FdRmsError> {
-        let Some(_p) = self.points.remove(&pid) else {
+        let Some(slot) = self.cover.slot(pid) else {
             return Err(FdRmsError::UnknownId(pid));
         };
         self.ops += 1;
-        self.kd.delete(pid).expect("points map and kd agree");
+        self.kd.delete(pid).expect("cover and kd agree");
+        self.tuples.kill(slot);
 
         // Utilities whose Φ contained p — exactly the members of S(p).
         let affected: Vec<usize> = self
@@ -563,21 +595,23 @@ impl FdRms {
                 // removal below); thresholds are unchanged.
                 continue;
             }
-            // ω_k may drop: recompute the exact top-k from Φ's survivors
-            // (S(p) is still registered, so skip p) and admit the tuples
-            // that now clear the lower threshold (the "series of
-            // insertions" of the deletion path, Lines 9–12).
+            // ω_k may drop: recompute the exact top-k from Φ's survivors,
+            // rescored from the table (S(p) is still registered, so skip
+            // p's slot), and admit the tuples that now clear the lower
+            // threshold (the "series of insertions" of the deletion path,
+            // Lines 9–12).
             self.stats.topk_requeries += 1;
             let u = &self.utilities[i];
             let elem = i as ElemId;
             band.clear();
             band.extend(
                 self.cover
-                    .sets_containing(elem)
-                    .filter(|&q| q != pid)
-                    .map(|q| RankedPoint {
-                        id: q,
-                        score: u.score(&self.points[&q]),
+                    .slots_containing(elem)
+                    .iter()
+                    .filter(|&&q| q != slot)
+                    .map(|&q| RankedPoint {
+                        id: self.tuples.id(q),
+                        score: u.score_coords(self.tuples.coords(q)),
                     }),
             );
             let Requery {
@@ -604,10 +638,10 @@ impl FdRms {
             .remove_set(pid)
             .expect("set registered at insert");
         for u in dropped {
-            debug_assert!(self.points.is_empty(), "drop with nonempty database");
+            debug_assert!(self.kd.is_empty(), "drop with nonempty database");
             self.pending.insert(u);
         }
-        if self.points.is_empty() {
+        if self.kd.is_empty() {
             for i in 0..self.cap_m {
                 self.topk[i] = TopKState::default();
                 self.cone.set_threshold(i, 0.0);
@@ -628,7 +662,7 @@ impl FdRms {
     /// Grows or shrinks the universe one utility vector at a time until
     /// the cover size returns to `r` (or the bounds `r ≤ m ≤ M` bind).
     pub(crate) fn update_m(&mut self) {
-        if self.points.is_empty() {
+        if self.kd.is_empty() {
             return;
         }
         if self.cover.solution_size() < self.r {
@@ -687,11 +721,43 @@ impl FdRms {
     // Verification
     // ------------------------------------------------------------------
 
-    /// Exhaustive internal-consistency check for tests: top-k states match
-    /// brute-force recomputation, memberships match Φ, the cover is
-    /// stable, and the universe is `{0..m} \ pending`.
+    /// Exhaustive internal-consistency check for tests: the tuple table
+    /// matches the kd-tree, top-k states match brute-force recomputation,
+    /// memberships match Φ, the cover is stable, and the universe is
+    /// `{0..m} \ pending`.
+    ///
+    /// The reference database is the kd-tree's copy, not the table: a
+    /// stale row would mislead the engine and a check that read it alike.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let all: Vec<Point> = self.points.values().cloned().collect();
+        let all: Vec<Point> = self.kd.points();
+        // Exactly one cover set per live tuple, whose slot's row holds
+        // the tuple bit for bit; no other set and no other live row.
+        for p in &all {
+            let Some(slot) = self.cover.slot(p.id()) else {
+                return Err(format!("live tuple {} has no cover set", p.id()));
+            };
+            let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            let row_ok = self.tuples.is_live(slot)
+                && self.tuples.id(slot) == p.id()
+                && bits(self.tuples.coords(slot)) == bits(p.coords());
+            if !row_ok {
+                return Err(format!(
+                    "live tuple {}: row {slot} disagrees with the kd-tree",
+                    p.id()
+                ));
+            }
+        }
+        if self.cover.num_sets() != all.len() {
+            return Err(format!(
+                "{} cover sets for {} live tuples",
+                self.cover.num_sets(),
+                all.len()
+            ));
+        }
+        let rows = self.tuples.live_slots().count();
+        if rows != all.len() {
+            return Err(format!("{rows} live rows for {} live tuples", all.len()));
+        }
         for i in 0..self.cap_m {
             let u = &self.utilities[i];
             let want_exact = rms_geom::top_k(&all, u, self.k);
@@ -734,20 +800,8 @@ impl FdRms {
                 self.cover.universe_size()
             ));
         }
-        if !self.points.is_empty() && !self.pending.is_empty() {
+        if !all.is_empty() && !self.pending.is_empty() {
             return Err("pending elements with nonempty database".into());
-        }
-        // Exactly one cover set per live tuple: every live id has a set,
-        // and there are no others.
-        if let Some(id) = self.points.keys().find(|&&id| !self.cover.has_set(id)) {
-            return Err(format!("live tuple {id} has no cover set"));
-        }
-        if self.cover.num_sets() != self.len() {
-            return Err(format!(
-                "{} cover sets for {} live tuples",
-                self.cover.num_sets(),
-                self.len()
-            ));
         }
         self.cover.check_invariants()
     }
@@ -1093,10 +1147,11 @@ pub(crate) mod tests {
         // A live tuple whose set was swapped for a stray one. The tuple is
         // in no Φ, so only the per-tuple check can notice.
         let mut fd = build();
-        let id = *fd
-            .points
-            .keys()
-            .find(|&&id| fd.cover.members(id).is_some_and(|m| m.is_empty()))
+        let id = fd
+            .live_points()
+            .iter()
+            .map(Point::id)
+            .find(|&id| fd.cover.members(id).is_some_and(|m| m.is_empty()))
             .expect("a dominated tuple");
         fd.cover.remove_set(id).unwrap();
         fd.cover.insert_set(10_000, []).unwrap();
@@ -1105,6 +1160,38 @@ pub(crate) mod tests {
             err.contains(&format!("live tuple {id} has no cover set")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn check_invariants_compares_rows_with_the_kd_tree() {
+        let build = || {
+            FdRms::builder(2)
+                .r(4)
+                .max_utilities(64)
+                .build(random_points(62, 40, 2))
+                .unwrap()
+        };
+        let slot = |fd: &FdRms, id| fd.cover.slot(id).unwrap();
+        // A row whose attributes drifted from the kd-tree's copy, by the
+        // last bit of one coordinate.
+        let mut fd = build();
+        let mut coords = fd.tuple(7).unwrap().coords().to_vec();
+        coords[1] = f64::from_bits(coords[1].to_bits() + 1);
+        fd.tuples
+            .write(slot(&fd, 7), &Point::new_unchecked(7, coords));
+        let err = fd.check_invariants().unwrap_err();
+        assert!(err.contains("live tuple 7: row"), "{err}");
+        // A live tuple's row marked dead.
+        let mut fd = build();
+        fd.tuples.kill(slot(&fd, 9));
+        let err = fd.check_invariants().unwrap_err();
+        assert!(err.contains("live tuple 9: row"), "{err}");
+        // A live row at a slot no set holds (the 40 sets hold 0..40).
+        let mut fd = build();
+        let p = fd.tuple(3).unwrap();
+        fd.tuples.write(40, &p.with_id(10_000));
+        let err = fd.check_invariants().unwrap_err();
+        assert!(err.contains("41 live rows for 40 live tuples"), "{err}");
     }
 
     // ------------------------------------------------------------------
@@ -1145,7 +1232,10 @@ pub(crate) mod tests {
     /// Memberships gained and lost by the tuples live in both engines.
     pub(crate) fn membership_diff(before: &FdRms, after: &FdRms) -> (u64, u64) {
         let (mut gained, mut lost) = (0, 0);
-        for &id in before.points.keys().filter(|id| after.contains(**id)) {
+        for id in before.live_points().iter().map(Point::id) {
+            if !after.contains(id) {
+                continue;
+            }
             let b: BTreeSet<ElemId> = before.cover.members(id).unwrap().iter().copied().collect();
             let a: BTreeSet<ElemId> = after.cover.members(id).unwrap().iter().copied().collect();
             gained += a.difference(&b).count() as u64;
@@ -1168,7 +1258,7 @@ pub(crate) mod tests {
                 .unwrap_or_else(|e| panic!("per-op after {op:?}: {e}"));
         }
         let mut bat = axis_engine(xs);
-        let noop = Op::Update(bat.points[&pad].clone());
+        let noop = Op::Update(bat.tuple(pad).unwrap());
         let mut batch = ops.to_vec();
         batch.push(noop);
         let report = bat.apply_batch(batch).unwrap();

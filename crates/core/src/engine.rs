@@ -17,7 +17,10 @@
 //!    the batch touches nothing, an update whose attributes equal the
 //!    stored tuple's is dropped.
 //! 2. **Tuple index** — all kd-tree mutations are applied up front, so
-//!    every later query sees the post-batch database.
+//!    every later query sees the post-batch database. The engine's tuple
+//!    table follows: an updated tuple's row takes its new attributes, and
+//!    a deleted tuple's row is marked dead while its set stays in the
+//!    cover until phase 4.
 //! 3. **Recompute** — the affected utilities (the deleted and updated
 //!    tuples' memberships ∪ the utilities the written tuples reach, found
 //!    by one [`ConeTree::visit_hits`](rms_index::ConeTree::visit_hits)
@@ -34,23 +37,34 @@
 //!    Every other affected utility updates *incrementally*, exactly like
 //!    the sequential insertion path but batched: merge the cone hits into
 //!    the stored top-k in place, recompute `τ`, scan for evictions only
-//!    when `τ` rose. Each new top-k and `τ` is written back as it is
-//!    computed, the utility index's threshold included; the recompute
-//!    emits membership *deltas*, not full `Φ` sets.
+//!    when `τ` rose. Every rescore of `Φ` walks the utility's set row
+//!    ([`slots_containing`](rms_setcover::DynamicSetCover::slots_containing))
+//!    and reads each member from the tuple table row of its slot,
+//!    skipping dead rows; it looks up no id. Each new top-k and `τ` is
+//!    written back as it is computed, the utility index's threshold
+//!    included; the recompute emits membership *deltas*, not full `Φ`
+//!    sets.
 //! 4. **Cover transaction** — the deltas feed the set cover inside a
 //!    [`begin_batch`](rms_setcover::DynamicSetCover::begin_batch)
 //!    / [`commit`](rms_setcover::DynamicSetCover::commit) transaction:
 //!    additions are applied before removals (so no utility transiently
-//!    loses coverage) and `STABILIZE` runs once at commit.
+//!    loses coverage) and `STABILIZE` runs once at commit. A new tuple's
+//!    row is written when its set is handed a slot, before the deleted
+//!    tuples' sets free theirs.
 //! 5. **Rebalance** — `UPDATE-M` (Algorithm 4) runs once to steer the
 //!    solution back to size `r`.
 //!
-//! Phases 2–4 work in tables the engine owns and reuses from batch to
-//! batch: one row per utility (its affected and requery flags, and where
-//! its runs sit in the flat lists), the affected utilities in one list
-//! sorted once, and flat lists of cone hits, updated members and
+//! Phases 2–4 also work in tables the engine owns and reuses from batch
+//! to batch: one row per utility (its affected and requery flags, and
+//! where its runs sit in the flat lists), the affected utilities in one
+//! list sorted once, and flat lists of cone hits, updated members and
 //! membership deltas. They build no map, and apart from what a requery
 //! returns, a batch allocates nothing per affected utility.
+//!
+//! The identical answers of two engines fed the same stream rest on row
+//! order: `Φ` is rescored in the order of the utility's set row, which
+//! the cover keeps in call order up to swap-removals, and evictions are
+//! issued in that order per-op and in id order batched.
 //!
 //! Whether batching pays depends on ε. On the benchmark's `maintain`
 //! data (`perfbench`: anticorrelated `d = 6`, `n₀ = 3 000`, `k = 3`,
@@ -350,6 +364,14 @@ impl FdRms {
     }
 
     fn apply_batch_inner(&mut self, ops: &[Op]) -> Result<BatchReport, FdRmsError> {
+        // An empty batch is no batch: it books nothing.
+        if ops.is_empty() {
+            return Ok(BatchReport {
+                m: self.m,
+                result_size: self.cover.solution_size(),
+                ..BatchReport::default()
+            });
+        }
         let mut report = BatchReport {
             ops: ops.len(),
             ..BatchReport::default()
@@ -365,7 +387,7 @@ impl FdRms {
             let live = |id: &PointId, overlay: &BTreeMap<PointId, Option<Point>>| {
                 overlay
                     .get(id)
-                    .map_or_else(|| self.points.contains_key(id), Option::is_some)
+                    .map_or_else(|| self.cover.has_set(*id), Option::is_some)
             };
             match op {
                 Op::Insert(p) => {
@@ -399,13 +421,13 @@ impl FdRms {
                         });
                     }
                     let stored = match overlay.get(&p.id()) {
-                        Some(o) => o.as_ref(),
-                        None => self.points.get(&p.id()),
+                        Some(o) => o.as_ref().map(Point::coords),
+                        None => self.cover.slot(p.id()).map(|s| self.tuples.coords(s)),
                     };
                     let Some(stored) = stored else {
                         return Err(FdRmsError::UnknownId(p.id()));
                     };
-                    if stored.coords() == p.coords() {
+                    if stored == p.coords() {
                         report.noop_updates += 1;
                     } else {
                         overlay.insert(p.id(), Some(p.clone()));
@@ -423,10 +445,10 @@ impl FdRms {
         let mut net_update: Vec<Point> = Vec::new();
         let mut net_delete: Vec<PointId> = Vec::new();
         for (id, fin) in &overlay {
-            match (fin, self.points.get(id)) {
+            match (fin, self.cover.slot(*id)) {
                 (Some(p), None) => net_insert.push(p.clone()),
-                (Some(p), Some(old)) => {
-                    if old.coords() != p.coords() {
+                (Some(p), Some(s)) => {
+                    if self.tuples.coords(s) != p.coords() {
                         net_update.push(p.clone());
                     }
                 }
@@ -505,19 +527,25 @@ impl FdRms {
 
         // All mutations go through the deferred-delete path so the lazy
         // rebuild is decided once per batch — after the inserts, so a
-        // triggered rebuild packs the post-batch database.
+        // triggered rebuild packs the post-batch database. The tuple
+        // table follows for the tuples that hold a slot: a deleted tuple's
+        // row is marked dead, so phase 3 skips it while its set lingers
+        // until phase 4(d), and an updated tuple's row takes its new
+        // attributes. Inserted tuples get their rows in phase 4(a), when
+        // their sets are handed slots.
         for id in &net_delete {
             self.kd.delete_deferred(*id).expect("validated live");
-            self.points.remove(id);
+            self.tuples
+                .kill(self.cover.slot(*id).expect("validated live"));
         }
         for p in &net_update {
             self.kd.delete_deferred(p.id()).expect("validated live");
             self.kd.insert(p.clone()).expect("id just freed");
-            self.points.insert(p.id(), p.clone());
+            let slot = self.cover.slot(p.id()).expect("validated live");
+            self.tuples.write(slot, p);
         }
         for p in &net_insert {
             self.kd.insert(p.clone()).expect("validated fresh");
-            self.points.insert(p.id(), p.clone());
         }
         self.kd.maybe_rebuild();
 
@@ -530,7 +558,7 @@ impl FdRms {
         report.affected_utilities = touched.len();
         self.stats.affected_utilities += touched.len() as u64;
         self.stats.topk_requeries += report.requeried_utilities as u64;
-        if !self.points.is_empty() {
+        if !self.kd.is_empty() {
             for &u in &touched {
                 let old = std::mem::take(&mut self.topk[u]);
                 let new = if t.rows[u].requery {
@@ -552,7 +580,8 @@ impl FdRms {
         self.cover.begin_batch();
         // (a) Register the new tuples' sets, with their full post-batch
         // memberships, before any removal: utilities never transiently
-        // lose their last covering set.
+        // lose their last covering set. Each new tuple's row goes to the
+        // slot its set is handed, never one this batch frees in (d).
         d.fresh.sort_unstable();
         let mut fresh = &d.fresh[..];
         for (j, p) in net_insert.iter().enumerate() {
@@ -560,6 +589,8 @@ impl FdRms {
             self.cover
                 .insert_set(p.id(), members.iter().map(|&(_, u)| u))
                 .expect("validated fresh ids");
+            let slot = self.cover.slot(p.id()).expect("set just inserted");
+            self.tuples.write(slot, p);
             fresh = rest;
         }
         // (b) Admissions into surviving sets, then (c) evictions, utility
@@ -594,7 +625,7 @@ impl FdRms {
                 .remove_set(*id)
                 .expect("set registered at insert");
             for u in dropped {
-                debug_assert!(self.points.is_empty(), "drop with nonempty database");
+                debug_assert!(self.kd.is_empty(), "drop with nonempty database");
                 self.pending.insert(u);
             }
         }
@@ -609,7 +640,7 @@ impl FdRms {
         // ------------------------------------------------------------
         // Phase 5: rebalance once.
         // ------------------------------------------------------------
-        if self.points.is_empty() {
+        if self.kd.is_empty() {
             for i in 0..self.cap_m {
                 self.topk[i] = TopKState::default();
             }
@@ -626,11 +657,11 @@ impl FdRms {
     }
 
     /// A requery utility, answered from its ε-band (see [`requery`]): the
-    /// pre-batch `Φ` members that survived, rescored at their post-batch
-    /// attributes, plus the cone hits that were not members hold every
-    /// tuple clearing the old τ. The kd-tree is asked for the top-k only
-    /// when fewer than `k` of them still clear it, and walked only for the
-    /// entrants when τ fell.
+    /// pre-batch `Φ` members that survived, rescored from the tuple table
+    /// at their post-batch attributes, plus the cone hits that were not
+    /// members hold every tuple clearing the old τ. The kd-tree is asked
+    /// for the top-k only when fewer than `k` of them still clear it, and
+    /// walked only for the entrants when τ fell.
     fn requeried(
         &self,
         u: usize,
@@ -641,16 +672,20 @@ impl FdRms {
     ) -> TopKState {
         let w = &self.utilities[u];
         let elem = u as ElemId;
-        // Surviving members first (a deleted tuple has left `points`), then
-        // the hits `Φ` does not hold yet.
+        // Surviving members first, in row order (a deleted tuple's row is
+        // dead), then the hits `Φ` does not hold yet.
+        let tuples = &self.tuples;
         t.band.clear();
-        t.band
-            .extend(self.cover.sets_containing(elem).filter_map(|pid| {
-                self.points.get(&pid).map(|p| RankedPoint {
-                    id: pid,
-                    score: w.score(p),
-                })
-            }));
+        t.band.extend(
+            self.cover
+                .slots_containing(elem)
+                .iter()
+                .filter(|&&s| tuples.is_live(s))
+                .map(|&s| RankedPoint {
+                    id: tuples.id(s),
+                    score: w.score_coords(tuples.coords(s)),
+                }),
+        );
         let members = t.band.len();
         t.band.extend(
             t.hits[t.rows[u].hits.clone()]
@@ -734,16 +769,20 @@ impl FdRms {
             }
         }
 
-        // Evictions: when τ rose, any member may have fallen below it;
-        // otherwise only updated members can have dropped out.
+        // Evictions: when τ rose, any live member may have fallen below
+        // it (rescored from the tuple table); otherwise only updated
+        // members can have dropped out.
         let removals = &mut t.deltas.removals;
         if st.tau > tau_old {
             let start = removals.len();
-            for pid in self.cover.sets_containing(elem) {
-                if self.points.get(&pid).is_some_and(|p| w.score(p) < st.tau) {
-                    removals.push(pid);
-                }
-            }
+            let tuples = &self.tuples;
+            removals.extend(
+                self.cover
+                    .slots_containing(elem)
+                    .iter()
+                    .filter(|&&s| tuples.is_live(s) && w.score_coords(tuples.coords(s)) < st.tau)
+                    .map(|&s| tuples.id(s)),
+            );
             removals[start..].sort_unstable();
         } else {
             for &(_, i) in &t.moved[t.rows[u].moved.clone()] {
@@ -1080,10 +1119,16 @@ mod tests {
     fn empty_batch_is_noop() {
         let pts = random_points(15, 20, 2);
         let mut fd = builder(2).build(pts).unwrap();
-        let before = fd.result_ids();
+        let (before, stats, ops) = (fd.result_ids(), fd.stats(), fd.operations());
         let report = fd.apply_batch(Vec::new()).unwrap();
         assert_eq!(report.ops, 0);
+        assert_eq!((report.m, report.result_size), (fd.m(), before.len()));
+        let report = fd.apply_batch_slice(&[]).unwrap();
+        assert_eq!(report.ops, 0);
         assert_eq!(fd.result_ids(), before);
+        // Nothing is booked: an empty batch is no batch.
+        assert_eq!(fd.stats(), stats);
+        assert_eq!(fd.operations(), ops);
         fd.check_invariants().unwrap();
     }
 
@@ -1164,18 +1209,17 @@ mod tests {
                 // written at new attributes.
                 let kept = |p: &Point, other: &FdRms| {
                     other
-                        .points
-                        .get(&p.id())
+                        .tuple(p.id())
                         .is_some_and(|q| q.coords() == p.coords())
                 };
                 let gone: Vec<PointId> = before
-                    .points
-                    .values()
+                    .live_points()
+                    .iter()
                     .filter(|p| !kept(p, &fd))
                     .map(Point::id)
                     .collect();
-                let written: Vec<&Point> =
-                    fd.points.values().filter(|p| !kept(p, &before)).collect();
+                let live = fd.live_points();
+                let written: Vec<&Point> = live.iter().filter(|p| !kept(p, &before)).collect();
                 let requery = (0..fd.cap_m)
                     .filter(|&u| before.topk[u].exact.iter().any(|e| gone.contains(&e.id)))
                     .count();
@@ -1234,6 +1278,86 @@ mod tests {
                 "eps {eps}"
             );
         }
+    }
+
+    /// The tuple table follows the cover's slots in both disciplines,
+    /// checked against the kd-tree after every call: a per-op update frees
+    /// its tuple's slot and takes it back; a batch hands its new tuples
+    /// fresh slots in phase 4(a) before its deleted tuples free theirs in
+    /// 4(d); the next batch's inserts take those, last freed first.
+    #[test]
+    fn table_rows_follow_slot_reuse() {
+        let mut rng = StdRng::seed_from_u64(20);
+        let mut fd = builder(3).build(random_points(19, 60, 3)).unwrap();
+        // Tuple `id` at fresh random attributes.
+        let mut at = |id| Point::new_unchecked(id, (0..3).map(|_| rng.gen()).collect());
+        let check = |fd: &FdRms, what: &str| {
+            fd.check_invariants()
+                .unwrap_or_else(|e| panic!("after {what}: {e}"));
+        };
+        check(&fd, "build");
+        let slot = |fd: &FdRms, id: PointId| fd.cover.slot(id);
+
+        // Per-op: the update's delete frees the slot, its insert takes it
+        // back with the new attributes.
+        for id in [3, 17, 42] {
+            let held = slot(&fd, id);
+            fd.update(at(id)).unwrap();
+            check(&fd, "a per-op update");
+            assert_eq!(slot(&fd, id), held);
+        }
+        // A delete, then an insert of a fresh id into the freed slot.
+        let held = slot(&fd, 5);
+        fd.delete(5).unwrap();
+        check(&fd, "a per-op delete");
+        assert_eq!(slot(&fd, 5), None);
+        fd.insert(at(500)).unwrap();
+        check(&fd, "a per-op insert");
+        assert_eq!(slot(&fd, 500), held);
+
+        // One batch deletes, inserts and updates. It deletes three tuples
+        // that head some utility's top-k, so those utilities rescore
+        // their bands while the deleted sets still stand. No slot is free
+        // before it, so its inserts take new slots 60..63, not the ones
+        // its deletes free.
+        let mut heads: Vec<PointId> = fd.topk.iter().map(|st| st.exact[0].id).collect();
+        heads.sort_unstable();
+        heads.dedup();
+        heads.retain(|&id| id != 10);
+        let gone = [heads[0], heads[1], heads[2]];
+        let freed: Vec<_> = gone.map(|id| slot(&fd, id).unwrap()).to_vec();
+        let updated = slot(&fd, 10);
+        let ops = vec![
+            Op::Delete(gone[0]),
+            Op::Insert(at(600)),
+            Op::Update(at(10)),
+            Op::Delete(gone[1]),
+            Op::Insert(at(601)),
+            Op::Delete(gone[2]),
+            Op::Insert(at(602)),
+        ];
+        let report = fd.apply_batch(ops).unwrap();
+        check(&fd, "a mixed batch");
+        assert_eq!((report.inserted, report.deleted, report.updated), (3, 3, 1));
+        let fresh: BTreeSet<_> = [600, 601, 602].map(|id| slot(&fd, id).unwrap()).into();
+        assert_eq!(fresh, (60..63).collect());
+        assert_eq!(slot(&fd, 10), updated);
+        assert!(gone.iter().all(|&id| slot(&fd, id).is_none()));
+
+        // The next batch's inserts reuse the freed slots: 4(d) freed them
+        // in id order, and the most recently freed goes first. The batch
+        // also updates a tuple that took its slot in the last one.
+        let ops = vec![
+            Op::Insert(at(700)),
+            Op::Update(at(600)),
+            Op::Insert(at(701)),
+            Op::Insert(at(702)),
+        ];
+        fd.apply_batch(ops).unwrap();
+        check(&fd, "a batch of inserts");
+        let reused: Vec<_> = [702, 701, 700].map(|id| slot(&fd, id).unwrap()).to_vec();
+        assert_eq!(reused, freed);
+        assert_eq!(fd.len(), 63);
     }
 
     #[test]

@@ -57,6 +57,7 @@
 mod algorithm;
 mod builder;
 pub mod engine;
+mod tuples;
 
 pub use algorithm::{FdRms, UpdateStats};
 pub use builder::{FdRmsBuilder, FdRmsError};

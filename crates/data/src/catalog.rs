@@ -11,7 +11,7 @@
 //! | CT    | 581 012 | 8  | 77 217 (13%)    | independent with mild anti-correlation |
 //! | Movie | 13 176  | 12 | 3 293 (25%)     | independent (high-d ⇒ large skyline) |
 //!
-//! Indep and AntiCor are generated exactly as in the paper ([9]), default
+//! Indep and AntiCor are generated exactly as in the paper (\[9\]), default
 //! `n = 100 K`, `d = 6`.
 //!
 //! Every spec carries a `scale` factor so experiments can run at a fraction

@@ -2,7 +2,7 @@
 //!
 //! `independent` and `anticorrelated` follow the constructions of
 //! Börzsönyi, Kossmann, Stocker — "The Skyline Operator" (ICDE 2001),
-//! which the paper cites ([9]) as the source of its Indep and AntiCor
+//! which the paper cites (\[9\]) as the source of its Indep and AntiCor
 //! datasets. `correlated` is the third classic family from that paper and
 //! is used by the real-data stand-ins.
 

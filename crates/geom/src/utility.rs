@@ -66,8 +66,17 @@ impl Utility {
     /// Panics in debug builds if dimensionalities differ.
     #[inline]
     pub fn score(&self, p: &Point) -> f64 {
-        debug_assert_eq!(self.dim(), p.dim());
-        dot(&self.weights, p.coords())
+        self.score_coords(p.coords())
+    }
+
+    /// The score of a tuple given by its attributes alone: bit for bit
+    /// what [`Utility::score`] returns for a point with these coordinates.
+    ///
+    /// Panics in debug builds if dimensionalities differ.
+    #[inline]
+    pub fn score_coords(&self, coords: &[f64]) -> f64 {
+        debug_assert_eq!(self.dim(), coords.len());
+        dot(&self.weights, coords)
     }
 
     /// Inner product with another utility vector (cosine similarity, since
@@ -194,6 +203,10 @@ mod tests {
         // p2 = (0.6, 0.8) ⇒ score ≈ 0.98.
         let p2 = Point::new(2, vec![0.6, 0.8]).unwrap();
         assert!((u.score(&p2) - 0.98).abs() < 1e-2);
+        assert_eq!(
+            u.score_coords(p2.coords()).to_bits(),
+            u.score(&p2).to_bits()
+        );
     }
 
     #[test]

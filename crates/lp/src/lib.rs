@@ -1,6 +1,6 @@
 //! Linear programming substrate.
 //!
-//! The greedy k-RMS baselines (GREEDY [22], GEOGREEDY [23], GREEDY* [11])
+//! The greedy k-RMS baselines (GREEDY \[22\], GEOGREEDY \[23\], GREEDY* \[11\])
 //! need exact maximum-regret-ratio computations, which reduce to small
 //! dense linear programs over the utility space (d + 1 variables,
 //! |Q| + 1 constraints). No LP crate is available offline, so this crate

@@ -7,8 +7,8 @@
 //! threads (default one; see [`RmsServer::with_net_threads`]) instead
 //! of a thread per connection: reactor 0 owns the listener and deals
 //! accepted sockets round-robin across the group through each
-//! reactor's command injector. Protocol logic lives in
-//! [`net`](crate::net); this module is the *orchestration* layer — the
+//! reactor's command injector. Protocol logic lives in the crate's
+//! `net` module; this module is the *orchestration* layer — the
 //! pieces that legitimately block (the delta pump's channel receive,
 //! backend shutdown, thread joins) and therefore stay off the reactor
 //! threads.

@@ -13,6 +13,11 @@
 //!   last-in first-out. Member rows, cover rows, levels, the per-level
 //!   counters and the worklist guard are slot-indexed.
 //!
+//! Slots are public dense handles: [`DynamicSetCover::slot`] names a set's
+//! slot and [`DynamicSetCover::slots_containing`] hands out an element's
+//! set row as stored, so a client can key tables of its own by slot and
+//! read them along a row without looking up a single id.
+//!
 //! A membership `u ∈ S` is stored twice, in `S`'s member row and in `u`'s
 //! set row, and each copy records the position of the other, so removing
 //! it is two `swap_remove`s; a per-set bitmap answers membership tests. A
@@ -34,8 +39,11 @@ pub type ElemId = u32;
 /// `S(p)` is identified by the tuple id of `p`.
 pub type SetId = u64;
 
-/// Dense index of a live set (see the module docs).
-type Slot = u32;
+/// Dense handle of a live set (see the module docs). A set holds its slot
+/// from [`DynamicSetCover::insert_set`] until
+/// [`DynamicSetCover::remove_set`], whatever else changes in between;
+/// freed slots are handed out again last-in first-out.
+pub type Slot = u32;
 
 /// "No set" / "no level": `φ(u)` of an unassigned element and the level of
 /// a set outside the solution.
@@ -403,10 +411,26 @@ impl DynamicSetCover {
 
     /// All sets containing element `u` (its membership in the transposed
     /// system — in FD-RMS terms, the tuples whose `Φ_{k,ε}` contains `u`),
-    /// in unspecified order.
+    /// in row order: the order in which the memberships were made, up to
+    /// the swap-removals that unmade others. The same calls give the same
+    /// order.
     pub fn sets_containing(&self, u: ElemId) -> impl ExactSizeIterator<Item = SetId> + '_ {
-        let row = self.elems.get(u as usize).map_or(&[][..], |e| &e.sets);
-        row.iter().map(|&t| self.sets[t as usize].id)
+        self.slots_containing(u)
+            .iter()
+            .map(|&t| self.sets[t as usize].id)
+    }
+
+    /// The slots of the sets containing element `u`: its set row as
+    /// stored, so entry `i` is the slot of the `i`-th set that
+    /// [`DynamicSetCover::sets_containing`] names. Row order is call order
+    /// up to swap-removals; any membership edit may reorder the row.
+    pub fn slots_containing(&self, u: ElemId) -> &[Slot] {
+        self.elems.get(u as usize).map_or(&[], |e| &e.sets)
+    }
+
+    /// The slot of set `s`, if it exists (see [`Slot`]).
+    pub fn slot(&self, s: SetId) -> Option<Slot> {
+        self.slot_of.get(&s).copied()
     }
 
     /// Whether set `s` contains element `u`.
@@ -494,7 +518,7 @@ impl DynamicSetCover {
 
     /// σ = (u, S, +): adds element `u` to set `s`.
     pub fn add_to_set(&mut self, u: ElemId, s: SetId) -> Result<(), CoverError> {
-        let t = self.slot(s)?;
+        let t = self.slot(s).ok_or(CoverError::UnknownSet(s))?;
         if !self.link(t, u) {
             return Ok(()); // already a member — no-op
         }
@@ -511,7 +535,7 @@ impl DynamicSetCover {
     /// from the universe and `Ok(false)` is returned. `Ok(true)` means `u`
     /// remains covered (or was not in the universe at all).
     pub fn remove_from_set(&mut self, u: ElemId, s: SetId) -> Result<bool, CoverError> {
-        let t = self.slot(s)?;
+        let t = self.slot(s).ok_or(CoverError::UnknownSet(s))?;
         if !self.contains(t, u) {
             return Ok(true); // was not a member — no-op
         }
@@ -675,14 +699,6 @@ impl DynamicSetCover {
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
-
-    /// The slot of set `s`.
-    fn slot(&self, s: SetId) -> Result<Slot, CoverError> {
-        self.slot_of
-            .get(&s)
-            .copied()
-            .ok_or(CoverError::UnknownSet(s))
-    }
 
     /// Gives set `s` a slot, reusing the most recently freed one.
     fn alloc_slot(&mut self, s: SetId) -> Slot {
@@ -1403,6 +1419,20 @@ mod tests {
         };
         assert_eq!(of1, vec![1, 2]);
         assert_eq!(c.sets_containing(99).len(), 0);
+        assert!(c.slots_containing(99).is_empty());
+        assert_eq!(c.slot(42), None);
+    }
+
+    /// Element `u`'s slot row names exactly the sets of
+    /// `sets_containing(u)`, in the same order.
+    fn slot_rows_agree(c: &DynamicSetCover, elems: std::ops::Range<ElemId>) {
+        for u in elems {
+            let named: Vec<Slot> = c
+                .sets_containing(u)
+                .map(|s| c.slot(s).expect("a containing set exists"))
+                .collect();
+            assert_eq!(c.slots_containing(u), named, "element {u}");
+        }
     }
 
     #[test]
@@ -1426,18 +1456,63 @@ mod tests {
     #[test]
     fn freed_slots_are_reused_last_in_first_out() {
         let mut c = build(4, &[(10, &[0, 1]), (20, &[1, 2]), (30, &[2, 3])]);
+        slot_rows_agree(&c, 0..4);
         c.remove_set(10).unwrap();
         c.remove_set(30).unwrap();
+        assert_eq!((c.slot(10), c.slot(30)), (None, None));
         // Slots follow insertion order: 10 held slot 0, 30 slot 2.
         c.insert_set(40, [3]).unwrap();
-        assert_eq!(c.slot_of[&40], 2);
+        assert_eq!(c.slot(40), Some(2));
         c.insert_set(50, [0]).unwrap();
-        assert_eq!(c.slot_of[&50], 0);
+        assert_eq!(c.slot(50), Some(0));
         c.insert_set(60, [1]).unwrap();
-        assert_eq!(c.slot_of[&60], 3);
+        assert_eq!(c.slot(60), Some(3));
         assert_eq!(c.sets.len(), 4);
         c.insert_element(3).unwrap();
         assert_eq!(c.assignment(3), Some(40));
+        slot_rows_agree(&c, 0..4);
+        c.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn slots_are_stable_handles() {
+        let mut c = build(
+            6,
+            &[(1, &[0, 1, 2]), (2, &[2, 3]), (3, &[3, 4, 5]), (4, &[5])],
+        );
+        c.greedy().unwrap();
+        let held = c.slot(2).unwrap();
+        let same = |c: &DynamicSetCover| {
+            assert_eq!(c.slot(2), Some(held));
+            slot_rows_agree(c, 0..7);
+            c.check_invariants().unwrap();
+        };
+        // Other sets come and go around set 2.
+        c.insert_set(5, [0, 4, 6]).unwrap();
+        same(&c);
+        c.remove_set(1).unwrap();
+        same(&c);
+        // Membership edits of set 2 and of others reorder rows, not slots.
+        c.add_to_set(0, 2).unwrap();
+        c.remove_from_set(3, 2).unwrap();
+        c.remove_from_set(4, 3).unwrap();
+        c.add_to_set(2, 4).unwrap();
+        same(&c);
+        // A transaction, committed.
+        c.begin_batch();
+        c.add_to_set(5, 2).unwrap();
+        c.insert_set(6, [1, 2]).unwrap();
+        c.remove_set(4).unwrap();
+        c.remove_from_set(0, 5).unwrap();
+        c.commit();
+        same(&c);
+        // Removal frees the slot, and the next set is handed it.
+        c.remove_set(2).unwrap();
+        assert_eq!(c.slot(2), None);
+        assert!(!c.slots_containing(2).contains(&held));
+        c.insert_set(7, [3]).unwrap();
+        assert_eq!(c.slot(7), Some(held));
+        slot_rows_agree(&c, 0..7);
         c.check_invariants().unwrap();
     }
 
@@ -1455,7 +1530,7 @@ mod tests {
         assert_eq!(held, 0);
         // The next set takes the slot and sizes it for its own rows only.
         c.insert_set(2, [5]).unwrap();
-        assert_eq!(c.slot_of[&2], 0);
+        assert_eq!(c.slot(2), Some(0));
         assert_eq!(c.sets[0].bits.len(), 1);
         assert_eq!(c.universe_size(), 0);
         c.check_invariants().unwrap();

@@ -23,7 +23,10 @@
 //! threshold; `STABILIZE` drains the worklist exactly as Lines 28–32 of
 //! Algorithm 1. All of that bookkeeping lives in dense tables indexed by
 //! element id and by a per-set slot, so the maintenance loops hash nothing
-//! and the solution depends only on the sequence of calls.
+//! and the solution depends only on the sequence of calls. Slots are
+//! public handles ([`Slot`], [`DynamicSetCover::slot`],
+//! [`DynamicSetCover::slots_containing`]): a client can key tables of its
+//! own by them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,5 +34,5 @@
 mod cover;
 mod level;
 
-pub use cover::{CoverError, DynamicSetCover, ElemId, SetId};
+pub use cover::{CoverError, DynamicSetCover, ElemId, SetId, Slot};
 pub use level::LevelBase;
