@@ -1,7 +1,8 @@
 //! # rms-client — a typed, std-only client for the krms serving protocol
 //!
-//! Speaks the line protocol of `rms-serve`'s TCP front end (v1 verbs
-//! plus the v2 `HELLO`/`BATCH`/`SUBSCRIBE`/`METRICS` extensions) over a plain
+//! Speaks the line protocol of `rms-serve`'s TCP front end (the
+//! mutation verbs, `QUERY`/`STATS`/`SHUTDOWN`, and
+//! `HELLO`/`BATCH`/`SUBSCRIBE`/`METRICS`) over a plain
 //! `std::net::TcpStream`. The encoding and reply parsing are
 //! implemented here from the protocol specification, *not* shared with
 //! the server crate, so the wire format has two independent in-tree
@@ -35,7 +36,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-/// The newest protocol version this client speaks.
+/// The protocol version this client names in its `HELLO`.
 pub const PROTOCOL_VERSION: u32 = 2;
 
 /// The server's cap on op lines per `BATCH` frame (a larger header makes
@@ -132,7 +133,7 @@ impl ClientOp {
 /// What the server advertised in its `HELLO` reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerHello {
-    /// The negotiated protocol version (min of both sides).
+    /// The protocol version the server advertises.
     pub version: u32,
     /// Tuple dimensionality `d`.
     pub dim: usize,
@@ -218,9 +219,8 @@ pub struct RmsClient {
 }
 
 impl RmsClient {
-    /// Connects and negotiates protocol v2 (`HELLO v2`). The returned
-    /// client still speaks every v1 verb; [`RmsClient::hello`] reports
-    /// what the server advertised.
+    /// Connects and sends `HELLO`, whose reply carries the server's
+    /// parameters; [`RmsClient::hello`] reports what it advertised.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
@@ -291,8 +291,7 @@ impl RmsClient {
 
     /// Submits `ops` as one pipelined `BATCH`: all op lines go out in a
     /// single write and the server acknowledges once for all of them —
-    /// the ingest hot path amortization (requires a v2 server, which
-    /// [`RmsClient::connect`] negotiates).
+    /// the ingest hot path amortization.
     ///
     /// A frame the server rejects as *malformed* queues none of its ops
     /// (all-or-nothing at the framing level). A mid-batch failure after
@@ -349,9 +348,8 @@ impl RmsClient {
         })
     }
 
-    /// Reads the server's Prometheus text exposition (`METRICS`,
-    /// requires a v2 server, which [`RmsClient::connect`] negotiates):
-    /// the `OK metrics lines=N` header is followed by `N` raw exposition
+    /// Reads the server's Prometheus text exposition (`METRICS`): the
+    /// `OK metrics lines=N` header is followed by `N` raw exposition
     /// lines, returned joined with `\n` (trailing newline included, as
     /// a scrape endpoint would serve it; empty string when the server
     /// exposes no metric families).

@@ -153,73 +153,6 @@ pub struct BatchReport {
     pub result_size: usize,
 }
 
-/// Cumulative roll-up of [`BatchReport`]s, for callers that apply many
-/// batches and publish aggregate figures (the serving layer's snapshot
-/// stats). [`BatchRollup::absorb`] folds one report in.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchRollup {
-    /// Batches absorbed.
-    pub batches: u64,
-    /// Total operations across absorbed batches.
-    pub ops: u64,
-    /// Net tuples inserted.
-    pub inserted: u64,
-    /// Net tuples deleted.
-    pub deleted: u64,
-    /// Net tuples updated.
-    pub updated: u64,
-    /// Updates dropped as attribute no-ops.
-    pub noop_updates: u64,
-    /// Total utility recomputations.
-    pub affected_utilities: u64,
-    /// Total utilities that lost an exact top-k member (requeries).
-    pub requeried_utilities: u64,
-    /// Total `Φ` admissions into surviving sets.
-    pub membership_additions: u64,
-    /// Total `Φ` evictions from surviving sets.
-    pub membership_removals: u64,
-    /// Total deferred-STABILIZE element moves.
-    pub stabilize_moves: u64,
-    /// Largest single batch absorbed (operation count).
-    pub max_batch_ops: usize,
-}
-
-impl BatchRollup {
-    /// Folds one batch's report into the aggregate.
-    pub fn absorb(&mut self, r: &BatchReport) {
-        self.batches += 1;
-        self.ops += r.ops as u64;
-        self.inserted += r.inserted as u64;
-        self.deleted += r.deleted as u64;
-        self.updated += r.updated as u64;
-        self.noop_updates += r.noop_updates as u64;
-        self.affected_utilities += r.affected_utilities as u64;
-        self.requeried_utilities += r.requeried_utilities as u64;
-        self.membership_additions += r.membership_additions;
-        self.membership_removals += r.membership_removals;
-        self.stabilize_moves += r.stabilize_moves;
-        self.max_batch_ops = self.max_batch_ops.max(r.ops);
-    }
-
-    /// Folds another roll-up into this one (counters sum, high-water
-    /// marks take the max) — the sharded serving layer aggregates one
-    /// roll-up per shard into the published aggregate snapshot.
-    pub fn merge(&mut self, other: &BatchRollup) {
-        self.batches += other.batches;
-        self.ops += other.ops;
-        self.inserted += other.inserted;
-        self.deleted += other.deleted;
-        self.updated += other.updated;
-        self.noop_updates += other.noop_updates;
-        self.affected_utilities += other.affected_utilities;
-        self.requeried_utilities += other.requeried_utilities;
-        self.membership_additions += other.membership_additions;
-        self.membership_removals += other.membership_removals;
-        self.stabilize_moves += other.stabilize_moves;
-        self.max_batch_ops = self.max_batch_ops.max(other.max_batch_ops);
-    }
-}
-
 /// The batched path's working tables (phases 2–4). [`FdRms`] owns them
 /// and reuses them across batches; between batches every row is default
 /// and every list empty.

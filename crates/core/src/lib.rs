@@ -61,4 +61,4 @@ mod tuples;
 
 pub use algorithm::{FdRms, UpdateStats};
 pub use builder::{FdRmsBuilder, FdRmsError};
-pub use engine::{BatchReport, BatchRollup, Op};
+pub use engine::{BatchReport, Op};

@@ -20,15 +20,14 @@
 //!   `apply_batch` amortises best.
 //! * **Serving** never blocks ingestion: after every batch the applier
 //!   publishes an immutable, versioned [`ResultSnapshot`] (epoch, the
-//!   current solution, regret stats, a [`BatchRollup`](fdrms::BatchRollup)
-//!   of engine counters) behind a swapped `Arc`; readers clone the `Arc`
-//!   out and keep it as long as they like.
+//!   current solution, regret stats, service counters) behind a swapped
+//!   `Arc`; readers clone the `Arc` out and keep it as long as they like.
 //! * A `std::net`-only [TCP front end](crate::tcp) speaks a small
 //!   [line protocol](crate::protocol) (`INSERT`/`DELETE`/`UPDATE`/
-//!   `QUERY`/`STATS`/`SHUTDOWN`, plus the v2 `HELLO`/`BATCH`/
-//!   `SUBSCRIBE`/`METRICS` verbs) over the same handles, wired into the
-//!   `krms serve` CLI subcommand. The in-tree `rms-client` crate is a
-//!   typed, std-only client for it.
+//!   `QUERY`/`STATS`/`SHUTDOWN`/`HELLO`/`BATCH`/`SUBSCRIBE`/`METRICS`,
+//!   one verb set on every connection) over the same handles, wired
+//!   into the `krms serve` CLI subcommand. The in-tree `rms-client`
+//!   crate is a typed, std-only client for it.
 //! * Every subsystem reports into an `rms-metrics`
 //!   [`Registry`](rms_metrics::Registry) — applier latencies, WAL
 //!   activity, per-shard counters, TCP request families — reachable

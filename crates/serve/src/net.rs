@@ -277,20 +277,9 @@ struct Parked {
 /// Per-connection protocol state.
 #[derive(Default)]
 struct ConnState {
-    /// Negotiated protocol version; starts at v1, `HELLO v2` upgrades.
-    version: u32,
     batch: Option<BatchState>,
     sub: Option<SubState>,
     parked: Option<Parked>,
-}
-
-impl ConnState {
-    fn new() -> Self {
-        ConnState {
-            version: 1,
-            ..ConnState::default()
-        }
-    }
 }
 
 /// The per-reactor protocol handler: owns connection states, a solution
@@ -343,7 +332,7 @@ impl<H: RmsBackendHandle> NetHandler<H> {
         let _ = stream.set_nodelay(true);
         if let Ok(token) = ctx.adopt(stream) {
             self.metrics.connections.inc();
-            self.conns.insert(token.0, ConnState::new());
+            self.conns.insert(token.0, ConnState::default());
         }
     }
 
@@ -650,24 +639,15 @@ impl<H: RmsBackendHandle> Handler for NetHandler<H> {
         if line.trim().is_empty() {
             return;
         }
-        let version = state.version;
         let started = Instant::now();
         let verb_idx = verb_index(line);
         match parse_request(line, self.info.dim) {
-            // In a v2 session a BATCH header is *framing*: if it cannot
-            // be parsed (e.g. a count that overflows), the announced op
-            // lines cannot be consumed, and replying ERR while keeping
-            // the connection would reinterpret them as requests. Closing
-            // is the only framing-safe refusal. (In a v1 session there
-            // is no batch framing — every line gets its own reply — so
-            // the plain ERR below is correct there.)
-            Err(msg)
-                if version >= 2
-                    && line
-                        .split_whitespace()
-                        .next()
-                        .is_some_and(|verb| verb.eq_ignore_ascii_case("BATCH")) =>
-            {
+            // A BATCH header is *framing*: if it cannot be parsed (e.g. a
+            // count that overflows), the announced op lines cannot be
+            // consumed, and replying ERR while keeping the connection
+            // would reinterpret them as requests. Closing is the only
+            // framing-safe refusal.
+            Err(msg) if VERBS[verb_idx] == "batch" => {
                 self.fatal(
                     token,
                     verb_idx,
@@ -677,13 +657,11 @@ impl<H: RmsBackendHandle> Handler for NetHandler<H> {
                 );
             }
             Err(msg) => self.reply(token, verb_idx, started, &format!("ERR {msg}"), ctx),
-            Ok(Request::Hello(requested)) => {
-                let negotiated = requested.min(PROTOCOL_VERSION);
-                if let Some(state) = self.conns.get_mut(&token.0) {
-                    state.version = negotiated;
-                }
+            // Every connection speaks the whole verb set, so the requested
+            // version selects nothing: HELLO only advertises.
+            Ok(Request::Hello(_)) => {
                 let text = format!(
-                    "OK v{negotiated} dim={} k={} r={} shards={}",
+                    "OK v{PROTOCOL_VERSION} dim={} k={} r={} shards={}",
                     self.info.dim, self.info.k, self.info.r, self.info.shards
                 );
                 self.reply(token, verb_idx, started, &text, ctx);
@@ -715,15 +693,6 @@ impl<H: RmsBackendHandle> Handler for NetHandler<H> {
                 let text = format_stats(&self.handle);
                 self.reply(token, verb_idx, started, &text, ctx);
             }
-            Ok(Request::Batch(_)) if version < 2 => {
-                self.reply(
-                    token,
-                    verb_idx,
-                    started,
-                    "ERR BATCH requires protocol v2 (send HELLO v2 first)",
-                    ctx,
-                );
-            }
             Ok(Request::Batch(n)) if n > MAX_BATCH_LINES => {
                 // Refusing without consuming would reinterpret the
                 // announced op lines as requests; closing is the only
@@ -750,26 +719,8 @@ impl<H: RmsBackendHandle> Handler for NetHandler<H> {
                     });
                 }
             }
-            Ok(Request::Subscribe { .. }) if version < 2 => {
-                self.reply(
-                    token,
-                    verb_idx,
-                    started,
-                    "ERR SUBSCRIBE requires protocol v2 (send HELLO v2 first)",
-                    ctx,
-                );
-            }
             Ok(Request::Subscribe { every, filter }) => {
                 self.do_subscribe(token, verb_idx, started, every, filter, ctx);
-            }
-            Ok(Request::Metrics) if version < 2 => {
-                self.reply(
-                    token,
-                    verb_idx,
-                    started,
-                    "ERR METRICS requires protocol v2 (send HELLO v2 first)",
-                    ctx,
-                );
             }
             Ok(Request::Metrics) => {
                 let text = format_metrics(&self.metrics.registry);

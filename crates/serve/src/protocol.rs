@@ -1,8 +1,9 @@
 //! The line protocol spoken by the TCP front end.
 //!
 //! One request per `\n`-terminated line, one reply line per request
-//! (replies start with `OK` or `ERR`) — except the v2 framing verbs
-//! below. The v1 verb set:
+//! (replies start with `OK` or `ERR`) — except the framing of `BATCH`,
+//! `SUBSCRIBE` and `METRICS` below. Every connection speaks the whole
+//! verb set from its first line:
 //!
 //! ```text
 //! INSERT <id> <v1> … <vd>     enqueue an insertion            → OK queued
@@ -11,25 +12,19 @@
 //! QUERY                       read the published solution     → OK epoch=E n=N r=K ids=…
 //! STATS                       read service metrics            → OK epoch=E … (key=value)
 //! SHUTDOWN                    drain, stop serving             → OK shutting down
-//! ```
-//!
-//! **Protocol v2** keeps every v1 verb byte-compatible and adds:
-//!
-//! ```text
-//! HELLO v<N>            negotiate the session version           → OK v<min(N,2)> dim=D k=K r=R shards=S
-//! BATCH <n>             the next n lines are mutation verbs,
-//!                       submitted with ONE ack for all of them  → OK queued n=<n>
+//! HELLO v<N>                  read the server's parameters    → OK v2 dim=D k=K r=R shards=S
+//! BATCH <n>                   the next n lines are mutation verbs,
+//!                             submitted with ONE ack for all  → OK queued n=<n>
 //! SUBSCRIBE [every=K] [ids=LO..HI]
-//!                       switch the connection to push mode      → OK subscribed every=K [filter=LO..HI] epoch=E n=N ids=…
-//!                       then one line per published delta:        DELTA epoch=E from=F n=N +<ids> -<ids>
-//! METRICS               read the Prometheus text exposition     → OK metrics lines=N
-//!                                                                 then N raw exposition lines
+//!                             switch the connection to push   → OK subscribed every=K [filter=LO..HI] epoch=E n=N ids=…
+//!                             mode, then one line per delta:    DELTA epoch=E from=F n=N +<ids> -<ids>
+//! METRICS                     read the Prometheus exposition  → OK metrics lines=N
+//!                                                               then N raw exposition lines
 //! ```
 //!
-//! A connection starts at v1; `BATCH`, `SUBSCRIBE`, and `METRICS`
-//! require a prior `HELLO v2` (the server replies `ERR … requires
-//! protocol v2` until then), so v1 clients can never trip over framing
-//! they do not speak.
+//! `HELLO` is optional: it keeps no session state, and whatever version
+//! it names, the reply advertises [`PROTOCOL_VERSION`] and the server's
+//! parameters.
 //! `BATCH` is all-or-nothing at the framing level: the server reads all
 //! `n` lines first and submits none of them if any line is malformed.
 //! `SUBSCRIBE every=K` coalesces deltas so at most one `DELTA` line is
@@ -52,10 +47,10 @@
 //! WAL-backed server the acknowledgement additionally means the op is on
 //! the log. Malformed input never kills the connection — the reply is
 //! `ERR <reason>` and the next line is parsed fresh — with one class of
-//! exceptions: in a v2 session, a `BATCH` header the server cannot
-//! honor (count above [`MAX_BATCH_LINES`], or unparseable at all)
-//! closes the connection, because the announced op lines can neither be
-//! consumed nor safely reinterpreted as requests.
+//! exceptions: a `BATCH` header the server cannot honor (count above
+//! [`MAX_BATCH_LINES`], or unparseable at all) closes the connection,
+//! because the announced op lines can neither be consumed nor safely
+//! reinterpreted as requests.
 //!
 //! Against a sharded backend the verbs are identical; `QUERY`/`STATS`
 //! report the per-shard epoch vector (`epochs=e0,e1,…` plus `shards=S`
@@ -65,7 +60,7 @@
 use fdrms::Op;
 use rms_geom::{Point, PointId};
 
-/// The newest protocol version this module speaks.
+/// The protocol version every `HELLO` reply advertises.
 pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Upper bound on the op lines one `BATCH` header may announce. A
@@ -85,13 +80,14 @@ pub enum Request {
     Stats,
     /// Drain the queue and stop the server.
     Shutdown,
-    /// Negotiate the session protocol version (`HELLO v<N>`).
+    /// Ask for the server's parameters (`HELLO v<N>`; the version the
+    /// client names is parsed but selects nothing).
     Hello(u32),
     /// Header of a pipelined mutation batch: the next `n` lines are
-    /// mutation verbs, acknowledged with one reply (v2).
+    /// mutation verbs, acknowledged with one reply.
     Batch(usize),
     /// Switch the connection to push mode, streaming snapshot deltas
-    /// every `every` epochs (v2).
+    /// every `every` epochs.
     Subscribe {
         /// Coalescing factor: at most one `DELTA` line per this many
         /// published epochs (≥ 1).
@@ -100,7 +96,7 @@ pub enum Request {
         /// `ids=` and every pushed `+`/`-` list are sliced to the range.
         filter: Option<(PointId, PointId)>,
     },
-    /// Read the backend's Prometheus text exposition (v2): the reply
+    /// Read the backend's Prometheus text exposition: the reply
     /// header `OK metrics lines=N` is followed by `N` raw exposition
     /// lines.
     Metrics,
@@ -222,8 +218,8 @@ pub fn parse_request(line: &str, d: usize) -> Result<Request, String> {
             })
         }
         other => Err(format!(
-            "unknown command `{other}` (expected INSERT/DELETE/UPDATE/QUERY/STATS/SHUTDOWN, \
-             or v2: HELLO/BATCH/SUBSCRIBE/METRICS)"
+            "unknown command `{other}` (expected INSERT/DELETE/UPDATE/QUERY/STATS/SHUTDOWN/\
+             HELLO/BATCH/SUBSCRIBE/METRICS)"
         )),
     }
 }

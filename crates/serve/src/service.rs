@@ -3,6 +3,7 @@
 //! with an optional write-ahead log for crash durability.
 
 use crate::backend::{BackendView, DeltaReceiver};
+use crate::sharded::wal_meta_path;
 use crate::snapshot::{ResultSnapshot, ServiceStats, SnapshotCell, SnapshotDelta};
 use crate::sync::recover_poisoned;
 use crate::wal::{Wal, WalSyncHandle};
@@ -540,11 +541,7 @@ impl RmsService {
         // group (`ShardedRmsService` logs to `<path>.<i>`); opening the
         // bare path would create a fresh empty log and silently ignore
         // every acknowledged op in the shard logs.
-        let meta = {
-            let mut p = wal_path.as_os_str().to_os_string();
-            p.push(".meta");
-            std::path::PathBuf::from(p)
-        };
+        let meta = wal_meta_path(wal_path);
         if meta.exists() {
             return Err(ServeError::Wal(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
@@ -561,23 +558,9 @@ impl RmsService {
         let mut fd = builder.build(base)?;
         let mut stats = ServiceStats::default();
         for chunk in replay.ops.chunks(cfg.max_batch.max(1)) {
-            match fd.apply_batch_slice(chunk) {
-                Ok(report) => {
-                    stats.rollup.absorb(&report);
-                    stats.wal_recovered_ops += chunk.len() as u64;
-                }
-                Err(_) => {
-                    // Same salvage as live ingestion: one logged-but-bad
-                    // op (or one made redundant by a checkpoint) costs
-                    // only itself.
-                    for op in chunk {
-                        if let Ok(report) = fd.apply_batch_slice(std::slice::from_ref(op)) {
-                            stats.rollup.absorb(&report);
-                            stats.wal_recovered_ops += 1;
-                        }
-                    }
-                }
-            }
+            // Same salvage as live ingestion: one logged-but-bad op (or
+            // one made redundant by a checkpoint) costs only itself.
+            stats.wal_recovered_ops += apply_salvaging(&mut fd, chunk).0 as u64;
         }
         let metrics = ServiceMetrics::register(registry, shard);
         metrics.wal_recovered_ops.add(stats.wal_recovered_ops);
@@ -764,11 +747,31 @@ fn make_snapshot(fd: &FdRms, epoch: u64, stats: ServiceStats, mrr: Option<f64>) 
     }
 }
 
-/// Applies one coalesced batch, with the atomic-rejection fallback. The
-/// ops stay borrowed — `apply_batch_slice` clones nothing on the success
-/// path and the fallback can replay from the original. Whether the batch
-/// applies wholesale or is salvaged per-op, it counts as **one** logical
-/// batch in the stats (salvaged batches additionally bump
+/// Applies `batch`, and when the engine rejects it atomically (on its
+/// first invalid op) replays it one op at a time, so one bad op costs
+/// only itself. The ops stay borrowed — `apply_batch_slice` clones
+/// nothing on the success path and the replay reads the original.
+/// Returns the accepted op count and whether the per-op replay ran (a
+/// rejected one-op batch is final, not replayed).
+fn apply_salvaging(fd: &mut FdRms, batch: &[Op]) -> (usize, bool) {
+    if fd.apply_batch_slice(batch).is_ok() {
+        return (batch.len(), false);
+    }
+    if batch.len() == 1 {
+        return (0, false);
+    }
+    let mut accepted = 0;
+    for op in batch {
+        if fd.apply_batch_slice(std::slice::from_ref(op)).is_ok() {
+            accepted += 1;
+        }
+    }
+    (accepted, true)
+}
+
+/// Applies one coalesced batch through [`apply_salvaging`]. Whether the
+/// batch applies wholesale or is salvaged per-op, it counts as **one**
+/// logical batch in the stats (salvaged batches additionally bump
 /// `replayed_batches`), so `batches` always equals the number of
 /// coalesced batches the applier issued and `avg_apply_ms` stays the
 /// mean wall-clock per coalesced batch.
@@ -781,35 +784,13 @@ fn apply_batch(fd: &mut FdRms, batch: &[Op], stats: &mut ServiceStats, m: &Servi
     stats.max_coalesced = stats.max_coalesced.max(n);
     m.batch_ops.record_value(n as u64);
     let t = Instant::now();
-    match fd.apply_batch_slice(batch) {
-        Ok(report) => {
-            stats.rollup.absorb(&report);
-            stats.ops_applied += n as u64;
-            m.ops_applied.add(n as u64);
-        }
-        Err(_) if n == 1 => {
-            stats.ops_rejected += 1;
-            m.ops_rejected.inc();
-        }
-        Err(_) => {
-            // The engine rejects a batch atomically on the first invalid
-            // op; replay individually so one bad op costs only itself.
-            for op in batch {
-                match fd.apply_batch_slice(std::slice::from_ref(op)) {
-                    Ok(report) => {
-                        stats.rollup.absorb(&report);
-                        stats.ops_applied += 1;
-                        m.ops_applied.inc();
-                    }
-                    Err(_) => {
-                        stats.ops_rejected += 1;
-                        m.ops_rejected.inc();
-                    }
-                }
-            }
-            stats.replayed_batches += 1;
-        }
-    }
+    let (accepted, replayed) = apply_salvaging(fd, batch);
+    let (applied, rejected) = (accepted as u64, (n - accepted) as u64);
+    stats.ops_applied += applied;
+    stats.ops_rejected += rejected;
+    m.ops_applied.add(applied);
+    m.ops_rejected.add(rejected);
+    stats.replayed_batches += u64::from(replayed);
     record_apply(stats, &m.apply_seconds, t);
 }
 

@@ -80,7 +80,9 @@ impl AggregateSnapshot {
     }
 }
 
-fn wal_meta_path(base: &Path) -> PathBuf {
+/// The `<base>.meta` sidecar that marks `base` as a shard group's WAL
+/// base path.
+pub(crate) fn wal_meta_path(base: &Path) -> PathBuf {
     let mut p = base.as_os_str().to_os_string();
     p.push(".meta");
     PathBuf::from(p)

@@ -3,7 +3,6 @@
 //! push-subscribed watchers.
 
 use crate::sync::recover_poisoned;
-use fdrms::BatchRollup;
 use rms_geom::{Point, PointId};
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
@@ -39,8 +38,6 @@ pub struct ServiceStats {
     /// Ops sitting in the ingestion queue when the snapshot was
     /// published (including submitters blocked on backpressure).
     pub queue_depth: usize,
-    /// Engine-level roll-up across every applied batch.
-    pub rollup: BatchRollup,
 }
 
 impl ServiceStats {
@@ -67,7 +64,6 @@ impl ServiceStats {
         self.last_apply_ms = self.last_apply_ms.max(other.last_apply_ms);
         self.total_apply_ms += other.total_apply_ms;
         self.queue_depth += other.queue_depth;
-        self.rollup.merge(&other.rollup);
     }
 }
 

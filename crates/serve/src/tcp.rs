@@ -1,7 +1,7 @@
 //! A `std::net`-only TCP front end over any [`RmsBackend`] — the single
 //! [`RmsService`](crate::RmsService) and the sharded
 //! [`ShardedRmsService`](crate::ShardedRmsService) behind one generic
-//! code path — speaking the [line protocol](crate::protocol), v1 and v2.
+//! code path — speaking the [line protocol](crate::protocol).
 //!
 //! Connections are served by a small group of [`rms_net`] reactor
 //! threads (default one; see [`RmsServer::with_net_threads`]) instead
@@ -29,7 +29,6 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A TCP server wrapping a running backend: a group of reactor threads
 /// multiplexing every connection, all feeding the ingestion queue(s)
@@ -41,7 +40,6 @@ pub struct RmsServer<B: RmsBackend> {
     backend: B,
     net_threads: usize,
     write_queue_cap: usize,
-    evict_linger: Duration,
     send_buffer: Option<usize>,
 }
 
@@ -52,13 +50,11 @@ impl<B: RmsBackend> RmsServer<B> {
     /// surface (a sharded backend reports `epochs=e0,e1,…` instead of
     /// `epoch=E` in `QUERY`/`STATS` and in pushed `DELTA` lines).
     pub fn bind(addr: impl ToSocketAddrs, backend: B) -> io::Result<Self> {
-        let defaults = ReactorConfig::default();
         Ok(Self {
             listener: TcpListener::bind(addr)?,
             backend,
             net_threads: 1,
-            write_queue_cap: defaults.write_queue_cap,
-            evict_linger: defaults.evict_linger,
+            write_queue_cap: ReactorConfig::default().write_queue_cap,
             send_buffer: None,
         })
     }
@@ -77,14 +73,6 @@ impl<B: RmsBackend> RmsServer<B> {
     #[must_use]
     pub fn with_write_queue_cap(mut self, bytes: usize) -> Self {
         self.write_queue_cap = bytes.max(1);
-        self
-    }
-
-    /// How long an evicted or closing connection may linger while its
-    /// final bytes flush.
-    #[must_use]
-    pub fn with_evict_linger(mut self, linger: Duration) -> Self {
-        self.evict_linger = linger;
         self
     }
 
@@ -113,7 +101,6 @@ impl<B: RmsBackend> RmsServer<B> {
             backend,
             net_threads,
             write_queue_cap,
-            evict_linger,
             send_buffer,
         } = self;
 
@@ -133,7 +120,6 @@ impl<B: RmsBackend> RmsServer<B> {
 
         let cfg = ReactorConfig {
             write_queue_cap,
-            evict_linger,
             send_buffer,
             ..ReactorConfig::default()
         };

@@ -1,6 +1,6 @@
 //! Property-based coverage of the wire protocol parser: `parse_request`
-//! never panics on arbitrary/adversarial byte lines (v1 and v2 framing
-//! alike), and `encode_request` → `parse_request` round-trips every
+//! never panics on arbitrary/adversarial byte lines (framing verbs
+//! included), and `encode_request` → `parse_request` round-trips every
 //! representable request exactly.
 
 use fdrms::Op;

@@ -253,7 +253,6 @@ fn adaptive_coalescing_shows_in_stats() {
     assert!(snap.stats.max_coalesced > 1);
     assert!(snap.stats.max_coalesced <= 128);
     assert!(snap.stats.batches >= 1);
-    assert!(snap.stats.rollup.ops >= 300);
     assert!(snap.stats.total_apply_ms > 0.0);
 }
 

@@ -1,11 +1,12 @@
 //! Loopback round-trip of the TCP line protocol, including
 //! malformed-input error replies and graceful shutdown.
 //!
-//! The first two tests speak raw v1 byte sequences (no `HELLO`) against
-//! the v2 server — they *are* the back-compat pin: every v1 verb and
-//! reply must stay byte-identical. The later tests cover the v2 verbs
-//! (`HELLO`/`BATCH`/`SUBSCRIBE`/`METRICS`), both raw and through the
-//! typed `rms-client`.
+//! The first two tests speak raw byte sequences of the original verbs
+//! (`INSERT`/`DELETE`/`UPDATE`/`QUERY`/`STATS`/`SHUTDOWN`, no `HELLO`) —
+//! they pin those replies byte-identical. The later tests cover
+//! `HELLO`/`BATCH`/`SUBSCRIBE`/`METRICS`, which every connection speaks
+//! from its first line, both raw and through the typed `rms-client`,
+//! and a server with two reactor threads.
 
 use fdrms::FdRms;
 use rms_client::{ClientOp, RmsClient};
@@ -247,41 +248,37 @@ fn spawn_single(n: u64) -> (std::net::SocketAddr, std::thread::JoinHandle<Vec<Fd
     )
 }
 
-/// v2 session over raw lines: HELLO negotiation, version gating of the
-/// v2 verbs, BATCH framing (single ack, all-or-nothing on parse errors),
-/// and the error paths that must preserve framing.
+/// Raw lines: BATCH from the first line, HELLO as a pure parameter
+/// advertisement, BATCH framing (single ack, all-or-nothing on parse
+/// errors), and the error paths that must preserve framing.
 #[test]
 fn v2_hello_and_batch_raw() {
     let (addr, server) = spawn_single(50);
     let mut client = Client::connect(addr);
 
-    // v2 verbs are gated until HELLO v2 upgrades the session.
-    let reply = client.roundtrip("BATCH 2");
-    assert!(
-        reply.starts_with("ERR BATCH requires protocol v2"),
-        "{reply}"
-    );
-    let reply = client.roundtrip("SUBSCRIBE");
-    assert!(
-        reply.starts_with("ERR SUBSCRIBE requires protocol v2"),
-        "{reply}"
-    );
+    // No HELLO needed: a batch is framed and acknowledged from the
+    // connection's first line.
+    writeln!(
+        client.writer,
+        "BATCH 2\nINSERT 898 0.9 0.8\nINSERT 899 0.8 0.9"
+    )
+    .unwrap();
+    let mut line = String::new();
+    client.reader.read_line(&mut line).unwrap();
+    assert_eq!(line.trim_end(), "OK queued n=2");
 
-    // Negotiation: the server caps at v2 and advertises its parameters.
+    // HELLO advertises the server's parameters, whatever version it names.
     let reply = client.roundtrip("HELLO v7");
     assert_eq!(reply, "OK v2 dim=2 k=1 r=4 shards=1");
-    // Re-negotiating down works too (and v1 re-locks the v2 verbs).
-    assert_eq!(client.roundtrip("HELLO v1"), "OK v1 dim=2 k=1 r=4 shards=1");
-    assert!(client.roundtrip("BATCH 1").starts_with("ERR "), "re-locked");
-    assert_eq!(client.roundtrip("HELLO v2"), "OK v2 dim=2 k=1 r=4 shards=1");
+    assert_eq!(client.roundtrip("HELLO v1"), "OK v2 dim=2 k=1 r=4 shards=1");
 
-    // A pipelined batch: n lines, one ack.
+    // A pipelined batch right after `HELLO v1`: n lines, one ack.
+    line.clear();
     writeln!(
         client.writer,
         "BATCH 3\nINSERT 900 0.9 0.9\nDELETE 0\nUPDATE 1 0.5 0.6"
     )
     .unwrap();
-    let mut line = String::new();
     client.reader.read_line(&mut line).unwrap();
     assert_eq!(line.trim_end(), "OK queued n=3");
 
@@ -302,7 +299,7 @@ fn v2_hello_and_batch_raw() {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let reply = client.roundtrip("STATS");
-        if field(&reply, "ops_applied") == Some("3") {
+        if field(&reply, "ops_applied") == Some("5") {
             break;
         }
         assert!(
@@ -335,6 +332,7 @@ fn v2_hello_and_batch_raw() {
     assert_eq!(other.roundtrip("SHUTDOWN"), "OK shutting down");
     let fds = server.join().expect("server thread");
     let fd = &fds[0];
+    assert!(fd.contains(898) && fd.contains(899));
     assert!(fd.contains(900));
     assert!(!fd.contains(0));
     assert!(!fd.contains(901), "dropped batch must submit nothing");
@@ -342,32 +340,32 @@ fn v2_hello_and_batch_raw() {
     fd.check_invariants().unwrap();
 }
 
-/// A BATCH header the server cannot honor must close the connection in
-/// a v2 session (the announced op lines can neither be consumed nor
-/// reinterpreted), while a v1 session — which has no batch framing —
-/// just gets an ERR and keeps going.
+/// A BATCH header the server cannot honor — unparseable (an
+/// overflowing count) or above the line cap — closes the connection
+/// whether or not the client sent HELLO: the announced op lines can
+/// neither be consumed nor reinterpreted as requests.
 #[test]
-fn unusable_batch_header_closes_v2_sessions_only() {
+fn unusable_batch_header_closes_the_connection() {
     let (addr, server) = spawn_single(30);
 
-    // v2 session: an overflowing count is unparseable framing → close.
-    let mut v2 = Client::connect(addr);
-    assert!(v2.roundtrip("HELLO v2").starts_with("OK v2"));
-    let reply = v2.roundtrip("BATCH 18446744073709551616");
-    assert!(reply.starts_with("ERR "), "{reply}");
-    assert!(reply.contains("closing connection"), "{reply}");
-    let mut line = String::new();
-    assert_eq!(v2.reader.read_line(&mut line).unwrap(), 0, "closed");
+    for header in ["BATCH 18446744073709551616", "BATCH 1000000"] {
+        for hello in [false, true] {
+            let mut client = Client::connect(addr);
+            if hello {
+                assert!(client.roundtrip("HELLO v2").starts_with("OK v2"));
+            }
+            let reply = client.roundtrip(header);
+            assert!(reply.starts_with("ERR "), "{header}: {reply}");
+            assert!(reply.contains("closing connection"), "{header}: {reply}");
+            let mut line = String::new();
+            assert_eq!(client.reader.read_line(&mut line).unwrap(), 0, "closed");
+        }
+    }
 
-    // v1 session: the same line is just an erroneous request; the
-    // connection stays usable and each following line gets its reply.
-    let mut v1 = Client::connect(addr);
-    let reply = v1.roundtrip("BATCH 18446744073709551616");
-    assert!(reply.starts_with("ERR "), "{reply}");
-    assert!(!reply.contains("closing connection"), "{reply}");
-    assert!(v1.roundtrip("QUERY").starts_with("OK epoch="));
-
-    assert_eq!(v1.roundtrip("SHUTDOWN"), "OK shutting down");
+    // The server itself keeps serving.
+    let mut other = Client::connect(addr);
+    assert!(other.roundtrip("QUERY").starts_with("OK epoch="));
+    assert_eq!(other.roundtrip("SHUTDOWN"), "OK shutting down");
     server.join().expect("server thread");
 }
 
@@ -379,7 +377,6 @@ fn v2_subscribe_raw_stream_reconstructs_query() {
     let (addr, server) = spawn_single(40);
 
     let mut sub = Client::connect(addr);
-    assert!(sub.roundtrip("HELLO v2").starts_with("OK v2"));
     let ack = sub.roundtrip("SUBSCRIBE every=1");
     assert!(ack.starts_with("OK subscribed every=1 epoch="), "{ack}");
     let mut ids: std::collections::BTreeSet<u64> = match field(&ack, "ids") {
@@ -540,21 +537,17 @@ fn rms_client_end_to_end_single_and_sharded() {
     }
 }
 
-/// METRICS over raw lines: gated behind HELLO v2 exactly like the other
-/// v2 verbs, framed as `OK metrics lines=N` + N exposition lines, and
-/// the exported counters agree with the STATS reply taken in the same
-/// quiesced state.
+/// METRICS over raw lines: answered from the connection's first line,
+/// framed as `OK metrics lines=N` + N exposition lines, and the exported
+/// counters agree with the STATS reply taken in the same quiesced state.
 #[test]
 fn v2_metrics_exposition_agrees_with_stats() {
     let (addr, server) = spawn_single(50);
     let mut client = Client::connect(addr);
 
-    let reply = client.roundtrip("METRICS");
-    assert!(
-        reply.starts_with("ERR METRICS requires protocol v2"),
-        "{reply}"
-    );
-    assert!(client.roundtrip("HELLO v2").starts_with("OK v2"));
+    // The first line is a scrape, before any op was submitted.
+    let body = fetch_metrics(&mut client);
+    assert_eq!(family_total(&body, "rms_applier_ops_applied_total"), 0.0);
 
     // 3 ops the engine accepts plus 1 it rejects (unknown id), then
     // quiesce on STATS so the applier-side counters have settled.
@@ -682,4 +675,83 @@ fn metrics_sharded_labels_via_typed_client() {
 
     client.shutdown().expect("shutdown");
     server.join().expect("server thread");
+}
+
+/// Two reactor threads: reactor 0 accepts and deals sockets round-robin,
+/// so connections 0 and 2 (subscribers) and 4 and 6 (writers) stay on
+/// it while 1 and 3 (subscribers) and 5 (a writer) are handed to
+/// reactor 1, and every publish fans out into both. Each subscriber's
+/// replay must equal the final QUERY and the engine must hold every
+/// insert.
+#[test]
+fn two_reactors_share_subscribers_and_writers() {
+    const WRITERS: u64 = 3;
+    const PER_WRITER: u64 = 40;
+    let initial: Vec<Point> = (0..60)
+        .map(|i| Point::new_unchecked(i, vec![(i as f64) / 60.0, 1.0 - (i as f64) / 60.0]))
+        .collect();
+    let service = RmsService::start(
+        FdRms::builder(2).r(4).max_utilities(64).seed(3),
+        initial,
+        ServeConfig::default(),
+    )
+    .unwrap();
+    let server = RmsServer::bind("127.0.0.1:0", service)
+        .expect("bind ephemeral port")
+        .with_net_threads(2);
+    let addr = server.local_addr().unwrap();
+    let server = std::thread::spawn(move || server.run().expect("server run"));
+
+    // Each connect completes its HELLO round trip before the next one
+    // starts, so the accept order (and with it the reactor) is fixed.
+    let subscribers: Vec<_> = (0..4)
+        .map(|_| {
+            let client = RmsClient::connect(addr).expect("subscriber connect");
+            let mut sub = client.subscribe(1).expect("subscribe");
+            std::thread::spawn(move || {
+                while sub.next_delta().expect("delta stream").is_some() {}
+                sub.ids()
+            })
+        })
+        .collect();
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let mut client = RmsClient::connect(addr).expect("writer connect");
+            std::thread::spawn(move || {
+                let ops: Vec<ClientOp> = (0..PER_WRITER)
+                    .map(|i| {
+                        let x = 0.5 + 0.01 * i as f64;
+                        ClientOp::insert(1_000 + w * PER_WRITER + i, vec![x, 1.4 - x])
+                    })
+                    .collect();
+                let queued = client.submit_batch(&ops).expect("batch");
+                assert_eq!(queued as u64, PER_WRITER);
+            })
+        })
+        .collect();
+    for writer in writers {
+        writer.join().expect("writer thread");
+    }
+
+    let total = WRITERS * PER_WRITER;
+    let mut client = RmsClient::connect(addr).expect("client connect");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while client.stats().expect("stats").ops_applied() != Some(total) {
+        assert!(Instant::now() < deadline, "ops never became visible");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let q = client.query().expect("query");
+    assert_eq!(q.n, 60 + total as usize);
+    client.shutdown().expect("shutdown");
+
+    let fds = server.join().expect("server thread");
+    for subscriber in subscribers {
+        let replayed = subscriber.join().expect("subscriber thread");
+        assert_eq!(replayed, q.ids, "subscription replay == final QUERY");
+    }
+    let fd = &fds[0];
+    for id in 1_000..1_000 + total {
+        assert!(fd.contains(id), "insert {id} lost");
+    }
+    fd.check_invariants().unwrap();
 }

@@ -1,6 +1,6 @@
 //! End-to-end tour of the serving stack over the wire: an `RmsServer`
 //! on loopback, driven entirely by the typed `rms-client` crate — a
-//! writer pipelines mutations with protocol-v2 `BATCH` frames while the
+//! writer pipelines mutations with `BATCH` frames while the
 //! main thread holds a `SUBSCRIBE` connection and applies the pushed
 //! `DELTA` stream, reconstructing the server's solution without ever
 //! polling `QUERY` (run `krms serve` for the same server over a real

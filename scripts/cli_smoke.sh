@@ -3,9 +3,10 @@
 # flag-parser regressions → sharded WAL-backed serve round-trip over
 # loopback (INSERT/QUERY/STATS, a Prometheus scrape of the
 # --metrics-addr endpoint with per-shard labels, and a SHUTDOWN drain),
-# plus a protocol-v2 session (HELLO negotiation, one-ack BATCH ingest,
-# SUBSCRIBE delta push, METRICS exposition), using only bash built-ins
-# (/dev/tcp) for the client side.
+# plus a session on a server with two reactor threads (HELLO parameter
+# advertisement, one-ack BATCH ingest without HELLO, SUBSCRIBE delta
+# push, METRICS exposition), using only bash built-ins (/dev/tcp) for
+# the client side.
 #
 # Usage: bash scripts/cli_smoke.sh   (expects target/release/krms to exist,
 # or set KRMS_BIN)
@@ -165,13 +166,17 @@ exec 3<&- 3>&-
 wait "$SERVE_PID" || fail "restarted server exited non-zero"
 SERVE_PID=""
 
-# --- protocol v2: HELLO + BATCH + SUBSCRIBE over loopback ---------------
+# --- HELLO + BATCH + SUBSCRIBE + METRICS over two reactors --------------
+# With --net-threads 2, reactor 0 accepts and deals sockets round-robin:
+# fd 3 stays on reactor 0, fd 6 goes to reactor 1, fd 4 to reactor 0, so
+# each publish fans out into both reactors.
 "$BIN" serve --in "$TMP/ds.krms" --r 8 --addr "127.0.0.1:$PORT" \
-    >"$TMP/serve3.log" 2>&1 &
+    --net-threads 2 >"$TMP/serve3.log" 2>&1 &
 SERVE_PID=$!
-connect 2>/dev/null || { cat "$TMP/serve3.log" >&2; fail "v2 server never came up"; }
+connect 2>/dev/null || { cat "$TMP/serve3.log" >&2; fail "third server never came up"; }
 
-# fd 3: the subscriber. Negotiate v2, then switch to push mode.
+# fd 3: the subscriber. Read the server's parameters, then switch to
+# push mode.
 printf 'HELLO v2\nSUBSCRIBE every=1\n' >&3
 read -r -u 3 hello_reply || fail "no HELLO reply"
 [[ "$hello_reply" == OK\ v2\ * ]] || fail "HELLO reply: $hello_reply"
@@ -188,14 +193,9 @@ read -r -u 6 fsub || fail "no filtered SUBSCRIBE reply"
 [[ "$fsub" == "OK subscribed every=1 filter=0..100000 epoch="* ]] \
     || fail "filtered SUBSCRIBE reply: $fsub"
 
-# fd 4: the writer. BATCH gating before HELLO, then a one-ack batch.
+# fd 4: the writer. No HELLO: a one-ack batch is its first request.
 exec 4<>"/dev/tcp/127.0.0.1/$PORT" || fail "writer connect"
-printf 'BATCH 1\n' >&4
-read -r -u 4 gate || fail "no gating reply"
-[[ "$gate" == "ERR BATCH requires protocol v2"* ]] || fail "BATCH gating: $gate"
-printf 'HELLO v2\nBATCH 3\nINSERT 200000 0.99 0.99 0.99\nINSERT 200001 0.98 0.98 0.98\nDELETE 200000\n' >&4
-read -r -u 4 hello2 || fail "no writer HELLO reply"
-[[ "$hello2" == OK\ v2\ * ]] || fail "writer HELLO: $hello2"
+printf 'BATCH 3\nINSERT 200000 0.99 0.99 0.99\nINSERT 200001 0.98 0.98 0.98\nDELETE 200000\n' >&4
 read -r -u 4 batch_ack || fail "no BATCH ack"
 [[ "$batch_ack" == "OK queued n=3" ]] || fail "BATCH ack: $batch_ack"
 
@@ -212,8 +212,8 @@ read -r -t 30 -u 6 fdelta || fail "no filtered DELTA pushed within 30s"
 
 # METRICS over the line protocol: a counted header frames the same
 # exposition the HTTP endpoint serves. The fd-3 and fd-6 subscribers
-# are live, so the subscriber gauge reads 2, DELTA bytes have been
-# counted, and the reactor's encode counters show the encode-once
+# are live on different reactors, so the subscriber gauge reads 2, DELTA
+# bytes have been counted, and the encode counters show the encode-once
 # split: one unfiltered + one filtered render per publish.
 printf 'METRICS\n' >&4
 read -r -t 30 -u 4 mhdr || fail "no METRICS reply"
@@ -238,7 +238,7 @@ printf 'SHUTDOWN\n' >&4
 read -r -u 4 bye || fail "no SHUTDOWN reply"
 [[ "$bye" == "OK shutting down" ]] || fail "SHUTDOWN reply: $bye"
 exec 3<&- 3>&- 4<&- 4>&- 6<&- 6>&-
-wait "$SERVE_PID" || { cat "$TMP/serve3.log" >&2; fail "v2 server exited non-zero"; }
+wait "$SERVE_PID" || { cat "$TMP/serve3.log" >&2; fail "third server exited non-zero"; }
 SERVE_PID=""
 
 echo "cli smoke: OK"

@@ -81,11 +81,11 @@ USAGE:
                                   accepted sockets are dealt round-robin
                                   across the group; default 1)
                                  (TCP front end over the serving backend;
-                                  line protocol v1: INSERT/DELETE/UPDATE/
+                                  line protocol: INSERT/DELETE/UPDATE/
                                   QUERY/STATS/SHUTDOWN, one reply per line;
-                                  v2 after HELLO v2: BATCH <n> pipelining,
-                                  SUBSCRIBE [every=K] [ids=LO..HI] delta
-                                  push — server-side id-range filtering —
+                                  HELLO (server parameters), BATCH <n>
+                                  pipelining, SUBSCRIBE [every=K] [ids=LO..HI]
+                                  delta push — server-side id filtering —
                                   and METRICS Prometheus exposition)
   krms skyline  --in FILE
 
@@ -427,7 +427,7 @@ fn serve_backend<B: krms::serve::RmsBackend>(
     );
     println!("protocol: INSERT <id> <v1..vd> | DELETE <id> | UPDATE <id> <v1..vd> | QUERY | STATS | SHUTDOWN");
     println!(
-        "       v2: HELLO v2 | BATCH <n> (one ack for n ops) | SUBSCRIBE [every=K] [ids=LO..HI] (DELTA push) | METRICS"
+        "          HELLO v2 | BATCH <n> (one ack for n ops) | SUBSCRIBE [every=K] [ids=LO..HI] (DELTA push) | METRICS"
     );
     let fds = server.run().map_err(|e| e.to_string())?;
     let ops: u64 = fds.iter().map(FdRms::operations).sum();
