@@ -18,7 +18,7 @@
 //!     ClientOp::delete(7),
 //! ]).unwrap();
 //! let q = client.query().unwrap();
-//! println!("epoch(s) {:?}: solution {:?}", q.epochs, q.ids);
+//! println!("epoch {}: solution {:?}", q.epochs[0], q.ids);
 //!
 //! // Push mode: the connection becomes a delta stream.
 //! let mut sub = client.subscribe(1).unwrap();
@@ -141,15 +141,13 @@ pub struct ServerHello {
     pub k: usize,
     /// Result size budget `r`.
     pub r: usize,
-    /// Shard count (1 for a single service).
-    pub shards: usize,
 }
 
 /// A parsed `QUERY` reply.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryResult {
-    /// Per-shard publication epochs (one entry against a single
-    /// service).
+    /// The publication epoch, as the only element: the server publishes
+    /// one epoch per snapshot.
     pub epochs: Vec<u64>,
     /// Live tuples `n`.
     pub n: usize,
@@ -175,11 +173,6 @@ impl ServerStats {
         self.get(key)?.parse().ok()
     }
 
-    /// Per-shard publication epochs (from `epoch=` or `epochs=`).
-    pub fn epochs(&self) -> Vec<u64> {
-        parse_epoch_fields(&self.fields)
-    }
-
     /// Operations the engine accepted so far.
     pub fn ops_applied(&self) -> Option<u64> {
         self.get_u64("ops_applied")
@@ -194,11 +187,9 @@ impl ServerStats {
 /// One pushed `DELTA` line, already parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delta {
-    /// Per-shard epochs after the delta.
-    pub epochs: Vec<u64>,
-    /// Scalar version after the delta (epoch, or epoch-vector sum).
+    /// The epoch after the delta.
     pub version: u64,
-    /// Scalar version the delta applies on top of.
+    /// The epoch the delta applies on top of.
     pub from: u64,
     /// Live tuples after the delta.
     pub n: usize,
@@ -233,7 +224,6 @@ impl RmsClient {
                 dim: 0,
                 k: 0,
                 r: 0,
-                shards: 1,
             },
         };
         let reply = client.roundtrip(&format!("HELLO v{PROTOCOL_VERSION}"))?;
@@ -322,12 +312,8 @@ impl RmsClient {
     pub fn query(&mut self) -> Result<QueryResult, ClientError> {
         let reply = self.roundtrip("QUERY")?;
         let fields = parse_fields(&reply);
-        let epochs = parse_epoch_fields(&fields);
-        if epochs.is_empty() {
-            return Err(ClientError::Protocol(format!(
-                "no epoch(s) in query reply `{reply}`"
-            )));
-        }
+        let epoch = parse_epoch(&fields)
+            .ok_or_else(|| ClientError::Protocol(format!("no epoch= in query reply `{reply}`")))?;
         let n = fields
             .get("n")
             .and_then(|v| v.parse().ok())
@@ -337,7 +323,11 @@ impl RmsClient {
             .map(|v| parse_id_list(v))
             .transpose()?
             .ok_or_else(|| ClientError::Protocol(format!("no ids= in query reply `{reply}`")))?;
-        Ok(QueryResult { epochs, n, ids })
+        Ok(QueryResult {
+            epochs: vec![epoch],
+            n,
+            ids,
+        })
     }
 
     /// Reads service metrics.
@@ -405,12 +395,9 @@ impl RmsClient {
     fn subscribe_line(mut self, request: &str) -> Result<Subscription, ClientError> {
         let reply = self.roundtrip(request)?;
         let fields = parse_fields(&reply);
-        let epochs = parse_epoch_fields(&fields);
-        if epochs.is_empty() {
-            return Err(ClientError::Protocol(format!(
-                "no epoch(s) in subscribe ack `{reply}`"
-            )));
-        }
+        let epoch = parse_epoch(&fields).ok_or_else(|| {
+            ClientError::Protocol(format!("no epoch= in subscribe ack `{reply}`"))
+        })?;
         let ids = fields
             .get("ids")
             .map(|v| parse_id_list(v))
@@ -419,7 +406,7 @@ impl RmsClient {
         Ok(Subscription {
             reader: self.reader,
             solution: ids.into_iter().collect(),
-            epochs,
+            epoch,
         })
     }
 }
@@ -430,7 +417,7 @@ impl RmsClient {
 pub struct Subscription {
     reader: BufReader<TcpStream>,
     solution: BTreeSet<u64>,
-    epochs: Vec<u64>,
+    epoch: u64,
 }
 
 impl Subscription {
@@ -440,10 +427,10 @@ impl Subscription {
         self.solution.iter().copied().collect()
     }
 
-    /// Per-shard epochs of the last yielded delta (the base state's
-    /// before any delta arrives).
+    /// The epoch of the last yielded delta (the base state's before any
+    /// delta arrives), as the only element.
     pub fn epochs(&self) -> &[u64] {
-        &self.epochs
+        std::slice::from_ref(&self.epoch)
     }
 
     /// Blocks for the next delta, applies it to the mirrored solution,
@@ -467,7 +454,7 @@ impl Subscription {
             for id in &delta.added {
                 self.solution.insert(*id);
             }
-            self.epochs.clone_from(&delta.epochs);
+            self.epoch = delta.version;
             return Ok(Some(delta));
         }
     }
@@ -526,18 +513,9 @@ fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     })
 }
 
-/// The epoch vector of a reply: `epochs=e0,e1,…` (sharded) or `epoch=E`
-/// (single); empty when neither field is present.
-fn parse_epoch_fields(fields: &BTreeMap<String, String>) -> Vec<u64> {
-    if let Some(v) = fields.get("epochs") {
-        return parse_id_list(v).unwrap_or_default();
-    }
-    if let Some(v) = fields.get("epoch") {
-        if let Ok(e) = v.parse() {
-            return vec![e];
-        }
-    }
-    Vec::new()
+/// The `epoch=E` field of a reply.
+fn parse_epoch(fields: &BTreeMap<String, String>) -> Option<u64> {
+    fields.get("epoch")?.parse().ok()
 }
 
 /// Parses a comma-separated id list (empty string → empty list).
@@ -566,7 +544,6 @@ fn parse_hello(reply: &str) -> Result<ServerHello, ClientError> {
         dim: get("dim").unwrap_or(0),
         k: get("k").unwrap_or(0),
         r: get("r").unwrap_or(0),
-        shards: get("shards").unwrap_or(1),
     })
 }
 
@@ -575,7 +552,6 @@ fn parse_delta(line: &str) -> Result<Delta, ClientError> {
     let rest = line
         .strip_prefix("DELTA")
         .ok_or_else(|| ClientError::Protocol(format!("expected a DELTA line, got `{line}`")))?;
-    let mut epochs = Vec::new();
     let mut version = None;
     let mut from = None;
     let mut n = None;
@@ -583,17 +559,9 @@ fn parse_delta(line: &str) -> Result<Delta, ClientError> {
     let mut removed = Vec::new();
     for tok in rest.split_whitespace() {
         if let Some(v) = tok.strip_prefix("epoch=") {
-            let e = v
-                .parse()
-                .map_err(|_| ClientError::Protocol(format!("invalid epoch `{v}`")))?;
-            epochs = vec![e];
-            version.get_or_insert(e);
-        } else if let Some(v) = tok.strip_prefix("epochs=") {
-            epochs = parse_id_list(v)?;
-        } else if let Some(v) = tok.strip_prefix("version=") {
             version = Some(
                 v.parse()
-                    .map_err(|_| ClientError::Protocol(format!("invalid version `{v}`")))?,
+                    .map_err(|_| ClientError::Protocol(format!("invalid epoch `{v}`")))?,
             );
         } else if let Some(v) = tok.strip_prefix("from=") {
             from = Some(
@@ -611,10 +579,8 @@ fn parse_delta(line: &str) -> Result<Delta, ClientError> {
             removed = parse_id_list(v)?;
         }
     }
-    let version = version.or_else(|| (!epochs.is_empty()).then(|| epochs.iter().sum()));
     match (version, from, n) {
-        (Some(version), Some(from), Some(n)) if !epochs.is_empty() => Ok(Delta {
-            epochs,
+        (Some(version), Some(from), Some(n)) => Ok(Delta {
             version,
             from,
             n,
@@ -644,7 +610,6 @@ mod tests {
     #[test]
     fn parses_single_service_delta() {
         let d = parse_delta("DELTA epoch=7 from=5 n=120 +10,11 -3").unwrap();
-        assert_eq!(d.epochs, vec![7]);
         assert_eq!(d.version, 7);
         assert_eq!(d.from, 5);
         assert_eq!(d.n, 120);
@@ -653,9 +618,8 @@ mod tests {
     }
 
     #[test]
-    fn parses_sharded_delta_and_empty_sets() {
-        let d = parse_delta("DELTA epochs=2,0,1 version=3 from=1 n=60").unwrap();
-        assert_eq!(d.epochs, vec![2, 0, 1]);
+    fn parses_delta_with_empty_sets() {
+        let d = parse_delta("DELTA epoch=3 from=1 n=60").unwrap();
         assert_eq!(d.version, 3);
         assert_eq!(d.from, 1);
         assert!(d.added.is_empty() && d.removed.is_empty());
@@ -664,14 +628,14 @@ mod tests {
     #[test]
     fn rejects_malformed_deltas() {
         assert!(parse_delta("NOPE epoch=1 from=0 n=1").is_err());
-        assert!(parse_delta("DELTA from=0 n=1").is_err(), "no epochs");
+        assert!(parse_delta("DELTA from=0 n=1").is_err(), "no epoch");
         assert!(parse_delta("DELTA epoch=1 n=1").is_err(), "no from");
         assert!(parse_delta("DELTA epoch=x from=0 n=1").is_err());
     }
 
     #[test]
     fn parses_hello() {
-        let h = parse_hello("OK v2 dim=4 k=2 r=16 shards=3").unwrap();
+        let h = parse_hello("OK v2 dim=4 k=2 r=16").unwrap();
         assert_eq!(
             h,
             ServerHello {
@@ -679,7 +643,6 @@ mod tests {
                 dim: 4,
                 k: 2,
                 r: 16,
-                shards: 3
             }
         );
         assert!(parse_hello("OK queued").is_err());

@@ -659,31 +659,46 @@ impl FdRms {
     // Algorithm 4: UPDATE-M
     // ------------------------------------------------------------------
 
-    /// Grows or shrinks the universe one utility vector at a time until
-    /// the cover size returns to `r` (or the bounds `r ≤ m ≤ M` bind).
+    /// Shrinks, then grows, the universe one utility vector at a time
+    /// until the cover size returns to `r`.
+    ///
+    /// Postcondition: `|Q| ≤ r`, and `|Q| = r` unless `m = M`, or the
+    /// next admission would overshoot `r`. One removal can drop `|C|` by
+    /// two, so the shrink loop can stop below `r`; the grow loop then
+    /// refills it in the same call. STABILIZE can move elements into a
+    /// set outside `C`, so one admission may add more than one set: a
+    /// grow step that overshoots `r` is undone, and the call stops there.
     pub(crate) fn update_m(&mut self) {
         if self.kd.is_empty() {
             return;
         }
-        if self.cover.solution_size() < self.r {
-            while self.m < self.cap_m && self.cover.solution_size() < self.r {
-                let u = self.m as ElemId;
-                self.m += 1;
-                self.stats.m_grow_steps += 1;
-                self.admit(u);
+        self.shrink_m();
+        while self.m < self.cap_m && self.cover.solution_size() < self.r {
+            let u = self.m as ElemId;
+            self.m += 1;
+            self.stats.m_grow_steps += 1;
+            self.admit(u);
+            if self.cover.solution_size() > self.r {
+                // Undo the admission; the loop cannot then reach `r`.
+                self.shrink_m();
+                break;
             }
-        } else if self.cover.solution_size() > self.r {
-            while self.cover.solution_size() > self.r && self.m > self.r {
-                self.m -= 1;
-                self.stats.m_shrink_steps += 1;
-                let u = self.m as ElemId;
-                if self.pending.remove(&u) {
-                    continue;
-                }
-                self.cover
-                    .remove_element(u)
-                    .expect("universe elements ≤ m are admitted or pending");
+        }
+    }
+
+    /// Removes the highest universe elements while `|C| > r` and
+    /// `m > r`; it ends with `|C| ≤ r`, since `|C| ≤ m`.
+    fn shrink_m(&mut self) {
+        while self.cover.solution_size() > self.r && self.m > self.r {
+            self.m -= 1;
+            self.stats.m_shrink_steps += 1;
+            let u = self.m as ElemId;
+            if self.pending.remove(&u) {
+                continue;
             }
+            self.cover
+                .remove_element(u)
+                .expect("universe elements ≤ m are admitted or pending");
         }
     }
 
@@ -1370,6 +1385,50 @@ pub(crate) mod tests {
         for fd in both_paths(&xs, &ops, 5) {
             assert_eq!(exact0(&fd), vec![2, 10]);
             assert_eq!(phi0(&fd), vec![2, 3, 6, 10]);
+        }
+    }
+
+    /// UPDATE-M's postcondition after every call: |Q| ≤ r, and |Q| = r
+    /// while m < M. Shrinking alone used to end calls short: one removal
+    /// can drop |C| by two, and nothing grew it back until the next call
+    /// (seed 33 per-op ended call 101 with |Q| = 18 at m = 73). The data
+    /// is anticorrelated, 600 × 6, plus a 300-op mixed stream, at
+    /// ε = 0.001 so that m stays below M = 256.
+    #[test]
+    fn update_m_keeps_the_result_at_r_below_the_cap() {
+        use crate::engine::Op;
+        let r = 20;
+        for (seed, batch) in [(33, 1), (58, 1), (71, 1), (5, 25), (17, 25)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let points = rms_data::anticorrelated(&mut rng, 600, 6);
+            let cfg = rms_data::MixedConfig {
+                ops: 300,
+                ..rms_data::MixedConfig::default()
+            };
+            let wl = rms_data::mixed_workload(&mut rng, points, cfg);
+            let mut fd = FdRms::builder(6)
+                .k(3)
+                .r(r)
+                .epsilon(0.001)
+                .max_utilities(256)
+                .seed(7)
+                .build(wl.initial.clone())
+                .unwrap();
+            for (call, ops) in wl.batches(batch).enumerate() {
+                let ops: Vec<Op> = ops
+                    .iter()
+                    .map(|op| match op {
+                        rms_data::Operation::Insert(p) => Op::Insert(p.clone()),
+                        rms_data::Operation::Delete(id) => Op::Delete(*id),
+                        rms_data::Operation::Update(p) => Op::Update(p.clone()),
+                    })
+                    .collect();
+                fd.apply_batch(ops).unwrap();
+                let (q, m) = (fd.result().len(), fd.m());
+                let at = format!("seed {seed}, {batch}-op call {call}: |Q| = {q}, m = {m}");
+                assert!(q <= r, "{at}");
+                assert!(q == r || m == fd.max_utilities(), "{at}");
+            }
         }
     }
 

@@ -155,10 +155,10 @@ struct Family {
 
 /// A process-local collection of labeled metric families.
 ///
-/// The serving stack creates one registry per backend (shared across
-/// all shards of a group), so a `krms serve` process has exactly one —
-/// effectively process-wide in production, while tests can keep
-/// several isolated instances in one process.
+/// The serving stack creates one registry per service, so a `krms
+/// serve` process has exactly one — effectively process-wide in
+/// production, while tests can keep several isolated instances in one
+/// process.
 #[derive(Debug)]
 pub struct Registry {
     families: Mutex<BTreeMap<String, Family>>,

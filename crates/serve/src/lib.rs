@@ -30,19 +30,10 @@
 //!   crate is a typed, std-only client for it.
 //! * Every subsystem reports into an `rms-metrics`
 //!   [`Registry`](rms_metrics::Registry) — applier latencies, WAL
-//!   activity, per-shard counters, TCP request families — reachable
-//!   through [`RmsBackend::registry`], the `METRICS` verb, and `krms
-//!   serve --metrics-addr`'s `GET /metrics` endpoint.
-//! * [`ShardedRmsService`] scales ingestion across cores: `S`
-//!   independent services, each owning the id partition `id % S`,
-//!   behind a router with the same submit/snapshot/shutdown surface.
-//!   Reads merge the per-shard solutions into one
-//!   [`AggregateSnapshot`] (per-shard epochs, summed stats, union
-//!   re-trimmed to `r`).
-//! * Both backends implement [`RmsBackend`] (their handles implement
-//!   [`RmsBackendHandle`]), so front ends are written once against the
-//!   trait pair: submit, read a unified [`BackendView`], or
-//!   [`watch`](RmsBackendHandle::watch) the push stream of
+//!   activity, TCP request families — reachable through
+//!   [`RmsService::registry`], the `METRICS` verb, and `krms serve
+//!   --metrics-addr`'s `GET /metrics` endpoint.
+//! * [`RmsHandle::watch`] subscribes to the push stream of
 //!   [`SnapshotDelta`]s computed at publish time — applying every delta
 //!   to the starting snapshot reproduces the published solution at each
 //!   delivered version.
@@ -84,18 +75,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backend;
 mod net;
 pub mod protocol;
 mod service;
-mod sharded;
 mod snapshot;
 pub mod sync;
 pub mod tcp;
 pub mod wal;
 
-pub use backend::{BackendView, DeltaReceiver, RmsBackend, RmsBackendHandle};
-pub use service::{RmsHandle, RmsService, ServeConfig, ServeError, SubmitError};
-pub use sharded::{AggregateSnapshot, ShardedHandle, ShardedRmsService};
+pub use service::{DeltaReceiver, RmsHandle, RmsService, ServeConfig, ServeError, SubmitError};
 pub use snapshot::{ResultSnapshot, ServiceStats, SnapshotDelta};
 pub use tcp::RmsServer;

@@ -12,7 +12,7 @@
 //! QUERY                       read the published solution     → OK epoch=E n=N r=K ids=…
 //! STATS                       read service metrics            → OK epoch=E … (key=value)
 //! SHUTDOWN                    drain, stop serving             → OK shutting down
-//! HELLO v<N>                  read the server's parameters    → OK v2 dim=D k=K r=R shards=S
+//! HELLO v<N>                  read the server's parameters    → OK v2 dim=D k=K r=R
 //! BATCH <n>                   the next n lines are mutation verbs,
 //!                             submitted with ONE ack for all  → OK queued n=<n>
 //! SUBSCRIBE [every=K] [ids=LO..HI]
@@ -35,27 +35,18 @@
 //! header still arrives for versions whose slice is empty, so a
 //! filtered stream observes every version); the ack echoes the range
 //! as `filter=LO..HI` and its `n=` stays the *full* solution size.
-//! Against a sharded
-//! backend the pushed lines carry the epoch vector —
-//! `DELTA epochs=e0,e1,… version=V from=F …` — mirroring `QUERY`'s
-//! `epochs=` form; `+`/`-` id lists are omitted when empty.
+//! `+`/`-` id lists are omitted when empty.
 //!
 //! Mutations are acknowledged at *enqueue* time and applied
 //! asynchronously; `STATS` exposes `ops_applied`/`ops_rejected` so a
-//! client can await visibility (plus `replayed_batches`, `wal_recovered`
-//! and — sharded — `merge_hits`/`merge_misses` when relevant). On a
-//! WAL-backed server the acknowledgement additionally means the op is on
-//! the log. Malformed input never kills the connection — the reply is
-//! `ERR <reason>` and the next line is parsed fresh — with one class of
-//! exceptions: a `BATCH` header the server cannot honor (count above
-//! [`MAX_BATCH_LINES`], or unparseable at all) closes the connection,
-//! because the announced op lines can neither be consumed nor safely
-//! reinterpreted as requests.
-//!
-//! Against a sharded backend the verbs are identical; `QUERY`/`STATS`
-//! report the per-shard epoch vector (`epochs=e0,e1,…` plus `shards=S`
-//! in `STATS`) instead of the single `epoch=E`, and the reported
-//! solution is the merged aggregate.
+//! client can await visibility (plus `replayed_batches` and
+//! `wal_recovered`). On a WAL-backed server the acknowledgement
+//! additionally means the op is on the log. Malformed input never kills
+//! the connection — the reply is `ERR <reason>` and the next line is
+//! parsed fresh — with one class of exceptions: a `BATCH` header the
+//! server cannot honor (count above [`MAX_BATCH_LINES`], or unparseable
+//! at all) closes the connection, because the announced op lines can
+//! neither be consumed nor safely reinterpreted as requests.
 
 use fdrms::Op;
 use rms_geom::{Point, PointId};
@@ -96,7 +87,7 @@ pub enum Request {
         /// `ids=` and every pushed `+`/`-` list are sliced to the range.
         filter: Option<(PointId, PointId)>,
     },
-    /// Read the backend's Prometheus text exposition: the reply
+    /// Read the service's Prometheus text exposition: the reply
     /// header `OK metrics lines=N` is followed by `N` raw exposition
     /// lines.
     Metrics,

@@ -2,8 +2,6 @@
 //! queue, publishing immutable snapshots after every coalesced batch,
 //! with an optional write-ahead log for crash durability.
 
-use crate::backend::{BackendView, DeltaReceiver};
-use crate::sharded::wal_meta_path;
 use crate::snapshot::{ResultSnapshot, ServiceStats, SnapshotCell, SnapshotDelta};
 use crate::sync::recover_poisoned;
 use crate::wal::{Wal, WalSyncHandle};
@@ -11,37 +9,72 @@ use fdrms::{FdRms, FdRmsBuilder, FdRmsError, Op};
 use rms_eval::RegretEstimator;
 use rms_geom::Point;
 use rms_metrics::{Counter, Gauge, Histogram, Registry};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{
+    channel, sync_channel, Receiver, RecvError, RecvTimeoutError, Sender, SyncSender, TryRecvError,
+    TrySendError,
+};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// One registered subscriber of the publish stream. The sharded router
-/// only needs to be *woken* per publish (it re-merges and diffs merged
-/// states itself), so it registers as `Signal` and the applier skips
-/// computing — let alone cloning — a delta for it.
-#[derive(Debug)]
-pub(crate) enum Watcher {
-    /// Receives the full [`SnapshotDelta`] computed at publish time.
-    Full(Sender<SnapshotDelta>),
-    /// Receives a unit wake-up per publish.
-    Signal(Sender<()>),
-}
 
 /// The watcher registry shared by handles (which register) and the
 /// applier (which broadcasts per publish and prunes dead watchers).
 /// Registration reads the snapshot cell *under this lock*, and the
 /// applier swaps the cell and broadcasts under it too, so a watcher's
 /// base snapshot and its first delta always line up gap-free.
-type WatcherRegistry = Arc<Mutex<Vec<Watcher>>>;
+type WatcherRegistry = Arc<Mutex<Vec<Sender<SnapshotDelta>>>>;
+
+/// The receiving end of a delta subscription ([`RmsHandle::watch`]): the
+/// starting [`ResultSnapshot`] plus a stream of [`SnapshotDelta`]s that
+/// apply on top of it, pushed by the applier at publish time (no
+/// polling). The stream is *gap-free*: the first delta's `from_version`
+/// equals the base snapshot's epoch and each subsequent delta continues
+/// where the previous ended. It closes when the service shuts down or
+/// the receiver is dropped.
+///
+/// Delivery is unbounded-buffered: a subscriber that stops receiving
+/// accumulates pending deltas (each at most `2r` entries) until it is
+/// dropped — it can never stall the applier.
+#[derive(Debug)]
+pub struct DeltaReceiver {
+    rx: Receiver<SnapshotDelta>,
+    base: Arc<ResultSnapshot>,
+}
+
+impl DeltaReceiver {
+    /// The published snapshot the delta stream starts from.
+    pub fn base(&self) -> &Arc<ResultSnapshot> {
+        &self.base
+    }
+
+    /// Blocks for the next delta; `Err` means the stream closed (the
+    /// service shut down).
+    pub fn recv(&self) -> Result<SnapshotDelta, RecvError> {
+        self.rx.recv()
+    }
+
+    /// Non-blocking [`DeltaReceiver::recv`].
+    pub fn try_recv(&self) -> Result<SnapshotDelta, TryRecvError> {
+        self.rx.try_recv()
+    }
+
+    /// [`DeltaReceiver::recv`] with a timeout.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<SnapshotDelta, RecvTimeoutError> {
+        self.rx.recv_timeout(timeout)
+    }
+
+    /// Iterates deltas until the stream closes.
+    pub fn iter(&self) -> impl Iterator<Item = SnapshotDelta> + '_ {
+        self.rx.iter()
+    }
+}
 
 /// Instrument handles for one service instance, registered once at
-/// start against the backend's [`Registry`] (with a `shard="N"` label
-/// inside a shard group) and cloned wherever the hot paths run: the
-/// applier thread owns the batch/publish instruments, client handles
-/// carry the WAL append counter.
+/// start against the service's [`Registry`] and cloned wherever the hot
+/// paths run: the applier thread owns the batch/publish instruments,
+/// client handles carry the WAL append counter.
 #[derive(Debug, Clone)]
 pub(crate) struct ServiceMetrics {
     /// `rms_applier_queue_depth` — refreshed at every publish.
@@ -69,13 +102,9 @@ pub(crate) struct ServiceMetrics {
 }
 
 impl ServiceMetrics {
-    /// Registers the applier/WAL families, labeled `shard="N"` inside a
-    /// shard group (every shard shares one registry, so the families
-    /// gain one series per shard).
-    pub(crate) fn register(registry: &Registry, shard: Option<usize>) -> Self {
-        let shard_value = shard.map(|i| i.to_string());
-        let labels: Vec<(&str, &str)> = shard_value.iter().map(|v| ("shard", v.as_str())).collect();
-        let l = labels.as_slice();
+    /// Registers the applier/WAL families (unlabeled).
+    pub(crate) fn register(registry: &Registry) -> Self {
+        let l = &[];
         ServiceMetrics {
             queue_depth: registry.register_gauge(
                 "rms_applier_queue_depth",
@@ -389,30 +418,17 @@ impl RmsHandle {
     /// yields an already-closed stream.
     pub fn watch(&self) -> DeltaReceiver {
         let (tx, rx) = channel();
-        let base = self.register_watcher(Watcher::Full(tx));
-        DeltaReceiver::new(rx, BackendView::Single(base))
-    }
-
-    /// Registers a signal-only watcher (the sharded router funnels every
-    /// shard's publish wake-ups into one channel this way; it diffs
-    /// merged snapshots itself, so it never needs the per-shard deltas)
-    /// and returns the base snapshot current at registration.
-    pub(crate) fn watch_signal(&self, tx: Sender<()>) -> Arc<ResultSnapshot> {
-        self.register_watcher(Watcher::Signal(tx))
-    }
-
-    /// Registers a watcher under the registry lock, so the base snapshot
-    /// and the first notification line up gap-free.
-    fn register_watcher(&self, watcher: Watcher) -> Arc<ResultSnapshot> {
+        // Registration reads the base under the registry lock, so the
+        // base snapshot and the first delta line up gap-free.
         let mut watchers = recover_poisoned(self.watchers.lock());
         let base = self.cell.load();
         // After shutdown the applier has already dropped every watcher;
         // registering would leak a never-closing stream. Dropping the
         // sender instead closes the subscriber's receiver immediately.
         if self.state.load(Ordering::SeqCst) & CLOSED_BIT == 0 {
-            watchers.push(watcher);
+            watchers.push(tx);
         }
-        base
+        DeltaReceiver { rx, base }
     }
 
     /// The most recently published snapshot. Never blocks on the applier:
@@ -470,30 +486,8 @@ impl RmsService {
         initial: Vec<Point>,
         cfg: ServeConfig,
     ) -> Result<Self, FdRmsError> {
-        let registry = Arc::new(Registry::new());
-        Self::start_labeled(builder, initial, cfg, &registry, None)
-    }
-
-    /// [`RmsService::start`] registering into a caller-supplied registry,
-    /// optionally labeling every family `shard="N"` — how a shard group
-    /// aggregates all its members into one exposition.
-    pub(crate) fn start_labeled(
-        builder: FdRmsBuilder,
-        initial: Vec<Point>,
-        cfg: ServeConfig,
-        registry: &Arc<Registry>,
-        shard: Option<usize>,
-    ) -> Result<Self, FdRmsError> {
         let fd = builder.build(initial)?;
-        let metrics = ServiceMetrics::register(registry, shard);
-        Ok(Self::spawn(
-            fd,
-            cfg,
-            None,
-            ServiceStats::default(),
-            Arc::clone(registry),
-            metrics,
-        ))
+        Ok(Self::spawn(fd, cfg, None, ServiceStats::default()))
     }
 
     /// [`RmsService::start`] with crash durability: opens (or creates)
@@ -516,40 +510,30 @@ impl RmsService {
     /// recovery replays exactly the serialization the live service
     /// applied, pinned by `tests/wal.rs::
     /// contended_id_recovery_matches_live_outcome`.
+    ///
+    /// A `<wal_path>.meta` sidecar is refused: the shard groups of
+    /// earlier builds wrote one next to their per-shard logs
+    /// `<wal_path>.<i>`. Those logs hold acknowledged ops that a fresh
+    /// log at `wal_path` would silently ignore.
     pub fn start_with_wal(
         builder: FdRmsBuilder,
         initial: Vec<Point>,
         cfg: ServeConfig,
         wal_path: &Path,
     ) -> Result<Self, ServeError> {
-        let registry = Arc::new(Registry::new());
-        Self::start_with_wal_labeled(builder, initial, cfg, wal_path, &registry, None)
-    }
-
-    /// [`RmsService::start_with_wal`] registering into a caller-supplied
-    /// registry, optionally labeled `shard="N"` (see
-    /// [`RmsService::start_labeled`]).
-    pub(crate) fn start_with_wal_labeled(
-        builder: FdRmsBuilder,
-        initial: Vec<Point>,
-        cfg: ServeConfig,
-        wal_path: &Path,
-        registry: &Arc<Registry>,
-        shard: Option<usize>,
-    ) -> Result<Self, ServeError> {
-        // A `<path>.meta` sidecar means these logs belong to a sharded
-        // group (`ShardedRmsService` logs to `<path>.<i>`); opening the
-        // bare path would create a fresh empty log and silently ignore
-        // every acknowledged op in the shard logs.
-        let meta = wal_meta_path(wal_path);
+        let mut meta = wal_path.as_os_str().to_os_string();
+        meta.push(".meta");
+        let meta = PathBuf::from(meta);
         if meta.exists() {
             return Err(ServeError::Wal(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!(
-                    "{} belongs to a sharded group (see {}); start a ShardedRmsService \
-                     with the matching shard count, or move the old logs aside",
+                    "{} belongs to a sharded group (see {}): its acknowledged ops sit in \
+                     per-shard logs {}.<i> that a single service cannot replay; move the old \
+                     logs aside",
                     wal_path.display(),
-                    meta.display()
+                    meta.display(),
+                    wal_path.display()
                 ),
             )));
         }
@@ -562,17 +546,11 @@ impl RmsService {
             // one made redundant by a checkpoint) costs only itself.
             stats.wal_recovered_ops += apply_salvaging(&mut fd, chunk).0 as u64;
         }
-        let metrics = ServiceMetrics::register(registry, shard);
+        let service = Self::spawn(fd, cfg, Some(Arc::new(Mutex::new(wal))), stats);
+        let metrics = &service.handle.metrics;
         metrics.wal_recovered_ops.add(stats.wal_recovered_ops);
         metrics.wal_truncated_bytes.add(replay.torn_bytes);
-        Ok(Self::spawn(
-            fd,
-            cfg,
-            Some(Arc::new(Mutex::new(wal))),
-            stats,
-            Arc::clone(registry),
-            metrics,
-        ))
+        Ok(service)
     }
 
     fn spawn(
@@ -580,9 +558,9 @@ impl RmsService {
         cfg: ServeConfig,
         wal: Option<Arc<Mutex<Wal>>>,
         stats: ServiceStats,
-        registry: Arc<Registry>,
-        metrics: ServiceMetrics,
     ) -> Self {
+        let registry = Arc::new(Registry::new());
+        let metrics = ServiceMetrics::register(&registry);
         let dim = fd.dim();
         let k = fd.k();
         let r = fd.r();
@@ -640,8 +618,9 @@ impl RmsService {
     }
 
     /// The metrics registry every instrument of this service reports
-    /// into (fresh per service unless the service was started inside a
-    /// shard group, which shares one registry across shards).
+    /// into (fresh per service). Front ends add their own families to it
+    /// (the TCP server registers its connection and request families)
+    /// and encode it for the `METRICS` verb and the `/metrics` endpoint.
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
     }
@@ -960,25 +939,14 @@ fn applier_inner(
             let mut registry = recover_poisoned(watchers.lock());
             cell.store(Arc::clone(&snap));
             if !registry.is_empty() {
-                // The O(r) diff + clone runs only when someone actually
-                // consumes deltas; signal-only watchers (the sharded
-                // router) cost one unit send.
-                let delta = registry
-                    .iter()
-                    .any(|w| matches!(w, Watcher::Full(_)))
-                    .then(|| snap.delta_from(&prev));
-                registry.retain(|watcher| match (watcher, &delta) {
-                    // Watcher channels are unbounded, so these sends
-                    // under the registry lock never block — and since
-                    // PR 9 rms-analyze's channel classification knows
-                    // it, so no pragma is needed here.
-                    (Watcher::Full(tx), Some(delta)) => tx.send(delta.clone()).is_ok(),
-                    // Unreachable (the delta is computed whenever a Full
-                    // watcher exists); dropping the watcher beats
-                    // panicking the applier.
-                    (Watcher::Full(_), None) => false,
-                    (Watcher::Signal(tx), _) => tx.send(()).is_ok(),
-                });
+                // The O(r) diff runs only when someone consumes deltas.
+                let delta = snap.delta_from(&prev);
+                // Watcher channels are unbounded, so these sends under
+                // the registry lock never block — and the ascription
+                // lets rms-analyze's channel classification know it, so
+                // no pragma is needed here.
+                registry
+                    .retain(|watcher: &Sender<SnapshotDelta>| watcher.send(delta.clone()).is_ok());
             }
             drop(registry);
             metrics.publish_seconds.record(publish_start.elapsed());
@@ -1021,7 +989,7 @@ mod tests {
             .build(initial)
             .unwrap();
         let mut stats = ServiceStats::default();
-        let metrics = ServiceMetrics::register(&Registry::new(), None);
+        let metrics = ServiceMetrics::register(&Registry::new());
 
         // 4 ops, one invalid (duplicate insert): atomic rejection, per-op
         // replay salvages 3.

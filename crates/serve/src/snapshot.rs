@@ -49,22 +49,6 @@ impl ServiceStats {
             self.total_apply_ms / self.batches as f64
         }
     }
-
-    /// Folds another shard's stats into this one: counters and wall-clock
-    /// sum, high-water marks (`max_coalesced`, `last_*`) take the max.
-    /// The sharded serving layer publishes one aggregate built this way.
-    pub fn absorb(&mut self, other: &ServiceStats) {
-        self.ops_applied += other.ops_applied;
-        self.ops_rejected += other.ops_rejected;
-        self.batches += other.batches;
-        self.replayed_batches += other.replayed_batches;
-        self.wal_recovered_ops += other.wal_recovered_ops;
-        self.last_batch_ops = self.last_batch_ops.max(other.last_batch_ops);
-        self.max_coalesced = self.max_coalesced.max(other.max_coalesced);
-        self.last_apply_ms = self.last_apply_ms.max(other.last_apply_ms);
-        self.total_apply_ms += other.total_apply_ms;
-        self.queue_depth += other.queue_depth;
-    }
 }
 
 /// One published state of the service: everything a reader needs, frozen
@@ -102,7 +86,6 @@ impl ResultSnapshot {
         SnapshotDelta {
             from_version: prev.epoch,
             version: self.epoch,
-            epochs: vec![self.epoch],
             added,
             removed,
             len: self.len,
@@ -117,16 +100,10 @@ impl ResultSnapshot {
 /// version — the contract pinned by `tests/delta.rs`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotDelta {
-    /// The version this delta applies on top of: the previous snapshot's
-    /// epoch for a single service, the previous epoch-vector sum for a
-    /// shard group.
+    /// The epoch this delta applies on top of.
     pub from_version: u64,
-    /// The version after applying: strictly greater than `from_version`.
+    /// The epoch after applying: strictly greater than `from_version`.
     pub version: u64,
-    /// Per-shard epoch vector at `version` (one entry for a single
-    /// service). `version` is its sum, so it is strictly monotone while
-    /// each component is monotone.
-    pub epochs: Vec<u64>,
     /// Solution entries that appeared — or changed coordinates — since
     /// `from_version`, sorted by id. Applied as *upserts*.
     pub added: Vec<Point>,
@@ -155,7 +132,6 @@ impl SnapshotDelta {
     /// every=K` coalesces K epochs into one pushed line.
     pub fn merge(&mut self, next: &SnapshotDelta) {
         self.version = next.version;
-        self.epochs = next.epochs.clone();
         self.len = next.len;
         for id in &next.removed {
             // Drop any pending upsert of the id — but still record the
@@ -188,7 +164,7 @@ impl SnapshotDelta {
 /// Diffs two solutions sorted by id: entries only in `next` (or in both
 /// with different coordinates) are upserts, ids only in `prev` are
 /// removals.
-pub(crate) fn diff_results(prev: &[Point], next: &[Point]) -> (Vec<Point>, Vec<PointId>) {
+fn diff_results(prev: &[Point], next: &[Point]) -> (Vec<Point>, Vec<PointId>) {
     let mut added = Vec::new();
     let mut removed = Vec::new();
     let (mut i, mut j) = (0, 0);
@@ -224,7 +200,6 @@ mod tests {
         SnapshotDelta {
             from_version: from,
             version: to,
-            epochs: vec![to],
             added,
             removed,
             len: 0,

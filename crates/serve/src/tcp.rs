@@ -1,7 +1,5 @@
-//! A `std::net`-only TCP front end over any [`RmsBackend`] — the single
-//! [`RmsService`](crate::RmsService) and the sharded
-//! [`ShardedRmsService`](crate::ShardedRmsService) behind one generic
-//! code path — speaking the [line protocol](crate::protocol).
+//! A `std::net`-only TCP front end over an [`RmsService`] speaking the
+//! [line protocol](crate::protocol).
 //!
 //! Connections are served by a small group of [`rms_net`] reactor
 //! threads (default one; see [`RmsServer::with_net_threads`]) instead
@@ -10,19 +8,19 @@
 //! reactor's command injector. Protocol logic lives in the crate's
 //! `net` module; this module is the *orchestration* layer — the
 //! pieces that legitimately block (the delta pump's channel receive,
-//! backend shutdown, thread joins) and therefore stay off the reactor
+//! service shutdown, thread joins) and therefore stay off the reactor
 //! threads.
 //!
 //! The pump thread is where the encode-once fan-out contract is
 //! enforced: each [`SnapshotDelta`](crate::SnapshotDelta) from the
-//! backend's watch stream is rendered to its wire line exactly once,
+//! service's watch stream is rendered to its wire line exactly once,
 //! wrapped in an `Arc<[u8]>`, and injected into every reactor, which
 //! fan it out to unfiltered subscribers by reference.
 
-use crate::backend::{RmsBackend, RmsBackendHandle};
 use crate::net::{
     encode_delta_line, Mirror, NetCmd, NetHandler, ServeNetMetrics, ServerInfo, TcpMetrics,
 };
+use crate::service::RmsService;
 use fdrms::FdRms;
 use rms_net::{Injector, Reactor, ReactorConfig};
 use std::io;
@@ -30,29 +28,26 @@ use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::mpsc;
 use std::sync::Arc;
 
-/// A TCP server wrapping a running backend: a group of reactor threads
-/// multiplexing every connection, all feeding the ingestion queue(s)
-/// and reading the shared snapshot state through the backend's
-/// cloneable handle.
+/// A TCP server wrapping a running service: a group of reactor threads
+/// multiplexing every connection, all feeding the ingestion queue and
+/// reading the shared snapshot state through the service's cloneable
+/// handle.
 #[derive(Debug)]
-pub struct RmsServer<B: RmsBackend> {
+pub struct RmsServer {
     listener: TcpListener,
-    backend: B,
+    service: RmsService,
     net_threads: usize,
     write_queue_cap: usize,
     send_buffer: Option<usize>,
 }
 
-impl<B: RmsBackend> RmsServer<B> {
+impl RmsServer {
     /// Binds `addr` (e.g. `"127.0.0.1:7878"`, or port 0 for an ephemeral
-    /// port — see [`RmsServer::local_addr`]) around a started backend:
-    /// a single service or a shard group, behind the same protocol
-    /// surface (a sharded backend reports `epochs=e0,e1,…` instead of
-    /// `epoch=E` in `QUERY`/`STATS` and in pushed `DELTA` lines).
-    pub fn bind(addr: impl ToSocketAddrs, backend: B) -> io::Result<Self> {
+    /// port — see [`RmsServer::local_addr`]) around a started service.
+    pub fn bind(addr: impl ToSocketAddrs, service: RmsService) -> io::Result<Self> {
         Ok(Self {
             listener: TcpListener::bind(addr)?,
-            backend,
+            service,
             net_threads: 1,
             write_queue_cap: ReactorConfig::default().write_queue_cap,
             send_buffer: None,
@@ -90,33 +85,31 @@ impl<B: RmsBackend> RmsServer<B> {
     }
 
     /// Serves connections until a client issues `SHUTDOWN`, then drains
-    /// the ingestion queue(s) gracefully and returns the final engine
-    /// state, indexed by shard (one engine for a single-service
-    /// backend). Connections still open at shutdown see their pending
-    /// replies flushed, open `SUBSCRIBE` streams end after a final
-    /// coalesced flush, and the reactors exit once every socket drains.
+    /// the ingestion queue gracefully and returns the final engine state.
+    /// The `Vec` always holds exactly one engine. Connections still open
+    /// at shutdown see their pending replies flushed, open `SUBSCRIBE`
+    /// streams end after a final coalesced flush, and the reactors exit
+    /// once every socket drains.
     pub fn run(self) -> io::Result<Vec<FdRms>> {
         let RmsServer {
             listener,
-            backend,
+            service,
             net_threads,
             write_queue_cap,
             send_buffer,
         } = self;
 
         let info = ServerInfo {
-            dim: backend.dim(),
-            k: backend.k(),
-            r: backend.r(),
-            shards: backend.shards(),
+            dim: service.dim(),
+            k: service.k(),
+            r: service.r(),
         };
-        let registry = Arc::clone(backend.registry());
+        let registry = Arc::clone(service.registry());
         let metrics = TcpMetrics::register(&registry);
         let net_metrics = ServeNetMetrics::register(&registry);
-        let handle = backend.handle();
+        let handle = service.handle();
         let rx = handle.watch();
-        let sharded = rx.base().is_merged();
-        let mirror = Mirror::from_view(rx.base());
+        let mirror = Mirror::from_snapshot(rx.base());
 
         let cfg = ReactorConfig {
             write_queue_cap,
@@ -156,7 +149,7 @@ impl<B: RmsBackend> RmsServer<B> {
         }
         drop(shutdown_tx);
 
-        // The delta pump: the one consumer of the backend's watch
+        // The delta pump: the one consumer of the service's watch
         // stream. Encodes each published delta exactly once and fans
         // the shared buffer out to every reactor; reactors slice it
         // per-filter from the parsed form riding alongside.
@@ -168,7 +161,7 @@ impl<B: RmsBackend> RmsServer<B> {
                 match rx.recv() {
                     Ok(delta) => {
                         pump_metrics.encodes_unfiltered.inc();
-                        let line = encode_delta_line(&delta, sharded, None);
+                        let line = encode_delta_line(&delta, None);
                         let delta = Arc::new(delta);
                         for injector in &pump_injectors {
                             injector.inject(NetCmd::Publish {
@@ -178,7 +171,7 @@ impl<B: RmsBackend> RmsServer<B> {
                         }
                     }
                     Err(_) => {
-                        // Publisher gone: the backend shut down. Tell the
+                        // Publisher gone: the service shut down. Tell the
                         // reactors to flush pending subscriptions and drain.
                         for injector in &pump_injectors {
                             injector.inject(NetCmd::StreamEnd);
@@ -192,10 +185,10 @@ impl<B: RmsBackend> RmsServer<B> {
         // (Err — all senders dropped).
         let _ = shutdown_rx.recv();
 
-        // Stop the backend first: its watch senders drop, the pump sees
+        // Stop the service first: its watch senders drop, the pump sees
         // the closed channel and broadcasts StreamEnd, and the reactors
         // drain and exit.
-        let engines = backend.shutdown();
+        let engine = service.shutdown();
         // rms-analyze: allow(unwrap-nontest, "a Err from join means the worker panicked and already tore the serving invariants; re-raising that panic at shutdown is the only honest report")
         pump.join().expect("delta pump panicked");
         let mut first_err = None;
@@ -209,7 +202,7 @@ impl<B: RmsBackend> RmsServer<B> {
         }
         match first_err {
             Some(e) => Err(e),
-            None => Ok(engines),
+            None => Ok(vec![engine]),
         }
     }
 }

@@ -1,16 +1,14 @@
 //! Soundness of the push-subscription delta stream: a subscriber that
 //! applies every received [`SnapshotDelta`] to its starting snapshot
-//! reproduces the server's published solution at each delivered version
-//! — for the single service and for a 4-shard group — and the stream is
-//! gap-free (each delta continues exactly where the previous ended).
+//! reproduces the service's published solution at each delivered
+//! version, and the stream is gap-free (each delta continues exactly
+//! where the previous ended) with one delta per publish.
 
 use fdrms::{FdRms, FdRmsBuilder, Op};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rms_geom::{Point, PointId};
-use rms_serve::{
-    BackendView, RmsBackend, RmsService, ServeConfig, ShardedRmsService, SnapshotDelta,
-};
+use rms_serve::{ResultSnapshot, RmsService, ServeConfig, SnapshotDelta};
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
@@ -52,49 +50,52 @@ fn builder(d: usize) -> FdRmsBuilder {
     FdRms::builder(d).r(4).max_utilities(128).seed(5)
 }
 
-fn solution_map(view: &BackendView) -> BTreeMap<PointId, Point> {
-    view.result().iter().map(|p| (p.id(), p.clone())).collect()
+fn solution_map(snap: &ResultSnapshot) -> BTreeMap<PointId, Point> {
+    snap.result.iter().map(|p| (p.id(), p.clone())).collect()
 }
 
 fn ids(solution: &BTreeMap<PointId, Point>) -> Vec<PointId> {
     solution.keys().copied().collect()
 }
 
-/// Drives `ops` through any backend while a subscriber collects deltas
-/// and an independent poller records the published solution at every
-/// version it observes. Checks, in order:
+/// Drives `ops` through `service` (started with `max_batch`) while a
+/// subscriber collects deltas and an independent poller records the
+/// published solution at every version it observes. Checks, in order:
 ///
-/// 1. the delta chain is gap-free from the subscription's base view;
+/// 1. the delta chain is gap-free from the subscription's base snapshot,
+///    with exactly one delta per publish;
 /// 2. at every delivered version the reconstructed solution equals the
 ///    published solution the poller saw at that version (when the poller
 ///    observed it — poller and subscriber sample the same serialized
-///    publish/merge sequence, so matching versions mean matching
-///    states);
+///    publish sequence, so matching versions mean matching states);
 /// 3. after quiescing, the reconstruction equals the final published
 ///    solution exactly.
-fn check_delta_stream<B: RmsBackend>(backend: B, ops: Vec<Op>) {
+fn check_delta_stream(service: RmsService, ops: Vec<Op>, max_batch: usize) {
     let total = ops.len() as u64;
-    let rx = backend.watch();
-    let handle = backend.handle();
+    // A publish applies at most `max_batch` ops, so the stream must
+    // carry at least this many deltas.
+    let min_deltas = ops.len().div_ceil(max_batch);
+    let rx = service.watch();
+    let handle = service.handle();
 
     // Writer thread: sustained ingestion while the main thread polls.
     let writer = {
-        let backend_handle = backend.handle();
+        let handle = service.handle();
         std::thread::spawn(move || {
             for op in ops {
-                rms_serve::RmsBackendHandle::submit(&backend_handle, op).unwrap();
+                handle.submit(op).unwrap();
             }
         })
     };
 
-    // Poll the published view during ingestion, recording version → ids.
+    // Poll the published snapshot during ingestion, recording version →
+    // ids.
     let mut observed: HashMap<u64, Vec<PointId>> = HashMap::new();
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        let view = rms_serve::RmsBackendHandle::view(&handle);
-        observed.insert(view.version(), view.result_ids());
-        let stats = view.stats();
-        if stats.ops_applied + stats.ops_rejected >= total {
+        let snap = handle.snapshot();
+        observed.insert(snap.epoch, snap.result_ids());
+        if snap.stats.ops_applied + snap.stats.ops_rejected >= total {
             break;
         }
         assert!(Instant::now() < deadline, "ingestion never settled");
@@ -102,14 +103,14 @@ fn check_delta_stream<B: RmsBackend>(backend: B, ops: Vec<Op>) {
     }
     writer.join().unwrap();
     // One more settled read: the final published state.
-    let final_view = rms_serve::RmsBackendHandle::view(&handle);
-    observed.insert(final_view.version(), final_view.result_ids());
-    let final_version = final_view.version();
-    let final_ids = final_view.result_ids();
+    let final_snap = handle.snapshot();
+    observed.insert(final_snap.epoch, final_snap.result_ids());
+    let final_version = final_snap.epoch;
+    let final_ids = final_snap.result_ids();
 
-    // Give the (asynchronous, for the sharded router) delta path time to
-    // catch up with the final state, then close the stream.
-    let mut version = rx.base().version();
+    // Collect the stream up to the final state, then close it.
+    let base_version = rx.base().epoch;
+    let mut version = base_version;
     let mut deltas: Vec<SnapshotDelta> = Vec::new();
     let deadline = Instant::now() + Duration::from_secs(60);
     while version < final_version {
@@ -125,10 +126,10 @@ fn check_delta_stream<B: RmsBackend>(backend: B, ops: Vec<Op>) {
             ),
         }
     }
-    drop(backend); // shutdown closes the stream
+    drop(service); // shutdown closes the stream
 
     let mut matched = 0usize;
-    let mut at = rx.base().version();
+    let mut at = base_version;
     let mut solution = solution_map(rx.base());
     for delta in &deltas {
         assert_eq!(
@@ -137,11 +138,6 @@ fn check_delta_stream<B: RmsBackend>(backend: B, ops: Vec<Op>) {
             delta.from_version
         );
         assert!(delta.version > delta.from_version, "versions must advance");
-        assert_eq!(
-            delta.version,
-            delta.epochs.iter().sum::<u64>(),
-            "version is the epoch-vector sum"
-        );
         delta.apply_to(&mut solution);
         at = delta.version;
         if let Some(expected) = observed.get(&at) {
@@ -166,9 +162,15 @@ fn check_delta_stream<B: RmsBackend>(backend: B, ops: Vec<Op>) {
         matched >= 1,
         "no cross-checked versions — the poller and the stream never lined up"
     );
+    // One delta per publish, and every publish advances the epoch by one.
+    assert_eq!(
+        deltas.len() as u64,
+        final_version - base_version,
+        "one delta per publish"
+    );
     assert!(
-        deltas.len() >= 2,
-        "stream degenerated to {} delta(s); expected real streaming",
+        deltas.len() >= min_deltas,
+        "{} delta(s) for {total} ops at max_batch {max_batch}; expected at least {min_deltas}",
         deltas.len()
     );
 }
@@ -178,36 +180,18 @@ fn single_service_delta_stream_reproduces_published_solutions() {
     let d = 3;
     let initial = random_points(1, 200, d);
     let ops = random_ops(2, &initial, 400, d);
+    let max_batch = 16;
     let service = RmsService::start(
         builder(d),
         initial,
         ServeConfig {
             queue_capacity: 32, // backpressure → many small epochs
-            max_batch: 16,
+            max_batch,
             ..ServeConfig::default()
         },
     )
     .unwrap();
-    check_delta_stream(service, ops);
-}
-
-#[test]
-fn sharded_delta_stream_reproduces_published_solutions() {
-    let d = 3;
-    let initial = random_points(3, 200, d);
-    let ops = random_ops(4, &initial, 400, d);
-    let group = ShardedRmsService::start(
-        builder(d),
-        initial,
-        ServeConfig {
-            queue_capacity: 32,
-            max_batch: 16,
-            ..ServeConfig::default()
-        },
-        4,
-    )
-    .unwrap();
-    check_delta_stream(group, ops);
+    check_delta_stream(service, ops, max_batch);
 }
 
 /// A watcher registered mid-stream starts from the then-current snapshot
@@ -239,5 +223,5 @@ fn late_and_post_shutdown_watchers() {
     // Post-shutdown subscription: closed stream, base still readable.
     let rx = handle.watch();
     assert!(rx.recv().is_err(), "post-shutdown stream must be closed");
-    assert!(rx.base().result().len() <= 4);
+    assert!(rx.base().result.len() <= 4);
 }

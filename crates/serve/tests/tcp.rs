@@ -11,7 +11,7 @@
 use fdrms::FdRms;
 use rms_client::{ClientOp, RmsClient};
 use rms_geom::Point;
-use rms_serve::{RmsServer, RmsService, ServeConfig, ShardedRmsService};
+use rms_serve::{RmsServer, RmsService, ServeConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -170,66 +170,6 @@ fn loopback_protocol_round_trip() {
     fd.check_invariants().unwrap();
 }
 
-#[test]
-fn loopback_round_trip_sharded() {
-    let d = 2;
-    let initial: Vec<Point> = (0..60)
-        .map(|i| Point::new_unchecked(i, vec![(i as f64) / 60.0, 1.0 - (i as f64) / 60.0]))
-        .collect();
-    let service = rms_serve::ShardedRmsService::start(
-        FdRms::builder(d).r(4).max_utilities(64).seed(3),
-        initial,
-        ServeConfig::default(),
-        3,
-    )
-    .unwrap();
-    let server = RmsServer::bind("127.0.0.1:0", service).expect("bind ephemeral port");
-    let addr = server.local_addr().unwrap();
-    let server = std::thread::spawn(move || server.run().expect("server run"));
-
-    let mut client = Client::connect(addr);
-
-    // Sharded reads report the per-shard epoch vector and the merged
-    // solution, trimmed to r.
-    let reply = client.roundtrip("QUERY");
-    assert!(reply.starts_with("OK epochs="), "{reply}");
-    assert_eq!(field(&reply, "epochs"), Some("0,0,0"));
-    assert_eq!(field(&reply, "n"), Some("60"));
-    let r: usize = field(&reply, "r").unwrap().parse().unwrap();
-    assert!(r <= 4, "merged solution exceeds budget: {reply}");
-
-    // Mutations route by id; ids 300, 301, 302 hit three distinct shards.
-    for id in 300..303 {
-        assert_eq!(
-            client.roundtrip(&format!("INSERT {id} 0.9 0.9")),
-            "OK queued"
-        );
-    }
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let reply = client.roundtrip("STATS");
-        assert!(reply.starts_with("OK epochs="), "{reply}");
-        assert_eq!(field(&reply, "shards"), Some("3"));
-        if field(&reply, "ops_applied") == Some("3") {
-            assert_eq!(field(&reply, "n"), Some("63"));
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "ops never became visible: {reply}"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-
-    assert_eq!(client.roundtrip("SHUTDOWN"), "OK shutting down");
-    let fds = server.join().expect("server thread");
-    assert_eq!(fds.len(), 3);
-    for (i, fd) in fds.iter().enumerate() {
-        fd.check_invariants().unwrap();
-        assert!(fd.contains(300 + i as u64), "shard {i} owns id {}", 300 + i);
-    }
-}
-
 fn spawn_single(n: u64) -> (std::net::SocketAddr, std::thread::JoinHandle<Vec<FdRms>>) {
     let initial: Vec<Point> = (0..n)
         .map(|i| Point::new_unchecked(i, vec![(i as f64) / n as f64, 1.0 - (i as f64) / n as f64]))
@@ -269,8 +209,8 @@ fn v2_hello_and_batch_raw() {
 
     // HELLO advertises the server's parameters, whatever version it names.
     let reply = client.roundtrip("HELLO v7");
-    assert_eq!(reply, "OK v2 dim=2 k=1 r=4 shards=1");
-    assert_eq!(client.roundtrip("HELLO v1"), "OK v2 dim=2 k=1 r=4 shards=1");
+    assert_eq!(reply, "OK v2 dim=2 k=1 r=4");
+    assert_eq!(client.roundtrip("HELLO v1"), "OK v2 dim=2 k=1 r=4");
 
     // A pipelined batch right after `HELLO v1`: n lines, one ack.
     line.clear();
@@ -429,112 +369,81 @@ fn v2_subscribe_raw_stream_reconstructs_query() {
     assert_eq!(reconstructed.join(","), final_ids);
 }
 
-/// The typed client against both backends: negotiation, batch ingest,
-/// query/stats, a reader whose `QUERY` epochs never go backwards during
-/// ingest, and a subscription whose replay matches the final QUERY —
-/// the protocol's second, independent implementation driving the first.
+/// The typed client end to end: negotiation, batch ingest, query/stats,
+/// a reader whose `QUERY` epoch never goes backwards during ingest, and a
+/// subscription whose replay matches the final QUERY — the protocol's
+/// second, independent implementation driving the first.
 #[test]
-fn rms_client_end_to_end_single_and_sharded() {
-    for shards in [1usize, 3] {
-        let d = 2;
-        let initial: Vec<Point> = (0..60)
-            .map(|i| Point::new_unchecked(i, vec![(i as f64) / 60.0, 1.0 - (i as f64) / 60.0]))
-            .collect();
-        let builder = FdRms::builder(d).r(4).max_utilities(64).seed(3);
-        let server = if shards == 1 {
-            let service = RmsService::start(builder, initial, ServeConfig::default()).unwrap();
-            RmsServer::bind("127.0.0.1:0", service).map(|s| {
-                let addr = s.local_addr().unwrap();
-                (addr, std::thread::spawn(move || s.run().expect("run")))
-            })
-        } else {
-            let service =
-                ShardedRmsService::start(builder, initial, ServeConfig::default(), shards).unwrap();
-            RmsServer::bind("127.0.0.1:0", service).map(|s| {
-                let addr = s.local_addr().unwrap();
-                (addr, std::thread::spawn(move || s.run().expect("run")))
-            })
-        };
-        let (addr, server) = server.expect("bind ephemeral port");
+fn rms_client_end_to_end() {
+    let d = 2;
+    let (addr, server) = spawn_single(60);
 
-        let sub_client = RmsClient::connect(addr).expect("subscriber connect");
-        assert_eq!(sub_client.hello().shards, shards);
-        // every=3 exercises the server-side coalescing (SnapshotDelta::
-        // merge + idle flush) rather than the one-line-per-epoch path the
-        // raw test covers; replay must still reconstruct exactly.
-        let subscriber = std::thread::spawn(move || {
-            let mut sub = sub_client.subscribe(3).expect("subscribe");
-            while let Some(delta) = sub.next_delta().expect("delta stream") {
-                assert!(delta.version > delta.from, "versions advance");
-            }
-            sub.ids()
-        });
-
-        // A reader polls QUERY until the ingest below is visible: no
-        // epoch component may go backwards over the wire.
-        let stop = Arc::new(AtomicBool::new(false));
-        let reader = {
-            let stop = Arc::clone(&stop);
-            let mut reader = RmsClient::connect(addr).expect("reader connect");
-            std::thread::spawn(move || {
-                let mut last = reader.query().expect("reader query").epochs;
-                while !stop.load(Ordering::Relaxed) {
-                    let epochs = reader.query().expect("reader query").epochs;
-                    assert!(
-                        epochs.iter().zip(&last).all(|(now, before)| now >= before),
-                        "epochs went backwards over the wire: {last:?} -> {epochs:?}"
-                    );
-                    last = epochs;
-                }
-            })
-        };
-
-        let mut client = RmsClient::connect(addr).expect("client connect");
-        let hello = client.hello();
-        assert_eq!(
-            (hello.version, hello.dim, hello.k, hello.r, hello.shards),
-            (2, d, 1, 4, shards)
-        );
-
-        // Mixed single + batched ingest through the typed surface.
-        client.insert(700, &[0.95, 0.9]).expect("insert");
-        let ops: Vec<ClientOp> = (701..721)
-            .map(|id| ClientOp::insert(id, vec![0.8, 0.8]))
-            .chain([ClientOp::delete(700), ClientOp::update(1, vec![0.4, 0.6])])
-            .collect();
-        assert_eq!(client.submit_batch(&ops).expect("batch"), 22);
-
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            let stats = client.stats().expect("stats");
-            if stats.ops_applied() == Some(23) {
-                assert_eq!(stats.ops_rejected(), Some(0));
-                assert_eq!(stats.epochs().len(), shards);
-                if shards > 1 {
-                    assert!(stats.get_u64("merge_misses").unwrap() >= 1);
-                    assert!(stats.get("merge_hits").is_some());
-                }
-                break;
-            }
-            assert!(Instant::now() < deadline, "ops never became visible");
-            std::thread::sleep(Duration::from_millis(5));
+    let sub_client = RmsClient::connect(addr).expect("subscriber connect");
+    // every=3 exercises the server-side coalescing (SnapshotDelta::merge
+    // + idle flush) rather than the one-line-per-epoch path the raw test
+    // covers; replay must still reconstruct exactly.
+    let subscriber = std::thread::spawn(move || {
+        let mut sub = sub_client.subscribe(3).expect("subscribe");
+        while let Some(delta) = sub.next_delta().expect("delta stream") {
+            assert!(delta.version > delta.from, "versions advance");
         }
-        stop.store(true, Ordering::Relaxed);
-        reader.join().expect("reader thread");
-        let q = client.query().expect("query");
-        assert_eq!(q.n, 60 + 21 - 1);
-        assert_eq!(q.epochs.len(), shards);
-        assert!(q.ids.len() <= 4, "budget respected: {:?}", q.ids);
+        sub.ids()
+    });
 
-        client.shutdown().expect("shutdown");
-        let fds = server.join().expect("server thread");
-        assert_eq!(fds.len(), shards);
-        let replayed = subscriber.join().expect("subscriber thread");
-        assert_eq!(replayed, q.ids, "subscription replay == final QUERY");
-        for fd in &fds {
-            fd.check_invariants().unwrap();
+    // A reader polls QUERY until the ingest below is visible: the epoch
+    // may never go backwards over the wire.
+    let stop = Arc::new(AtomicBool::new(false));
+    let reader = {
+        let stop = Arc::clone(&stop);
+        let mut reader = RmsClient::connect(addr).expect("reader connect");
+        std::thread::spawn(move || {
+            let mut last = reader.query().expect("reader query").epochs[0];
+            while !stop.load(Ordering::Relaxed) {
+                let epoch = reader.query().expect("reader query").epochs[0];
+                assert!(
+                    epoch >= last,
+                    "epoch went backwards over the wire: {last} -> {epoch}"
+                );
+                last = epoch;
+            }
+        })
+    };
+
+    let mut client = RmsClient::connect(addr).expect("client connect");
+    let hello = client.hello();
+    assert_eq!((hello.version, hello.dim, hello.k, hello.r), (2, d, 1, 4));
+
+    // Mixed single + batched ingest through the typed surface.
+    client.insert(700, &[0.95, 0.9]).expect("insert");
+    let ops: Vec<ClientOp> = (701..721)
+        .map(|id| ClientOp::insert(id, vec![0.8, 0.8]))
+        .chain([ClientOp::delete(700), ClientOp::update(1, vec![0.4, 0.6])])
+        .collect();
+    assert_eq!(client.submit_batch(&ops).expect("batch"), 22);
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let stats = client.stats().expect("stats");
+        if stats.ops_applied() == Some(23) {
+            assert_eq!(stats.ops_rejected(), Some(0));
+            break;
         }
+        assert!(Instant::now() < deadline, "ops never became visible");
+        std::thread::sleep(Duration::from_millis(5));
     }
+    stop.store(true, Ordering::Relaxed);
+    reader.join().expect("reader thread");
+    let q = client.query().expect("query");
+    assert_eq!(q.n, 60 + 21 - 1);
+    assert_eq!(q.epochs.len(), 1);
+    assert!(q.ids.len() <= 4, "budget respected: {:?}", q.ids);
+
+    client.shutdown().expect("shutdown");
+    let fds = server.join().expect("server thread");
+    assert_eq!(fds.len(), 1);
+    let replayed = subscriber.join().expect("subscriber thread");
+    assert_eq!(replayed, q.ids, "subscription replay == final QUERY");
+    fds[0].check_invariants().unwrap();
 }
 
 /// METRICS over raw lines: answered from the connection's first line,
@@ -622,58 +531,6 @@ fn v2_metrics_exposition_agrees_with_stats() {
 
     let mut other = Client::connect(addr);
     assert_eq!(other.roundtrip("SHUTDOWN"), "OK shutting down");
-    server.join().expect("server thread");
-}
-
-/// Sharded METRICS through the typed client: per-shard `shard="N"`
-/// labels on the applier families, shard-merge cache counters in the
-/// same registry, and the per-shard applied counts summing to the
-/// aggregate STATS view.
-#[test]
-fn metrics_sharded_labels_via_typed_client() {
-    let initial: Vec<Point> = (0..60)
-        .map(|i| Point::new_unchecked(i, vec![(i as f64) / 60.0, 1.0 - (i as f64) / 60.0]))
-        .collect();
-    let service = ShardedRmsService::start(
-        FdRms::builder(2).r(4).max_utilities(64).seed(3),
-        initial,
-        ServeConfig::default(),
-        2,
-    )
-    .unwrap();
-    let server = RmsServer::bind("127.0.0.1:0", service).expect("bind ephemeral port");
-    let addr = server.local_addr().unwrap();
-    let server = std::thread::spawn(move || server.run().expect("server run"));
-
-    let mut client = RmsClient::connect(addr).expect("client connect");
-    assert_eq!(client.hello().shards, 2);
-    // Ids 200 and 201 land on distinct shards (id % 2 routing).
-    client.insert(200, &[0.9, 0.9]).expect("insert");
-    client.insert(201, &[0.85, 0.95]).expect("insert");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let stats = client.stats().expect("stats");
-        if stats.ops_applied() == Some(2) {
-            break;
-        }
-        assert!(Instant::now() < deadline, "ops never became visible");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-
-    let body = client.metrics().expect("metrics");
-    assert!(body.contains("shard=\"0\""), "{body}");
-    assert!(body.contains("shard=\"1\""), "{body}");
-    assert_eq!(family_total(&body, "rms_applier_ops_applied_total"), 2.0);
-    let fams = families(&body);
-    assert!(fams.contains("rms_shard_merge_hits_total"), "{fams:?}");
-    assert!(fams.contains("rms_shard_merge_misses_total"), "{fams:?}");
-    // Every STATS above went through the merged-snapshot path, so the
-    // cache counters have moved.
-    let merges = family_total(&body, "rms_shard_merge_hits_total")
-        + family_total(&body, "rms_shard_merge_misses_total");
-    assert!(merges >= 1.0, "{body}");
-
-    client.shutdown().expect("shutdown");
     server.join().expect("server thread");
 }
 

@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rms_geom::{Point, PointId};
 use rms_serve::wal::Wal;
-use rms_serve::{RmsService, ServeConfig, ShardedRmsService};
+use rms_serve::{RmsService, ServeConfig};
 use std::path::PathBuf;
 
 fn random_points(seed: u64, n: usize, d: usize) -> Vec<Point> {
@@ -242,115 +242,24 @@ fn graceful_shutdown_compacts_to_a_checkpoint() {
     std::fs::remove_file(&path).unwrap();
 }
 
-#[test]
-fn shard_count_mismatch_is_refused() {
-    let d = 2;
-    let base = temp_wal("meta-guard");
-    let cleanup = || {
-        for i in 0..3 {
-            let _ = std::fs::remove_file(format!("{}.{i}", base.display()));
-        }
-        let _ = std::fs::remove_file(format!("{}.meta", base.display()));
-    };
-    cleanup();
-    let initial = random_points(9, 40, d);
-    let service = ShardedRmsService::start_with_wal(
-        builder(d),
-        initial.clone(),
-        ServeConfig::default(),
-        3,
-        &base,
-    )
-    .unwrap();
-    service.crash();
-
-    // Restarting with a different shard count must fail loudly instead
-    // of silently dropping a shard's log or re-partitioning ids.
-    let err = ShardedRmsService::start_with_wal(
-        builder(d),
-        initial.clone(),
-        ServeConfig::default(),
-        2,
-        &base,
-    )
-    .map(|_| ())
-    .unwrap_err();
-    assert!(err.to_string().contains("3-shard"), "{err}");
-
-    // The matching count still works.
-    let service =
-        ShardedRmsService::start_with_wal(builder(d), initial, ServeConfig::default(), 3, &base)
-            .unwrap();
-    for fd in service.shutdown() {
-        fd.check_invariants().unwrap();
-    }
-    cleanup();
-}
-
-#[test]
-fn failed_startup_does_not_pin_a_shard_count() {
-    let d = 2;
-    let base = temp_wal("meta-no-pin");
-    let cleanup = || {
-        for i in 0..4 {
-            let _ = std::fs::remove_file(format!("{}.{i}", base.display()));
-        }
-        let _ = std::fs::remove_file(format!("{}.meta", base.display()));
-    };
-    cleanup();
-    let initial = random_points(13, 30, d);
-    // r < d is rejected by the builder, after shard 0's log is opened
-    // but before any data lands — the sidecar must not be written.
-    assert!(ShardedRmsService::start_with_wal(
-        FdRms::builder(d).r(1).max_utilities(64),
-        initial.clone(),
-        ServeConfig::default(),
-        4,
-        &base,
-    )
-    .is_err());
-    assert!(
-        !PathBuf::from(format!("{}.meta", base.display())).exists(),
-        "failed startup must not record a shard count"
-    );
-    // A retry with a *different* count is not refused.
-    let service =
-        ShardedRmsService::start_with_wal(builder(d), initial, ServeConfig::default(), 2, &base)
-            .unwrap();
-    for fd in service.shutdown() {
-        fd.check_invariants().unwrap();
-    }
-    cleanup();
-}
-
+/// The shard groups of earlier builds logged to `<base>.<i>` and wrote a
+/// `<base>.meta` sidecar. Opening the bare base path would create a
+/// fresh empty log and silently ignore every acknowledged op in the shard
+/// logs, so the service refuses a path with a sidecar.
 #[test]
 fn single_service_refuses_a_shard_groups_logs() {
     let d = 2;
     let base = temp_wal("single-vs-sharded");
-    let cleanup = || {
-        for i in 0..2 {
-            let _ = std::fs::remove_file(format!("{}.{i}", base.display()));
-        }
-        let _ = std::fs::remove_file(format!("{}.meta", base.display()));
-    };
-    cleanup();
+    let meta = PathBuf::from(format!("{}.meta", base.display()));
+    let _ = std::fs::remove_file(&base);
+    std::fs::write(&meta, "shards=2\n").unwrap();
     let initial = random_points(15, 30, d);
-    let group = ShardedRmsService::start_with_wal(
-        builder(d),
-        initial.clone(),
-        ServeConfig::default(),
-        2,
-        &base,
-    )
-    .unwrap();
-    group.crash();
-    // Opening the bare base path would create a fresh empty log and
-    // silently ignore the shard logs; the library itself must refuse.
     let err = RmsService::start_with_wal(builder(d), initial, ServeConfig::default(), &base)
         .map(|_| ())
         .unwrap_err();
     assert!(err.to_string().contains("sharded group"), "{err}");
-    cleanup();
+    assert!(!base.exists(), "a refused start must not create a log");
+    std::fs::remove_file(&meta).unwrap();
 }
 
 /// Two writers race *conflicting* ops on the same ids: one inserts each
@@ -440,62 +349,4 @@ fn contended_id_recovery_matches_live_outcome() {
         );
         std::fs::remove_file(&path).unwrap();
     }
-}
-
-#[test]
-fn sharded_crash_recovery_loses_nothing() {
-    let d = 3;
-    let shards = 4;
-    let base = temp_wal("sharded-crash");
-    let cleanup = |base: &PathBuf| {
-        for i in 0..shards {
-            let _ = std::fs::remove_file(format!("{}.{i}", base.display()));
-        }
-    };
-    cleanup(&base);
-    let initial = random_points(7, 160, d);
-    let ops = random_ops(8, &initial, 240, d);
-
-    let service = ShardedRmsService::start_with_wal(
-        builder(d),
-        initial.clone(),
-        ServeConfig::default(),
-        shards,
-        &base,
-    )
-    .unwrap();
-    let handle = service.handle();
-    for op in ops.clone() {
-        handle.submit(op).unwrap();
-    }
-    service.crash();
-
-    // Restart the whole group from the per-shard logs: the union of the
-    // recovered shards must match a clean sequential apply, and every
-    // shard must hold exactly its id partition.
-    let restarted = ShardedRmsService::start_with_wal(
-        builder(d),
-        initial.clone(),
-        ServeConfig::default(),
-        shards,
-        &base,
-    )
-    .unwrap();
-    assert_eq!(restarted.snapshot().stats.wal_recovered_ops, 240);
-    let fds = restarted.shutdown();
-    assert_eq!(fds.len(), shards);
-    let mut union: Vec<PointId> = Vec::new();
-    for (i, fd) in fds.iter().enumerate() {
-        fd.check_invariants().unwrap();
-        let ids = live_ids(fd);
-        assert!(
-            ids.iter().all(|id| (id % shards as u64) as usize == i),
-            "shard {i} holds a foreign id"
-        );
-        union.extend(ids);
-    }
-    union.sort_unstable();
-    let seq = sequential(d, &initial, &ops);
-    assert_eq!(union, live_ids(&seq));
-    cleanup(&base);
 }

@@ -54,8 +54,8 @@ fn main() {
         let mut client = RmsClient::connect(addr).expect("writer connect");
         let hello = client.hello();
         println!(
-            "negotiated v{} (dim={}, r={}, shards={})",
-            hello.version, hello.dim, hello.r, hello.shards
+            "negotiated v{} (dim={}, k={}, r={})",
+            hello.version, hello.dim, hello.k, hello.r
         );
         let mut rng = StdRng::seed_from_u64(23);
         let mut live: VecDeque<PointId> = (0..N as PointId).collect();
@@ -95,8 +95,8 @@ fn main() {
         .subscribe(1)
         .expect("subscribe");
     println!(
-        "subscribed: epoch(s) {:?}, |Q| = {}",
-        sub.epochs(),
+        "subscribed: epoch {}, |Q| = {}",
+        sub.epochs()[0],
         sub.ids().len()
     );
     println!("elapsed_ms  version  +added  -removed  n_live  |Q|");

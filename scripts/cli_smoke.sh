@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the `krms` CLI: generate → run → skyline →
-# flag-parser regressions → sharded WAL-backed serve round-trip over
-# loopback (INSERT/QUERY/STATS, a Prometheus scrape of the
-# --metrics-addr endpoint with per-shard labels, and a SHUTDOWN drain),
+# flag-parser regressions and refusals (an unknown flag, the removed
+# shard option, a shard group's old WAL) → WAL-backed serve round-trip
+# over loopback (INSERT/QUERY/STATS, a Prometheus scrape of the
+# --metrics-addr endpoint, a SHUTDOWN drain and a recovery restart),
 # plus a session on a server with two reactor threads (HELLO parameter
 # advertisement, one-ack BATCH ingest without HELLO, SUBSCRIBE delta
 # push, METRICS exposition), using only bash built-ins (/dev/tcp) for
@@ -73,10 +74,25 @@ fi
 if "$BIN" frobnicate 2>/dev/null; then
     fail "unknown command was not rejected"
 fi
+# A flag the command does not read must error, not be ignored. The
+# removed shard option is one: it must not silently serve one engine.
+if err=$("$BIN" serve --in "$TMP/ds.krms" --r 8 --addr "127.0.0.1:$PORT" --shards 2 2>&1); then
+    fail "--shards was not rejected"
+fi
+[[ "$err" == *"unknown flag --shards for krms serve"* ]] || fail "--shards refusal: $err"
+# A shard group's old logs (a PATH.meta sidecar beside PATH.<i>) must
+# be refused, not replaced by a fresh empty log.
+printf 'shards=2\n' >"$TMP/old.wal.meta"
+if err=$("$BIN" serve --in "$TMP/ds.krms" --r 8 --addr "127.0.0.1:$PORT" \
+    --wal "$TMP/old.wal" 2>&1); then
+    fail "a shard group's WAL sidecar was not refused"
+fi
+[[ "$err" == *"belongs to a sharded group"* ]] || fail "sidecar refusal: $err"
+[ ! -e "$TMP/old.wal" ] || fail "the refused start created a log"
 
-# --- sharded WAL-backed serve round-trip -------------------------------
+# --- WAL-backed serve round-trip ----------------------------------------
 "$BIN" serve --in "$TMP/ds.krms" --r 8 --addr "127.0.0.1:$PORT" \
-    --shards 2 --wal "$TMP/ops.wal" \
+    --wal "$TMP/ops.wal" \
     --metrics-addr "127.0.0.1:$MPORT" >"$TMP/serve.log" 2>&1 &
 SERVE_PID=$!
 
@@ -89,13 +105,14 @@ done
 
 [[ "${replies[0]}" == "OK queued" ]] || fail "INSERT reply: ${replies[0]}"
 [[ "${replies[1]}" == "OK queued" ]] || fail "INSERT reply: ${replies[1]}"
-[[ "${replies[2]}" == OK\ epochs=* ]] || fail "QUERY reply: ${replies[2]}"
-[[ "${replies[3]}" == *"shards=2"* ]] || fail "STATS reply: ${replies[3]}"
+[[ "${replies[2]}" == OK\ epoch=* ]] || fail "QUERY reply: ${replies[2]}"
+[[ "${replies[3]}" == OK\ epoch=* ]] || fail "STATS reply: ${replies[3]}"
+[[ "${replies[3]}" != *"shards="* ]] || fail "STATS reply names shards: ${replies[3]}"
 
 # --- Prometheus scrape of the --metrics-addr endpoint ------------------
 # Stock HTTP over bash /dev/tcp: the reply must be a 200 with a
-# well-formed text exposition carrying per-shard labels (--shards 2) and
-# families from every instrumented subsystem.
+# well-formed text exposition carrying families from every instrumented
+# subsystem, unlabeled by shard.
 exec 5<>"/dev/tcp/127.0.0.1/$MPORT" || fail "metrics endpoint connect"
 printf 'GET /metrics HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n' >&5
 http=$(cat <&5)
@@ -106,20 +123,16 @@ exposition=${http#*$'\r\n\r\n'}
 for fam in rms_applier_queue_depth rms_applier_batch_ops rms_applier_apply_seconds \
            rms_applier_publish_seconds rms_applier_ops_applied_total \
            rms_applier_snapshot_publishes_total rms_wal_appends_total \
-           rms_wal_fsync_seconds rms_wal_recovered_ops_total rms_shard_merge_hits_total \
+           rms_wal_fsync_seconds rms_wal_recovered_ops_total \
            rms_tcp_connections_total rms_tcp_requests_total rms_tcp_request_seconds \
            rms_tcp_subscribers; do
     grep -q "^# TYPE $fam " <<<"$exposition" || fail "metric family $fam missing from scrape"
 done
 fam_count=$(grep -c '^# TYPE ' <<<"$exposition")
 [ "$fam_count" -ge 12 ] || fail "expected >= 12 metric families, got $fam_count"
-grep -q 'shard="0"' <<<"$exposition" || fail "shard=\"0\" label missing"
-grep -q 'shard="1"' <<<"$exposition" || fail "shard=\"1\" label missing"
-# Both acknowledged inserts reached the per-shard WALs.
-grep -q '^rms_wal_appends_total{shard="0"} 1$' <<<"$exposition" \
-    || fail "shard 0 WAL append count wrong"
-grep -q '^rms_wal_appends_total{shard="1"} 1$' <<<"$exposition" \
-    || fail "shard 1 WAL append count wrong"
+! grep -q 'shard=' <<<"$exposition" || fail "exposition carries a shard= label"
+# Both acknowledged inserts reached the WAL.
+grep -q '^rms_wal_appends_total 2$' <<<"$exposition" || fail "WAL append count wrong"
 # Well-formed: every non-comment line is `name[{labels}] value`.
 if grep -vE '^(#.*|[a-z0-9_]+(\{[^}]*\})? -?[0-9+][^ ]*)$' <<<"$exposition" | grep -q .; then
     fail "malformed exposition line: $(grep -vE '^(#.*|[a-z0-9_]+(\{[^}]*\})? -?[0-9+][^ ]*)$' <<<"$exposition" | head -1)"
@@ -132,8 +145,8 @@ exec 5<&- 5>&-
 [[ "$notfound" == "HTTP/1.1 404 Not Found"* ]] || fail "non-/metrics target not a 404"
 
 printf 'SHUTDOWN\n' >&3
-read -r -t 30 -u 3 bye_sharded || fail "no SHUTDOWN reply"
-[[ "$bye_sharded" == "OK shutting down" ]] || fail "SHUTDOWN reply: $bye_sharded"
+read -r -t 30 -u 3 bye_wal || fail "no SHUTDOWN reply"
+[[ "$bye_wal" == "OK shutting down" ]] || fail "SHUTDOWN reply: $bye_wal"
 exec 3<&- 3>&-
 
 # The SHUTDOWN drain must let the process exit cleanly...
@@ -150,13 +163,13 @@ wait "$SERVE_PID" || { cat "$TMP/serve.log" >&2; fail "server exited non-zero"; 
 SERVE_PID=""
 grep -q "shut down after" "$TMP/serve.log" || fail "missing drain summary"
 
-# ...and graceful shutdown compacts the per-shard write-ahead logs.
-{ [ -f "$TMP/ops.wal.0" ] && [ -f "$TMP/ops.wal.1" ]; } || fail "per-shard WALs missing"
+# ...and graceful shutdown compacts the write-ahead log.
+[ -f "$TMP/ops.wal" ] || fail "compacted WAL missing"
 
-# A restart from the compacted logs recovers the state (n = 402) without
+# A restart from the compacted log recovers the state (n = 402) without
 # a living writer.
 "$BIN" serve --in "$TMP/ds.krms" --r 8 --addr "127.0.0.1:$PORT" \
-    --shards 2 --wal "$TMP/ops.wal" >"$TMP/serve2.log" 2>&1 &
+    --wal "$TMP/ops.wal" >"$TMP/serve2.log" 2>&1 &
 SERVE_PID=$!
 connect 2>/dev/null || { cat "$TMP/serve2.log" >&2; fail "restarted server never came up"; }
 printf 'QUERY\nSHUTDOWN\n' >&3

@@ -60,13 +60,9 @@ USAGE:
                                batch engine, B operations at a time)
   krms serve    --in FILE --r R [--k K] [--eps E] [--max-m M]
                 [--addr HOST:PORT] [--queue Q] [--max-batch B]
-                [--shards S]     (S > 1: id-partitioned shard group —
-                                  mutations route by id % S, QUERY merges
-                                  the per-shard solutions)
                 [--wal PATH]     (write-ahead op log: acknowledged ops
                                   are logged before the ack and replayed
-                                  on restart; with --shards S, shard i
-                                  logs to PATH.i)
+                                  on restart)
                 [--wal-fsync true|false]  (fsync the log once per applied
                                   batch: survives power loss, not just
                                   process death; default false)
@@ -80,7 +76,7 @@ USAGE:
                 [--net-threads N]  (reactor threads serving connections;
                                   accepted sockets are dealt round-robin
                                   across the group; default 1)
-                                 (TCP front end over the serving backend;
+                                 (TCP front end over one FD-RMS service;
                                   line protocol: INSERT/DELETE/UPDATE/
                                   QUERY/STATS/SHUTDOWN, one reply per line;
                                   HELLO (server parameters), BATCH <n>
@@ -90,7 +86,9 @@ USAGE:
   krms skyline  --in FILE
 
 ALGO: FD-RMS | Greedy | GeoGreedy | Greedy* | DMM-RRMS | DMM-Greedy |
-      eps-Kernel | HS | Sphere | 2D-Sweep";
+      eps-Kernel | HS | Sphere | 2D-Sweep
+
+Each command refuses a flag it does not read.";
 
 /// Parses `--key value` pairs. Every flag takes exactly one value;
 /// a flag followed by another `--flag` (or by nothing) is an error, as is
@@ -123,6 +121,17 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         i += 2;
     }
     Ok(map)
+}
+
+/// Refuses any flag that `cmd` does not read (`known` lists them,
+/// space-separated): a misspelt flag such as `--wal-fsnyc true` would
+/// otherwise be ignored without a word.
+fn known_flags(flags: &HashMap<String, String>, cmd: &str, known: &str) -> Result<(), String> {
+    let unknown = |key: &&String| !known.split_whitespace().any(|k| k == key.as_str());
+    match flags.keys().filter(unknown).min() {
+        Some(key) => Err(format!("unknown flag --{key} for krms {cmd}")),
+        None => Ok(()),
+    }
 }
 
 fn get<T: std::str::FromStr>(
@@ -162,6 +171,7 @@ fn static_algo(name: &str, d: usize) -> Result<Option<Box<dyn StaticRms>>, Strin
 }
 
 fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
+    known_flags(flags, "generate", "dataset n d seed out")?;
     let name = flags.get("dataset").ok_or("missing --dataset")?;
     let ds = krms::data::dataset_by_name(name).ok_or(format!("unknown dataset {name}"))?;
     let mut spec = ds.spec();
@@ -176,6 +186,7 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
+    known_flags(flags, "run", "in algo r k eps max-m eval")?;
     let points = load_points(flags)?;
     let d = points.first().map(Point::dim).ok_or("empty dataset")?;
     let algo = flags.get("algo").ok_or("missing --algo")?;
@@ -217,6 +228,11 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_workload(flags: &HashMap<String, String>) -> Result<(), String> {
+    known_flags(
+        flags,
+        "workload",
+        "in algo r k eps max-m ops eval seed batch",
+    )?;
     let points = load_points(flags)?;
     let d = points.first().map(Point::dim).ok_or("empty dataset")?;
     let algo = flags.get("algo").ok_or("missing --algo")?;
@@ -395,51 +411,6 @@ fn cmd_workload(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Binds, serves, and summarizes any started backend — the single
-/// service and the shard group share this path end to end (the
-/// `RmsBackend` trait carries everything the front end needs).
-fn serve_backend<B: krms::serve::RmsBackend>(
-    backend: B,
-    addr: &str,
-    metrics_addr: Option<&str>,
-    net_threads: usize,
-    banner: &str,
-) -> Result<(), String> {
-    use krms::serve::RmsServer;
-
-    if let Some(maddr) = metrics_addr {
-        let registry = std::sync::Arc::clone(backend.registry());
-        let listener =
-            std::net::TcpListener::bind(maddr).map_err(|e| format!("bind metrics {maddr}: {e}"))?;
-        let bound = listener.local_addr().map_err(|e| e.to_string())?;
-        std::thread::Builder::new()
-            .name("rms-metrics-http".into())
-            .spawn(move || serve_metrics_http(&listener, &registry))
-            .map_err(|e| format!("spawn metrics listener: {e}"))?;
-        println!("metrics: http://{bound}/metrics");
-    }
-    let server = RmsServer::bind(addr, backend)
-        .map_err(|e| format!("bind {addr}: {e}"))?
-        .with_net_threads(net_threads);
-    println!(
-        "{banner} on {}",
-        server.local_addr().map_err(|e| e.to_string())?
-    );
-    println!("protocol: INSERT <id> <v1..vd> | DELETE <id> | UPDATE <id> <v1..vd> | QUERY | STATS | SHUTDOWN");
-    println!(
-        "          HELLO v2 | BATCH <n> (one ack for n ops) | SUBSCRIBE [every=K] [ids=LO..HI] (DELTA push) | METRICS"
-    );
-    let fds = server.run().map_err(|e| e.to_string())?;
-    let ops: u64 = fds.iter().map(FdRms::operations).sum();
-    let live: usize = fds.iter().map(FdRms::len).sum();
-    let solution: usize = fds.iter().map(|fd| fd.result().len()).sum();
-    println!(
-        "shut down after {ops} ops across {} shard(s); final n = {live}, Σ|Q_s| = {solution}",
-        fds.len()
-    );
-    Ok(())
-}
-
 /// Minimal HTTP scrape endpoint for the `--metrics-addr` listener:
 /// answers `GET /metrics` with the registry's Prometheus text
 /// exposition, 404 for any other target; one request per connection
@@ -489,25 +460,26 @@ fn serve_metrics_http(listener: &std::net::TcpListener, registry: &krms::metrics
 }
 
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
-    use krms::serve::{RmsService, ServeConfig, ShardedRmsService};
+    use krms::serve::{RmsServer, RmsService, ServeConfig};
     use std::path::PathBuf;
 
+    known_flags(
+        flags,
+        "serve",
+        "in r k eps max-m addr queue max-batch wal wal-fsync mrr-dirs mrr-every mrr-seed \
+         metrics-addr net-threads",
+    )?;
     let points = load_points(flags)?;
     let d = points.first().map(Point::dim).ok_or("empty dataset")?;
     let r: usize = get(flags, "r", 10)?;
     let k: usize = get(flags, "k", 1)?;
     let eps: f64 = get(flags, "eps", 0.02)?;
     let max_m: usize = get(flags, "max-m", 1 << 12)?;
-    let shards: usize = get(flags, "shards", 1)?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
     let wal: Option<PathBuf> = flags.get("wal").map(PathBuf::from);
     let addr = flags
         .get("addr")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:7878".to_string());
-    let metrics_addr = flags.get("metrics-addr").cloned();
     let net_threads: usize = get(flags, "net-threads", 1usize)?;
     if net_threads == 0 {
         return Err("--net-threads must be at least 1".into());
@@ -524,10 +496,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     if cfg.wal_fsync && wal.is_none() {
         return Err("--wal-fsync true requires --wal PATH".into());
     }
-    // Single↔sharded WAL mismatches are refused by the serve layer
-    // itself: `RmsService::start_with_wal` rejects a path with a
-    // `.meta` sidecar (a shard group's logs), and the shard group
-    // rejects a bare single-service log or a different shard count.
 
     let n = points.len();
     let builder = FdRms::builder(d)
@@ -535,45 +503,53 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         .r(r)
         .epsilon(eps)
         .max_utilities(max_m);
-    let banner = format!(
-        "serving FD-RMS (n = {n}, d = {d}, k = {k}, r = {r}, eps = {eps}, shards = {shards}{})",
+    // `start_with_wal` itself refuses a log that a shard group of an
+    // earlier build left behind (a `PATH.meta` sidecar).
+    let service = match &wal {
+        Some(path) => {
+            RmsService::start_with_wal(builder, points, cfg, path).map_err(|e| e.to_string())?
+        }
+        None => RmsService::start(builder, points, cfg).map_err(|e| e.to_string())?,
+    };
+    if let Some(maddr) = flags.get("metrics-addr") {
+        let registry = std::sync::Arc::clone(service.registry());
+        let listener =
+            std::net::TcpListener::bind(maddr).map_err(|e| format!("bind metrics {maddr}: {e}"))?;
+        let bound = listener.local_addr().map_err(|e| e.to_string())?;
+        std::thread::Builder::new()
+            .name("rms-metrics-http".into())
+            .spawn(move || serve_metrics_http(&listener, &registry))
+            .map_err(|e| format!("spawn metrics listener: {e}"))?;
+        println!("metrics: http://{bound}/metrics");
+    }
+    let server = RmsServer::bind(&addr, service)
+        .map_err(|e| format!("bind {addr}: {e}"))?
+        .with_net_threads(net_threads);
+    println!(
+        "serving FD-RMS (n = {n}, d = {d}, k = {k}, r = {r}, eps = {eps}{}) on {}",
         wal.as_deref()
             .map(|p| format!(", wal = {}", p.display()))
             .unwrap_or_default(),
+        server.local_addr().map_err(|e| e.to_string())?
     );
-    if shards > 1 {
-        let service = match &wal {
-            Some(path) => ShardedRmsService::start_with_wal(builder, points, cfg, shards, path)
-                .map_err(|e| e.to_string())?,
-            None => {
-                ShardedRmsService::start(builder, points, cfg, shards).map_err(|e| e.to_string())?
-            }
-        };
-        serve_backend(
-            service,
-            &addr,
-            metrics_addr.as_deref(),
-            net_threads,
-            &banner,
-        )
-    } else {
-        let service = match &wal {
-            Some(path) => {
-                RmsService::start_with_wal(builder, points, cfg, path).map_err(|e| e.to_string())?
-            }
-            None => RmsService::start(builder, points, cfg).map_err(|e| e.to_string())?,
-        };
-        serve_backend(
-            service,
-            &addr,
-            metrics_addr.as_deref(),
-            net_threads,
-            &banner,
-        )
+    println!("protocol: INSERT <id> <v1..vd> | DELETE <id> | UPDATE <id> <v1..vd> | QUERY | STATS | SHUTDOWN");
+    println!(
+        "          HELLO v2 | BATCH <n> (one ack for n ops) | SUBSCRIBE [every=K] [ids=LO..HI] (DELTA push) | METRICS"
+    );
+    let engines = server.run().map_err(|e| e.to_string())?;
+    if let [fd] = engines.as_slice() {
+        println!(
+            "shut down after {} ops; final n = {}, |Q| = {}",
+            fd.operations(),
+            fd.len(),
+            fd.result().len()
+        );
     }
+    Ok(())
 }
 
 fn cmd_skyline(flags: &HashMap<String, String>) -> Result<(), String> {
+    known_flags(flags, "skyline", "in")?;
     let points = load_points(flags)?;
     let sw = krms::eval::Stopwatch::start();
     let sky = skyline(&points);
@@ -590,7 +566,7 @@ fn cmd_skyline(flags: &HashMap<String, String>) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_flags;
+    use super::{cmd_serve, cmd_skyline, parse_flags};
 
     fn args(raw: &[&str]) -> Vec<String> {
         raw.iter().map(|s| s.to_string()).collect()
@@ -626,6 +602,27 @@ mod tests {
         let err = parse_flags(&args(&["--in", "x", "stray"])).unwrap_err();
         assert!(err.contains("stray"), "{err}");
         assert!(parse_flags(&args(&["--"])).is_err());
+    }
+
+    #[test]
+    fn commands_refuse_flags_they_do_not_read() {
+        // Each command checks its flags before it touches `--in`, so the
+        // missing dataset never gets read.
+        let flags = parse_flags(&args(&["--in", "missing.krms", "--bogus", "1"])).unwrap();
+        assert_eq!(
+            cmd_skyline(&flags).unwrap_err(),
+            "unknown flag --bogus for krms skyline"
+        );
+        // A typo must not serve without fsync, and a removed option must
+        // not be ignored.
+        for flag in ["wal-fsnyc", "shards"] {
+            let flags =
+                parse_flags(&args(&["--in", "missing.krms", &format!("--{flag}"), "2"])).unwrap();
+            assert_eq!(
+                cmd_serve(&flags).unwrap_err(),
+                format!("unknown flag --{flag} for krms serve")
+            );
+        }
     }
 
     #[test]

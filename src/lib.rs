@@ -51,9 +51,7 @@ pub mod prelude {
     pub use crate::eval::{max_regret_ratio, RegretEstimator};
     pub use crate::geom::{Point, PointId, Utility};
     pub use crate::serve::{
-        AggregateSnapshot, BackendView, DeltaReceiver, ResultSnapshot, RmsBackend,
-        RmsBackendHandle, RmsHandle, RmsServer, RmsService, ServeConfig, ShardedHandle,
-        ShardedRmsService, SnapshotDelta,
+        DeltaReceiver, ResultSnapshot, RmsHandle, RmsServer, RmsService, ServeConfig, SnapshotDelta,
     };
     pub use crate::skyline::{skyline, DynamicSkyline};
 }
