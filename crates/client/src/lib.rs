@@ -647,4 +647,20 @@ mod tests {
         );
         assert!(parse_hello("OK queued").is_err());
     }
+
+    #[test]
+    fn parses_hello_with_fields_it_does_not_know() {
+        // Servers of earlier builds appended ` shards=1`; unknown fields
+        // are skipped, so this client still reads their parameters.
+        let h = parse_hello("OK v2 dim=4 k=2 r=16 shards=1").unwrap();
+        assert_eq!(
+            h,
+            ServerHello {
+                version: 2,
+                dim: 4,
+                k: 2,
+                r: 16,
+            }
+        );
+    }
 }

@@ -868,3 +868,94 @@ where
     }
     out
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::{RmsService, ServeConfig};
+    use crate::snapshot::ServiceStats;
+
+    fn point(id: PointId) -> Point {
+        Point::new_unchecked(id, vec![0.5, 0.5])
+    }
+
+    #[test]
+    fn query_reply_keeps_its_wire_form() {
+        let mut snap = ResultSnapshot {
+            epoch: 7,
+            result: vec![point(3), point(11)],
+            len: 60,
+            m: 64,
+            mrr: None,
+            stats: ServiceStats::default(),
+        };
+        assert_eq!(format_query(&snap), "OK epoch=7 n=60 r=2 ids=3,11");
+        // An empty solution still names the field.
+        snap.result.clear();
+        assert_eq!(format_query(&snap), "OK epoch=7 n=60 r=0 ids=");
+    }
+
+    #[test]
+    fn stats_reply_keeps_its_wire_form() {
+        let points = (0..20)
+            .map(|i| Point::new_unchecked(i, vec![i as f64 / 20.0, 1.0 - i as f64 / 20.0]))
+            .collect();
+        let service = RmsService::start(
+            fdrms::FdRms::builder(2).r(3).max_utilities(16).seed(1),
+            points,
+            ServeConfig::default(),
+        )
+        .unwrap();
+        let snap = service.snapshot();
+        assert_eq!(
+            format_stats(&service.handle()),
+            format!(
+                "OK epoch=0 n=20 m={} r={} queue_depth=0 batches=0 replayed_batches=0 \
+                 ops_applied=0 ops_rejected=0 wal_recovered=0 last_batch=0 max_coalesced=0 \
+                 avg_apply_ms=0.0000 last_apply_ms=0.0000",
+                snap.m,
+                snap.result.len()
+            )
+        );
+    }
+
+    #[test]
+    fn delta_line_slices_ids_to_the_filter_but_keeps_its_header() {
+        let delta = SnapshotDelta {
+            from_version: 4,
+            version: 6,
+            added: vec![point(2), point(9)],
+            removed: vec![5, 12],
+            len: 61,
+        };
+        assert_eq!(
+            format_delta(&delta, None),
+            "DELTA epoch=6 from=4 n=61 +2,9 -5,12"
+        );
+        assert_eq!(
+            format_delta(&delta, Some((0, 5))),
+            "DELTA epoch=6 from=4 n=61 +2 -5"
+        );
+        assert_eq!(
+            format_delta(&delta, Some((20, 30))),
+            "DELTA epoch=6 from=4 n=61"
+        );
+        assert_eq!(
+            &*encode_delta_line(&delta, Some((9, 12))),
+            b"DELTA epoch=6 from=4 n=61 +9 -12\n"
+        );
+    }
+
+    #[test]
+    fn metrics_reply_counts_the_lines_that_follow() {
+        let registry = Registry::new();
+        assert_eq!(format_metrics(&registry), "OK metrics lines=0");
+        registry
+            .register_counter("rms_test_events_total", "Test events.", &[])
+            .add(3);
+        let reply = format_metrics(&registry);
+        let (header, body) = reply.split_once('\n').unwrap();
+        assert_eq!(header, format!("OK metrics lines={}", body.lines().count()));
+        assert!(body.ends_with("rms_test_events_total 3"), "{body}");
+    }
+}

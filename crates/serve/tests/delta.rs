@@ -194,6 +194,33 @@ fn single_service_delta_stream_reproduces_published_solutions() {
     check_delta_stream(service, ops, max_batch);
 }
 
+/// The same stream from a WAL-backed service, whose submit path logs each
+/// op before acknowledging it and whose applier fsyncs the log after every
+/// batch, before it publishes.
+#[test]
+fn wal_backed_delta_stream_reproduces_published_solutions() {
+    let d = 3;
+    let initial = random_points(3, 200, d);
+    let ops = random_ops(4, &initial, 400, d);
+    let max_batch = 16;
+    let path = std::env::temp_dir().join(format!("krms-delta-{}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let service = RmsService::start_with_wal(
+        builder(d),
+        initial,
+        ServeConfig {
+            queue_capacity: 32,
+            max_batch,
+            wal_fsync: true,
+            ..ServeConfig::default()
+        },
+        &path,
+    )
+    .unwrap();
+    check_delta_stream(service, ops, max_batch);
+    std::fs::remove_file(&path).unwrap();
+}
+
 /// A watcher registered mid-stream starts from the then-current snapshot
 /// and still reconstructs exactly; a watcher registered after shutdown
 /// gets an immediately-closed stream, not a hang.

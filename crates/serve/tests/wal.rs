@@ -262,6 +262,88 @@ fn single_service_refuses_a_shard_groups_logs() {
     std::fs::remove_file(&meta).unwrap();
 }
 
+/// A start that fails after the log is opened (here the builder refuses
+/// r < d) leaves the log byte for byte as it found it, so a retry with a
+/// valid configuration still recovers every acknowledged op.
+#[test]
+fn failed_startup_keeps_the_log_for_a_retry() {
+    let d = 2;
+    let path = temp_wal("failed-start");
+    let _ = std::fs::remove_file(&path);
+    let initial = random_points(13, 30, d);
+    let ops = random_ops(14, &initial, 40, d);
+    let service =
+        RmsService::start_with_wal(builder(d), initial.clone(), ServeConfig::default(), &path)
+            .unwrap();
+    for op in ops.clone() {
+        service.submit(op).unwrap();
+    }
+    service.crash();
+    let logged = std::fs::read(&path).unwrap();
+
+    assert!(RmsService::start_with_wal(
+        FdRms::builder(d).r(1).max_utilities(64),
+        initial.clone(),
+        ServeConfig::default(),
+        &path,
+    )
+    .is_err());
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        logged,
+        "a failed start must not touch the log"
+    );
+
+    let restarted =
+        RmsService::start_with_wal(builder(d), initial.clone(), ServeConfig::default(), &path)
+            .unwrap();
+    assert_eq!(restarted.snapshot().stats.wal_recovered_ops, 40);
+    let fd = restarted.shutdown();
+    fd.check_invariants().unwrap();
+    assert_eq!(live_ids(&fd), live_ids(&sequential(d, &initial, &ops)));
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Recovery does not compact: a restarted service appends its own acked
+/// ops after the records it replayed, so a second unclean death loses
+/// neither run's ops and the next start replays both.
+#[test]
+fn a_second_crash_loses_neither_runs_ops() {
+    let d = 3;
+    let path = temp_wal("double-crash");
+    let _ = std::fs::remove_file(&path);
+    let initial = random_points(21, 120, d);
+    let ops = random_ops(22, &initial, 300, d);
+    let (first, second) = ops.split_at(180);
+
+    let service =
+        RmsService::start_with_wal(builder(d), initial.clone(), ServeConfig::default(), &path)
+            .unwrap();
+    for op in first {
+        service.submit(op.clone()).unwrap();
+    }
+    service.crash();
+
+    let restarted =
+        RmsService::start_with_wal(builder(d), initial.clone(), ServeConfig::default(), &path)
+            .unwrap();
+    assert_eq!(restarted.snapshot().stats.wal_recovered_ops, 180);
+    for op in second {
+        restarted.submit(op.clone()).unwrap();
+    }
+    restarted.crash();
+
+    let again =
+        RmsService::start_with_wal(builder(d), initial.clone(), ServeConfig::default(), &path)
+            .unwrap();
+    assert_eq!(again.snapshot().stats.wal_recovered_ops, 300);
+    let fd = again.shutdown();
+    fd.check_invariants().unwrap();
+    let seq = sequential(d, &initial, &ops);
+    assert_eq!(live_ids(&fd), live_ids(&seq));
+    std::fs::remove_file(&path).unwrap();
+}
+
 /// Two writers race *conflicting* ops on the same ids: one inserts each
 /// contended id, the other deletes it. The live outcome of each race is
 /// readable from the stats — if the delete was applied first it was

@@ -54,8 +54,10 @@ const USAGE: &str = "krms — k-regret minimizing sets
 USAGE:
   krms generate --dataset <BB|AQ|CT|Movie|Indep|AntiCor> [--n N] [--d D]
                 [--seed S] --out FILE
-  krms run      --in FILE --algo ALGO --r R [--k K] [--eps E] [--eval N]
-  krms workload --in FILE --algo ALGO --r R [--k K] [--ops N] [--eval N]
+  krms run      --in FILE --algo ALGO --r R [--k K] [--eps E] [--max-m M]
+                [--eval N]
+  krms workload --in FILE --algo ALGO --r R [--k K] [--eps E] [--max-m M]
+                [--ops N] [--eval N] [--seed S]
                 [--batch B]   (B > 1 streams FD-RMS updates through the
                                batch engine, B operations at a time)
   krms serve    --in FILE --r R [--k K] [--eps E] [--max-m M]
@@ -123,10 +125,28 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     Ok(map)
 }
 
-/// Refuses any flag that `cmd` does not read (`known` lists them,
-/// space-separated): a misspelt flag such as `--wal-fsnyc true` would
-/// otherwise be ignored without a word.
-fn known_flags(flags: &HashMap<String, String>, cmd: &str, known: &str) -> Result<(), String> {
+/// The flags each command reads, space-separated; `USAGE` documents
+/// exactly these.
+const COMMAND_FLAGS: [(&str, &str); 5] = [
+    ("generate", "dataset n d seed out"),
+    ("run", "in algo r k eps max-m eval"),
+    ("workload", "in algo r k eps max-m ops eval seed batch"),
+    (
+        "serve",
+        "in r k eps max-m addr queue max-batch wal wal-fsync mrr-dirs mrr-every mrr-seed \
+         metrics-addr net-threads",
+    ),
+    ("skyline", "in"),
+];
+
+/// Refuses any flag that `cmd` does not read (see [`COMMAND_FLAGS`]): a
+/// misspelt flag such as `--wal-fsnyc true` would otherwise be ignored
+/// without a word.
+fn known_flags(flags: &HashMap<String, String>, cmd: &str) -> Result<(), String> {
+    let known = COMMAND_FLAGS
+        .iter()
+        .find_map(|&(c, known)| (c == cmd).then_some(known))
+        .unwrap_or_default();
     let unknown = |key: &&String| !known.split_whitespace().any(|k| k == key.as_str());
     match flags.keys().filter(unknown).min() {
         Some(key) => Err(format!("unknown flag --{key} for krms {cmd}")),
@@ -171,7 +191,7 @@ fn static_algo(name: &str, d: usize) -> Result<Option<Box<dyn StaticRms>>, Strin
 }
 
 fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
-    known_flags(flags, "generate", "dataset n d seed out")?;
+    known_flags(flags, "generate")?;
     let name = flags.get("dataset").ok_or("missing --dataset")?;
     let ds = krms::data::dataset_by_name(name).ok_or(format!("unknown dataset {name}"))?;
     let mut spec = ds.spec();
@@ -186,7 +206,7 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
-    known_flags(flags, "run", "in algo r k eps max-m eval")?;
+    known_flags(flags, "run")?;
     let points = load_points(flags)?;
     let d = points.first().map(Point::dim).ok_or("empty dataset")?;
     let algo = flags.get("algo").ok_or("missing --algo")?;
@@ -228,11 +248,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_workload(flags: &HashMap<String, String>) -> Result<(), String> {
-    known_flags(
-        flags,
-        "workload",
-        "in algo r k eps max-m ops eval seed batch",
-    )?;
+    known_flags(flags, "workload")?;
     let points = load_points(flags)?;
     let d = points.first().map(Point::dim).ok_or("empty dataset")?;
     let algo = flags.get("algo").ok_or("missing --algo")?;
@@ -463,12 +479,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     use krms::serve::{RmsServer, RmsService, ServeConfig};
     use std::path::PathBuf;
 
-    known_flags(
-        flags,
-        "serve",
-        "in r k eps max-m addr queue max-batch wal wal-fsync mrr-dirs mrr-every mrr-seed \
-         metrics-addr net-threads",
-    )?;
+    known_flags(flags, "serve")?;
     let points = load_points(flags)?;
     let d = points.first().map(Point::dim).ok_or("empty dataset")?;
     let r: usize = get(flags, "r", 10)?;
@@ -549,7 +560,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_skyline(flags: &HashMap<String, String>) -> Result<(), String> {
-    known_flags(flags, "skyline", "in")?;
+    known_flags(flags, "skyline")?;
     let points = load_points(flags)?;
     let sw = krms::eval::Stopwatch::start();
     let sky = skyline(&points);
@@ -566,7 +577,11 @@ fn cmd_skyline(flags: &HashMap<String, String>) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::{cmd_serve, cmd_skyline, parse_flags};
+    use super::{
+        cmd_generate, cmd_run, cmd_serve, cmd_skyline, cmd_workload, parse_flags, COMMAND_FLAGS,
+        USAGE,
+    };
+    use std::collections::{BTreeSet, HashMap};
 
     fn args(raw: &[&str]) -> Vec<String> {
         raw.iter().map(|s| s.to_string()).collect()
@@ -622,6 +637,48 @@ mod tests {
                 cmd_serve(&flags).unwrap_err(),
                 format!("unknown flag --{flag} for krms serve")
             );
+        }
+    }
+
+    #[test]
+    fn usage_documents_exactly_the_flags_each_command_reads() {
+        for (cmd, known) in COMMAND_FLAGS {
+            // A command's entry runs from `krms <cmd>` to the next entry.
+            let entry = USAGE
+                .split_once(&format!("\n  krms {cmd} "))
+                .unwrap_or_else(|| panic!("USAGE has no entry for {cmd}"))
+                .1;
+            let entry = entry.split("\n  krms ").next().unwrap();
+            let entry = entry.split("\n\n").next().unwrap();
+            let documented: BTreeSet<&str> = entry
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter_map(|token| token.strip_prefix("--"))
+                .collect();
+            let read: BTreeSet<&str> = known.split_whitespace().collect();
+            assert_eq!(documented, read, "krms {cmd}");
+        }
+    }
+
+    #[test]
+    fn commands_accept_every_flag_they_read() {
+        type Cmd = fn(&HashMap<String, String>) -> Result<(), String>;
+        let commands: [(&str, Cmd, &str); 5] = [
+            ("generate", cmd_generate, "unknown dataset missing"),
+            ("run", cmd_run, "cannot read dataset from missing"),
+            ("workload", cmd_workload, "cannot read dataset from missing"),
+            ("serve", cmd_serve, "cannot read dataset from missing"),
+            ("skyline", cmd_skyline, "cannot read dataset from missing"),
+        ];
+        for (name, cmd, expected) in commands {
+            let (_, known) = COMMAND_FLAGS.iter().find(|(c, _)| *c == name).unwrap();
+            // Every flag this command reads, each set to `missing`: the
+            // flag check passes, and the command fails at its input
+            // before it writes, binds or serves anything.
+            let flags: HashMap<String, String> = known
+                .split_whitespace()
+                .map(|flag| (flag.to_string(), "missing".to_string()))
+                .collect();
+            assert_eq!(cmd(&flags).unwrap_err(), expected, "krms {name}");
         }
     }
 
