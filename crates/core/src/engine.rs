@@ -9,35 +9,41 @@
 //! operations overlap in the utilities they touch — recomputes the same
 //! top-k results up to `B` times.
 //!
-//! [`FdRms::apply_batch`] instead applies a whole batch in five phases:
+//! [`FdRms::apply_batch`] instead applies a whole batch in five phases.
+//! It is the engine's only maintenance path: [`FdRms::insert`],
+//! [`FdRms::delete`] and [`FdRms::update`] are batches of one.
 //!
 //! 1. **Validate & normalise** — the operation stream is checked against
 //!    the live database (errors reject the batch *before* any mutation)
 //!    and folded to its net effect: a tuple inserted and deleted within
 //!    the batch touches nothing, an update whose attributes equal the
-//!    stored tuple's is dropped.
+//!    stored tuple's is dropped. The operations are grouped by id, in
+//!    batch order within an id, so validation builds no map and copies no
+//!    tuple.
 //! 2. **Tuple index** — all kd-tree mutations are applied up front, so
 //!    every later query sees the post-batch database. The engine's tuple
 //!    table follows: an updated tuple's row takes its new attributes, and
 //!    a deleted tuple's row is marked dead while its set stays in the
 //!    cover until phase 4.
-//! 3. **Recompute** — the affected utilities (the deleted and updated
+//! 3. **Recompute** — the affected utilities are the deleted and updated
 //!    tuples' memberships ∪ the utilities the written tuples reach, found
-//!    by one [`ConeTree::visit_hits`](rms_index::ConeTree::visit_hits)
-//!    sweep) are brought to their post-batch state **once**, in ascending
-//!    order on the calling thread, no matter how many operations touched
-//!    them. A utility that lost an exact top-k member pays one *requery*,
-//!    answered from its ε-band — the sequential path pays one per
-//!    deletion. The pre-batch `Φ` members that survived, rescored at
-//!    their post-batch attributes, plus the cone hits hold every tuple
-//!    that clears the old `τ`: when `k` of them still clear it, their
-//!    best `k` are the new exact top-k, and otherwise the kd-tree's
+//!    by [`ConeTree::hits_into`](rms_index::ConeTree::hits_into), one
+//!    scan of every threshold per written tuple. A utility that only lost
+//!    a member below its exact top-k keeps its top-k and `τ`; every other
+//!    one is brought to its post-batch state **once**, in ascending order
+//!    on the calling thread, no matter how many operations touched it. A
+//!    utility that lost an exact top-k member pays one *requery*,
+//!    answered from its ε-band, however many of those members the batch
+//!    deleted. The pre-batch `Φ` members that survived, rescored at their
+//!    post-batch attributes, plus the cone hits hold every tuple that
+//!    clears the old `τ`: when `k` of them still clear it, their best `k`
+//!    are the new exact top-k, and otherwise the kd-tree's
 //!    [`top_k`](rms_index::KdTree::top_k) answers. The kd-tree is walked
 //!    once, and only when `τ` fell, for the entrants in `[τ′, τ)`.
-//!    Every other affected utility updates *incrementally*, exactly like
-//!    the sequential insertion path but batched: merge the cone hits into
-//!    the stored top-k in place, recompute `τ`, scan for evictions only
-//!    when `τ` rose. Every rescore of `Φ` walks the utility's set row
+//!    Every other recomputed utility updates *incrementally*: merge the
+//!    cone hits into the stored top-k in place, recompute `τ`, scan for
+//!    evictions only when `τ` rose, else rescore just the updated
+//!    members. Every rescore of `Φ` walks the utility's set row
 //!    ([`slots_containing`](rms_setcover::DynamicSetCover::slots_containing))
 //!    and reads each member from the tuple table row of its slot,
 //!    skipping dead rows; it looks up no id. Each new top-k and `τ` is
@@ -54,43 +60,41 @@
 //! 5. **Rebalance** — `UPDATE-M` (Algorithm 4) runs once to steer the
 //!    solution back to size `r`.
 //!
-//! Phases 2–4 also work in tables the engine owns and reuses from batch
-//! to batch: one row per utility (its affected and requery flags, and
-//! where its runs sit in the flat lists), the affected utilities in one
-//! list sorted once, and flat lists of cone hits, updated members and
-//! membership deltas. They build no map, and apart from what a requery
-//! returns, a batch allocates nothing per affected utility.
+//! Every phase works in tables the engine owns and reuses from call to
+//! call: the operations' id order, the net effect's slots, one row per
+//! utility (its affected and requery flags, and where its runs sit in the
+//! flat lists), the utilities to recompute in one list sorted once, and
+//! flat lists of cone hits, updated members and membership deltas. They
+//! build no map, and apart from what a requery returns, a call allocates
+//! nothing per affected utility.
 //!
 //! The identical answers of two engines fed the same stream rest on row
 //! order: `Φ` is rescored in the order of the utility's set row, which
 //! the cover keeps in call order up to swap-removals, and evictions are
-//! issued in that order per-op and in id order batched.
-//!
-//! Whether batching pays depends on ε. On the benchmark's `maintain`
-//! data (`perfbench`: anticorrelated `d = 6`, `n₀ = 3 000`, `k = 3`,
-//! `r = 50`, `M = 2 048`, 2-core host), with each call keeping its
-//! fastest time over three to five repetitions as `perfbench` does,
-//! `apply_batch` over batches of 100 ops ran at 0.83–1.08× the throughput
-//! of per-op calls over the same ops at `ε = 0.1` (twelve streams, seeds
-//! 7–9), and at 1.00–1.69× at `ε = 0.01` (eight streams, seeds 7–8).
+//! issued in id order.
 //!
 //! Because the per-utility states are canonical — fully determined by the
-//! final database — the batched path reaches exactly the state that
-//! [`FdRms::check_invariants`] certifies for the sequential path: same
-//! top-k results, same thresholds, same set system, and a stable cover of
-//! the same universe. The *solution* (which stable cover you get) may
-//! differ from the sequential path's, as stable covers are not unique;
-//! both carry the same `O(log m)` quality guarantee (Theorem 1).
-//!
-//! Single-operation batches are routed to the classic per-op path, so
-//! [`FdRms::insert`], [`FdRms::delete`], and [`FdRms::update`] behave
-//! exactly as before this engine existed.
+//! final database — every call ends in the state that
+//! [`FdRms::check_invariants`] certifies, whatever the batch size: the
+//! same top-k results, thresholds and set system as the paper's per-op
+//! loop reaches, and a stable cover of the same universe. The *solution*
+//! (which stable cover you get) may differ between batch sizes and from
+//! the paper's loop, as stable covers are not unique; all carry the same
+//! `O(log m)` quality guarantee (Theorem 1). In particular a one-operation
+//! update re-balances once, where the paper's loop, which models it as a
+//! deletion then an insertion, re-balances after each. On the benchmark's
+//! `maintain` data (seed 11), one-op calls held the same solution as the
+//! per-op code this path replaced after only 168–591 of each part's
+//! 3 000 calls, at equal quality (`perfbench`'s traced `quality.mrr` on
+//! seeds 301–303: 0.121, 0.123 and 0.117 before, 0.122, 0.123 and 0.119
+//! after).
+//! [`UpdateStats::batches`](crate::UpdateStats::batches) counts every
+//! call that passed validation, one-op calls included.
 
 use crate::algorithm::{merge_top_k, requery, threshold, FdRms, Requery, TopKState};
 use crate::builder::FdRmsError;
 use rms_geom::{rank_cmp, Point, PointId, RankedPoint};
-use rms_setcover::ElemId;
-use std::collections::BTreeMap;
+use rms_setcover::{ElemId, Slot};
 use std::ops::Range;
 
 /// A single database operation in a batch (Section II-B's `Δ_t`, plus the
@@ -116,7 +120,8 @@ impl Op {
     }
 }
 
-/// Per-batch instrumentation returned by [`FdRms::apply_batch`].
+/// Per-call instrumentation returned by [`FdRms::apply_batch`]: the
+/// engine's one report, whatever the batch size.
 ///
 /// `affected_utilities`, `requeried_utilities`, `membership_additions`
 /// and `membership_removals` are the batch's share of [`FdRms::stats`]:
@@ -134,7 +139,10 @@ pub struct BatchReport {
     pub updated: usize,
     /// Updates dropped because their attributes matched the stored tuple.
     pub noop_updates: usize,
-    /// Distinct utility vectors whose top-k state was recomputed.
+    /// Distinct utility vectors the batch could affect: the deleted and
+    /// updated tuples' memberships, plus the utilities a written tuple
+    /// reaches. One that only lost a member below its exact top-k keeps
+    /// its top-k and threshold without a recompute.
     pub affected_utilities: usize,
     /// Affected utilities that lost an exact top-k member, so their
     /// top-k was requeried (from the ε-band, or from the tuple index when
@@ -153,23 +161,31 @@ pub struct BatchReport {
     pub result_size: usize,
 }
 
-/// The batched path's working tables (phases 2–4). [`FdRms`] owns them
-/// and reuses them across batches; between batches every row is default
-/// and every list empty.
+/// The engine's working tables (phases 1–4). [`FdRms`] owns them and
+/// reuses them across calls; between calls every row is default and every
+/// list empty.
 #[derive(Debug, Default)]
 pub(crate) struct BatchTables {
     /// One row per utility.
     rows: Vec<Row>,
-    /// The affected utilities, ascending once phase 2 ends.
+    /// The affected utilities; once phase 2 ends, only those to
+    /// recompute, ascending.
     touched: Vec<usize>,
-    /// Cone hits as indices into the written tuples, one run per utility.
-    hits: Vec<usize>,
+    /// `(utility, written index)` per cone hit, sorted: one run per
+    /// utility, indices ascending within it.
+    hits: Vec<(usize, usize)>,
     /// `(utility, written index)` per updated member, sorted: one run per
     /// utility, ids ascending within it.
     moved: Vec<(usize, usize)>,
     /// Scored candidates of the utility being recomputed.
     band: Vec<RankedPoint>,
     deltas: Deltas,
+    /// `(id, op index)` per operation, sorted (phase 1).
+    order: Vec<(PointId, usize)>,
+    /// The slot of each updated tuple, in `written[inserts..]` order.
+    updated: Vec<Slot>,
+    /// The deleted tuples and their slots, ascending ids.
+    deleted: Vec<(PointId, Slot)>,
 }
 
 /// One utility's row in [`BatchTables`].
@@ -185,10 +201,10 @@ struct Row {
     moved: Range<usize>,
 }
 
-/// The membership deltas of one batch, utility by utility in ascending
+/// The membership deltas of one call, utility by utility in ascending
 /// order: the cover transaction replays them as they stand. Deltas, not
 /// full `Φ` sets: materialising `Φ` would cost `O(|Φ|)` per utility where
-/// the sequential path pays `O(1)` per op while τ holds.
+/// an incremental utility pays `O(1)` while τ holds.
 #[derive(Debug, Default)]
 struct Deltas {
     /// Admissions into surviving sets, each utility's in rank order.
@@ -196,10 +212,11 @@ struct Deltas {
     /// Evictions of live members, each utility's in ascending id order;
     /// never a deleted tuple — its set removal drops every membership.
     removals: Vec<PointId>,
-    /// Per touched utility, where its runs in `adds` and `removals` end.
-    ends: Vec<(usize, usize)>,
-    /// `(index among the batch's inserts, utility)` per admission of a
-    /// new tuple: the memberships its set is registered with.
+    /// `(utility, end of its run in adds, end of its run in removals)`
+    /// per utility with a delta.
+    ends: Vec<(ElemId, usize, usize)>,
+    /// `(index among the call's inserts, utility)` per admission of a new
+    /// tuple: the memberships its set is registered with.
     fresh: Vec<(usize, ElemId)>,
 }
 
@@ -214,7 +231,7 @@ impl BatchTables {
         row
     }
 
-    /// Returns the tables to their between-batches state, keeping every
+    /// Returns the tables to their between-calls state, keeping every
     /// allocation.
     fn reset(&mut self) {
         for &u in &self.touched {
@@ -223,6 +240,9 @@ impl BatchTables {
         self.touched.clear();
         self.hits.clear();
         self.moved.clear();
+        self.order.clear();
+        self.updated.clear();
+        self.deleted.clear();
         let d = &mut self.deltas;
         d.adds.clear();
         d.removals.clear();
@@ -232,13 +252,22 @@ impl BatchTables {
 }
 
 impl Deltas {
-    /// Books the admission of `pid` into utility `elem`'s `Φ`: into the
-    /// membership of its new set when `pid` is one of the batch's
-    /// `inserted` tuples (ascending ids), else as an addition.
-    fn admit(&mut self, elem: ElemId, pid: PointId, inserted: &[Point]) {
-        match inserted.binary_search_by_key(&pid, Point::id) {
+    /// Books the admission of `pid` into utility `elem`'s `Φ` unless
+    /// `is_member` says `Φ` holds it: into the membership of its new set
+    /// when `pid` is one of the call's `inserted` tuples (ascending ids),
+    /// else as an addition. A new tuple is no member of anything, so it
+    /// is booked without asking.
+    fn admit(
+        &mut self,
+        elem: ElemId,
+        pid: PointId,
+        inserted: &[&Point],
+        is_member: impl FnOnce() -> bool,
+    ) {
+        match inserted.binary_search_by_key(&pid, |p| p.id()) {
             Ok(j) => self.fresh.push((j, elem)),
-            Err(_) => self.adds.push(pid),
+            Err(_) if !is_member() => self.adds.push(pid),
+            Err(_) => {}
         }
     }
 }
@@ -250,12 +279,12 @@ impl FdRms {
     /// Operations apply in order, so `[Insert(p), Delete(p.id())]` is
     /// valid and nets out to nothing. If any operation is invalid against
     /// the state the preceding operations produce (duplicate insert,
-    /// unknown delete/update, wrong dimensionality), the error is
-    /// returned and **no** mutation is applied.
+    /// unknown delete/update, wrong dimensionality), the first such
+    /// operation's error is returned and **no** mutation is applied.
     ///
-    /// A batch of one routes to the classic per-operation path; larger
-    /// batches take the deferred-stabilisation path described in the
-    /// [module docs](crate::engine).
+    /// Every call takes the five phases of the [module docs](crate::engine),
+    /// whatever its length: [`FdRms::insert`], [`FdRms::delete`] and
+    /// [`FdRms::update`] are one-operation batches.
     ///
     /// ```
     /// use fdrms::{FdRms, Op};
@@ -275,28 +304,29 @@ impl FdRms {
     /// assert_eq!((report.inserted, report.deleted, report.updated), (1, 1, 1));
     /// assert!(fd.result().len() <= 4);
     /// ```
+    // Callers hand over the batch they built; the engine reads it in
+    // place, as `apply_batch_slice` does, and drops it.
+    #[allow(clippy::needless_pass_by_value)]
     pub fn apply_batch(&mut self, ops: Vec<Op>) -> Result<BatchReport, FdRmsError> {
-        if ops.len() == 1 {
-            let op = ops.into_iter().next().expect("length checked");
-            return self.apply_single(op);
-        }
-        self.apply_batch_inner(&ops)
+        self.apply_batch_slice(&ops)
     }
 
     /// [`FdRms::apply_batch`] over borrowed operations, for callers that
-    /// must retain the batch (the serving layer keeps it to replay
-    /// atomically rejected batches per-op). The batched path never
-    /// needed ownership — validation clones each written tuple into the
-    /// overlay anyway — so this costs nothing extra; only the single-op
-    /// routing clones its one operation.
+    /// must retain the batch (the serving layer keeps it to replay a
+    /// rejected batch op by op). Validation reads the operations in place,
+    /// so the only copy of a tuple either entry point makes is the one the
+    /// kd-tree stores.
     pub fn apply_batch_slice(&mut self, ops: &[Op]) -> Result<BatchReport, FdRmsError> {
-        if ops.len() == 1 {
-            return self.apply_single(ops[0].clone());
-        }
-        self.apply_batch_inner(ops)
+        let mut t = std::mem::take(&mut self.batch);
+        let res = self.apply(ops, &mut t);
+        t.reset();
+        self.batch = t;
+        res
     }
 
-    fn apply_batch_inner(&mut self, ops: &[Op]) -> Result<BatchReport, FdRmsError> {
+    /// The five phases, over tables that `apply_batch_slice` resets
+    /// however the call ends.
+    fn apply(&mut self, ops: &[Op], t: &mut BatchTables) -> Result<BatchReport, FdRmsError> {
         // An empty batch is no batch: it books nothing.
         if ops.is_empty() {
             return Ok(BatchReport {
@@ -311,96 +341,16 @@ impl FdRms {
         };
 
         // ------------------------------------------------------------
-        // Phase 1: validate against the rolling overlay; no mutation
+        // Phase 1: validate and fold to the net effect; no mutation
         // happens until the whole batch has passed.
         // ------------------------------------------------------------
-        let mut overlay: BTreeMap<PointId, Option<Point>> = BTreeMap::new();
-        let mut op_count = 0u64;
-        for op in ops {
-            let live = |id: &PointId, overlay: &BTreeMap<PointId, Option<Point>>| {
-                overlay
-                    .get(id)
-                    .map_or_else(|| self.cover.has_set(*id), Option::is_some)
-            };
-            match op {
-                Op::Insert(p) => {
-                    if p.dim() != self.d {
-                        return Err(FdRmsError::DimensionMismatch {
-                            expected: self.d,
-                            got: p.dim(),
-                        });
-                    }
-                    if live(&p.id(), &overlay) {
-                        return Err(FdRmsError::DuplicateId(p.id()));
-                    }
-                    overlay.insert(p.id(), Some(p.clone()));
-                    op_count += 1;
-                }
-                Op::Delete(id) => {
-                    if !live(id, &overlay) {
-                        return Err(FdRmsError::UnknownId(*id));
-                    }
-                    overlay.insert(*id, None);
-                    op_count += 1;
-                }
-                Op::Update(p) => {
-                    // Dimension before id-existence, matching `Op::Insert`:
-                    // the error a malformed op yields must not depend on
-                    // the verb.
-                    if p.dim() != self.d {
-                        return Err(FdRmsError::DimensionMismatch {
-                            expected: self.d,
-                            got: p.dim(),
-                        });
-                    }
-                    let stored = match overlay.get(&p.id()) {
-                        Some(o) => o.as_ref().map(Point::coords),
-                        None => self.cover.slot(p.id()).map(|s| self.tuples.coords(s)),
-                    };
-                    let Some(stored) = stored else {
-                        return Err(FdRmsError::UnknownId(p.id()));
-                    };
-                    if stored == p.coords() {
-                        report.noop_updates += 1;
-                    } else {
-                        overlay.insert(p.id(), Some(p.clone()));
-                        // An update is a delete + an insert (Section II-B).
-                        op_count += 2;
-                    }
-                }
-            }
-        }
-
-        // Net effect versus the pre-batch database. `overlay` is a
-        // BTreeMap, so all downstream iteration is id-ordered and the
-        // batch is deterministic.
-        let mut net_insert: Vec<Point> = Vec::new();
-        let mut net_update: Vec<Point> = Vec::new();
-        let mut net_delete: Vec<PointId> = Vec::new();
-        for (id, fin) in &overlay {
-            match (fin, self.cover.slot(*id)) {
-                (Some(p), None) => net_insert.push(p.clone()),
-                (Some(p), Some(s)) => {
-                    if self.tuples.coords(s) != p.coords() {
-                        net_update.push(p.clone());
-                    }
-                }
-                (None, Some(_)) => net_delete.push(*id),
-                // Inserted and deleted within the batch: transient, no
-                // effect on the final state.
-                (None, None) => {}
-            }
-        }
-        self.ops += op_count;
-        self.stats.batches += 1;
-        report.inserted = net_insert.len();
-        report.updated = net_update.len();
-        report.deleted = net_delete.len();
-        if net_insert.is_empty() && net_update.is_empty() && net_delete.is_empty() {
+        let written = self.net_effect(ops, t, &mut report)?;
+        if written.is_empty() && t.deleted.is_empty() {
             report.m = self.m;
             report.result_size = self.cover.solution_size();
             return Ok(report);
         }
+        let (inserted, moved) = written.split_at(report.inserted);
 
         // ------------------------------------------------------------
         // Phase 2: affected utilities, then all tuple-index mutations.
@@ -408,21 +358,20 @@ impl FdRms {
         // A utility's state can only change if (a) it loses a pre-batch
         // `Φ` member — then it appears in that tuple's membership list —
         // or (b) it admits a written tuple — then the tuple's score
-        // reaches its pre-batch threshold and the cone sweep reports it
+        // reaches its pre-batch threshold and the cone scan reports it
         // (a threshold can only have risen if some written tuple already
         // cleared the pre-batch value). The union is a sound
         // over-approximation; over-reported utilities recompute to their
         // unchanged state.
         // ------------------------------------------------------------
-        let mut t = std::mem::take(&mut self.batch);
         t.rows.resize(self.cap_m, Row::default());
-        // Written tuples: the inserts, then the updates, each id-ordered.
-        let written: Vec<&Point> = net_insert.iter().chain(&net_update).collect();
         // The deleted tuples, then the updated ones with their index among
-        // the written tuples.
-        let gone = net_delete.iter().map(|&id| (id, None)).chain(
-            (net_insert.len()..)
-                .zip(&net_update)
+        // the written tuples. The deleted list is held apart so the loop
+        // can touch the tables.
+        let deleted = std::mem::take(&mut t.deleted);
+        let gone = deleted.iter().map(|&(id, _)| (id, None)).chain(
+            (report.inserted..)
+                .zip(moved)
                 .map(|(w, p)| (p.id(), Some(w))),
         );
         for (id, moved) in gone {
@@ -443,20 +392,36 @@ impl FdRms {
                 }
             }
         }
+        t.deleted = deleted;
         // The utilities a written tuple reaches, each with its hits.
-        self.cone.visit_hits(&written, |u, hits| {
-            let start = t.hits.len();
-            t.hits.extend_from_slice(hits);
-            let end = t.hits.len();
-            t.touch(u).hits = start..end;
-        });
-        t.touched.sort_unstable();
+        self.cone.hits_into(&written, &mut t.hits);
+        let mut start = 0;
+        while let Some(&(u, _)) = t.hits.get(start) {
+            let run = t.hits[start..].iter().take_while(|&&(m, _)| m == u).count();
+            t.touch(u).hits = start..start + run;
+            start += run;
+        }
         t.moved.sort_unstable();
         let mut start = 0;
         for run in t.moved.chunk_by(|a, b| a.0 == b.0) {
             t.rows[run[0].0].moved = start..start + run.len();
             start += run.len();
         }
+        // Every affected utility counts, but one that only lost a member
+        // below its exact top-k keeps its top-k and τ (`Φ` loses that
+        // member with its set in phase 4(d)): its row is reset here, and
+        // phases 3 and 4 walk the others in ascending order.
+        report.affected_utilities = t.touched.len();
+        let rows = &mut t.rows;
+        t.touched.retain(|&u| {
+            let row = &mut rows[u];
+            let idle = !row.requery && row.hits.is_empty() && row.moved.is_empty();
+            if idle {
+                *row = Row::default();
+            }
+            !idle
+        });
+        t.touched.sort_unstable();
 
         // All mutations go through the deferred-delete path so the lazy
         // rebuild is decided once per batch — after the inserts, so a
@@ -466,43 +431,43 @@ impl FdRms {
         // until phase 4(d), and an updated tuple's row takes its new
         // attributes. Inserted tuples get their rows in phase 4(a), when
         // their sets are handed slots.
-        for id in &net_delete {
-            self.kd.delete_deferred(*id).expect("validated live");
-            self.tuples
-                .kill(self.cover.slot(*id).expect("validated live"));
+        for &(id, slot) in &t.deleted {
+            self.kd.delete_deferred(id).expect("validated live");
+            self.tuples.kill(slot);
         }
-        for p in &net_update {
+        for (&p, &slot) in moved.iter().zip(&t.updated) {
             self.kd.delete_deferred(p.id()).expect("validated live");
             self.kd.insert(p.clone()).expect("id just freed");
-            let slot = self.cover.slot(p.id()).expect("validated live");
             self.tuples.write(slot, p);
         }
-        for p in &net_insert {
+        for &p in inserted {
             self.kd.insert(p.clone()).expect("validated fresh");
         }
         self.kd.maybe_rebuild();
 
         // ------------------------------------------------------------
-        // Phase 3: recompute every affected utility once, in ascending
-        // order, writing its new top-k and threshold in place.
+        // Phase 3: recompute each utility left in `touched` once, in
+        // ascending order, writing its new top-k and threshold in place.
         // ------------------------------------------------------------
         // Held apart so the recompute can borrow the tables mutably.
         let touched = std::mem::take(&mut t.touched);
-        report.affected_utilities = touched.len();
-        self.stats.affected_utilities += touched.len() as u64;
+        self.stats.affected_utilities += report.affected_utilities as u64;
         self.stats.topk_requeries += report.requeried_utilities as u64;
         if !self.kd.is_empty() {
             for &u in &touched {
                 let old = std::mem::take(&mut self.topk[u]);
                 let new = if t.rows[u].requery {
-                    self.requeried(u, old.tau, &written, &net_insert, &mut t)
+                    self.requeried(u, old.tau, &written, inserted, t)
                 } else {
-                    self.incremental(u, old, &written, &net_insert, &mut t)
+                    self.incremental(u, old, &written, inserted, t)
                 };
                 self.cone.set_threshold(u, new.tau);
                 self.topk[u] = new;
                 let d = &mut t.deltas;
-                d.ends.push((d.adds.len(), d.removals.len()));
+                let ends = (d.adds.len(), d.removals.len());
+                if ends != d.ends.last().map_or((0, 0), |&(_, a, r)| (a, r)) {
+                    d.ends.push((u as ElemId, ends.0, ends.1));
+                }
             }
         }
 
@@ -517,7 +482,7 @@ impl FdRms {
         // slot its set is handed, never one this batch frees in (d).
         d.fresh.sort_unstable();
         let mut fresh = &d.fresh[..];
-        for (j, p) in net_insert.iter().enumerate() {
+        for (j, &p) in inserted.iter().enumerate() {
             let (members, rest) = fresh.split_at(fresh.partition_point(|&(i, _)| i == j));
             self.cover
                 .insert_set(p.id(), members.iter().map(|&(_, u)| u))
@@ -529,8 +494,7 @@ impl FdRms {
         // (b) Admissions into surviving sets, then (c) evictions, utility
         // by utility.
         let (mut a, mut r) = (0, 0);
-        for (&u, &(a_end, r_end)) in touched.iter().zip(&d.ends) {
-            let elem = u as ElemId;
+        for &(elem, a_end, r_end) in &d.ends {
             for &pid in &d.adds[a..a_end] {
                 self.cover
                     .add_to_set(elem, pid)
@@ -542,7 +506,7 @@ impl FdRms {
                     .remove_from_set(elem, pid)
                     .expect("surviving sets exist");
                 debug_assert!(
-                    kept || u >= self.m,
+                    kept || elem as usize >= self.m,
                     "universe element lost its last set mid-batch"
                 );
             }
@@ -552,11 +516,8 @@ impl FdRms {
         report.membership_removals = d.removals.len() as u64;
         // (d) Retire the deleted tuples' sets; orphaned elements are
         // reassigned, and drops only happen when the database emptied.
-        for id in &net_delete {
-            let dropped = self
-                .cover
-                .remove_set(*id)
-                .expect("set registered at insert");
+        for &(id, _) in &t.deleted {
+            let dropped = self.cover.remove_set(id).expect("set registered at insert");
             for u in dropped {
                 debug_assert!(self.kd.is_empty(), "drop with nonempty database");
                 self.pending.insert(u);
@@ -567,8 +528,6 @@ impl FdRms {
         self.stats.evictions += report.membership_removals;
         self.stats.admissions += report.membership_additions;
         t.touched = touched;
-        t.reset();
-        self.batch = t;
 
         // ------------------------------------------------------------
         // Phase 5: rebalance once.
@@ -589,6 +548,100 @@ impl FdRms {
         Ok(report)
     }
 
+    /// Phase 1: checks `ops` against the database as they apply in order
+    /// and folds them to their net effect: the written tuples it returns
+    /// (the inserts, then the updates, each in id order), and the updated
+    /// and deleted tuples' slots in `t`. It fills the report's net counts
+    /// and no-op updates, and books the operations and the batch. The ops
+    /// are grouped by id, each id's in op order: an op's validity depends
+    /// only on its own id's earlier ops, so the error returned, the first
+    /// invalid op of the batch, is the first of the ids' first invalid
+    /// ops.
+    fn net_effect<'a>(
+        &mut self,
+        ops: &'a [Op],
+        t: &mut BatchTables,
+        report: &mut BatchReport,
+    ) -> Result<Vec<&'a Point>, FdRmsError> {
+        t.order.extend(ops.iter().map(Op::id).zip(0..));
+        t.order.sort_unstable();
+        let mut first_err: Option<(usize, FdRmsError)> = None;
+        let mut op_count = 0u64;
+        let mut written = Vec::new();
+        let mut updates: Vec<&Point> = Vec::new();
+        for run in t.order.chunk_by(|a, b| a.0 == b.0) {
+            let id = run[0].0;
+            let slot = self.cover.slot(id);
+            let stored = slot.map(|s| self.tuples.coords(s));
+            // The id's attributes after each op (`None`: not live), and
+            // the tuple of the op that wrote them.
+            let (mut now, mut last): (Option<&[f64]>, Option<&Point>) = (stored, None);
+            for &(_, i) in run {
+                let err = match &ops[i] {
+                    // Dimension before id-existence: the error a malformed
+                    // op yields must not depend on the verb.
+                    Op::Insert(p) | Op::Update(p) if p.dim() != self.d => {
+                        Some(FdRmsError::DimensionMismatch {
+                            expected: self.d,
+                            got: p.dim(),
+                        })
+                    }
+                    Op::Insert(_) if now.is_some() => Some(FdRmsError::DuplicateId(id)),
+                    Op::Delete(_) | Op::Update(_) if now.is_none() => {
+                        Some(FdRmsError::UnknownId(id))
+                    }
+                    Op::Update(p) if now == Some(p.coords()) => {
+                        report.noop_updates += 1;
+                        None
+                    }
+                    Op::Insert(p) => {
+                        op_count += 1;
+                        (now, last) = (Some(p.coords()), Some(p));
+                        None
+                    }
+                    Op::Update(p) => {
+                        // An update is a delete + an insert (Section II-B).
+                        op_count += 2;
+                        (now, last) = (Some(p.coords()), Some(p));
+                        None
+                    }
+                    Op::Delete(_) => {
+                        op_count += 1;
+                        now = None;
+                        None
+                    }
+                };
+                if let Some(e) = err {
+                    if first_err.as_ref().is_none_or(|&(j, _)| i < j) {
+                        first_err = Some((i, e));
+                    }
+                    break;
+                }
+            }
+            match (now, slot) {
+                (Some(_), None) => written.push(last.expect("an insert made it live")),
+                (Some(c), Some(s)) if Some(c) != stored => {
+                    updates.push(last.expect("an op wrote it"));
+                    t.updated.push(s);
+                }
+                (None, Some(s)) => t.deleted.push((id, s)),
+                // Unchanged, or inserted and deleted within the batch:
+                // transient, no effect on the final state.
+                _ => {}
+            }
+        }
+        if let Some((_, e)) = first_err {
+            return Err(e);
+        }
+        report.inserted = written.len();
+        report.updated = updates.len();
+        report.deleted = t.deleted.len();
+        written.extend(updates);
+        self.ops += op_count;
+        self.stats.batches += 1;
+        Ok(written)
+    }
+
     /// A requery utility, answered from its ε-band (see [`requery`]): the
     /// pre-batch `Φ` members that survived, rescored from the tuple table
     /// at their post-batch attributes, plus the cone hits that were not
@@ -600,13 +653,14 @@ impl FdRms {
         u: usize,
         tau_old: f64,
         written: &[&Point],
-        inserted: &[Point],
+        inserted: &[&Point],
         t: &mut BatchTables,
     ) -> TopKState {
         let w = &self.utilities[u];
         let elem = u as ElemId;
         // Surviving members first, in row order (a deleted tuple's row is
-        // dead), then the hits `Φ` does not hold yet.
+        // dead), then the hits `Φ` does not hold yet: every inserted one,
+        // and the updated ones outside it.
         let tuples = &self.tuples;
         t.band.clear();
         t.band.extend(
@@ -623,9 +677,9 @@ impl FdRms {
         t.band.extend(
             t.hits[t.rows[u].hits.clone()]
                 .iter()
-                .map(|&i| written[i])
-                .filter(|p| !self.cover.set_contains(p.id(), elem))
-                .map(|p| RankedPoint {
+                .map(|&(_, i)| (i, written[i]))
+                .filter(|&(i, p)| i < inserted.len() || !self.cover.set_contains(p.id(), elem))
+                .map(|(_, p)| RankedPoint {
                     id: p.id(),
                     score: w.score(p),
                 }),
@@ -646,7 +700,7 @@ impl FdRms {
             .take_while(|rp| rp.score >= tau)
             .chain(&entrants)
         {
-            t.deltas.admit(elem, rp.id, inserted);
+            t.deltas.admit(elem, rp.id, inserted, || false);
         }
         // Evictions: the surviving members below τ′.
         let removals = &mut t.deltas.removals;
@@ -661,17 +715,16 @@ impl FdRms {
         TopKState { exact, tau }
     }
 
-    /// An incremental utility, mirroring the sequential insertion path,
-    /// batched: merge the cone hits into the stored exact top-k `st`,
-    /// recompute τ, and scan the membership for evictions *only when τ
-    /// rose* — plus a rescore of just the updated members, whose new
-    /// attributes may fall below an unchanged τ.
+    /// An incremental utility: merge the cone hits into the stored exact
+    /// top-k `st`, recompute τ, and scan the membership for evictions
+    /// *only when τ rose* — plus a rescore of just the updated members,
+    /// whose new attributes may fall below an unchanged τ.
     fn incremental(
         &self,
         u: usize,
         mut st: TopKState,
         written: &[&Point],
-        inserted: &[Point],
+        inserted: &[&Point],
         t: &mut BatchTables,
     ) -> TopKState {
         let w = &self.utilities[u];
@@ -684,11 +737,14 @@ impl FdRms {
         // in the old exact top-k are requery class, so the stored entries
         // are all live with unchanged attributes.
         t.band.clear();
-        t.band
-            .extend(t.hits[t.rows[u].hits.clone()].iter().map(|&i| RankedPoint {
-                id: written[i].id(),
-                score: w.score(written[i]),
-            }));
+        t.band.extend(
+            t.hits[t.rows[u].hits.clone()]
+                .iter()
+                .map(|&(_, i)| RankedPoint {
+                    id: written[i].id(),
+                    score: w.score(written[i]),
+                }),
+        );
         t.band.sort_unstable_by(rank_cmp);
         merge_top_k(&mut st.exact, &t.band, self.k);
         st.tau = threshold(&st.exact, self.k, self.eps);
@@ -697,9 +753,9 @@ impl FdRms {
         // Admissions: hits clearing the new threshold that are not yet
         // members (a hit below the risen τ sat only in the old band).
         for rp in t.band.iter().take_while(|rp| rp.score >= st.tau) {
-            if !self.cover.set_contains(rp.id, elem) {
-                t.deltas.admit(elem, rp.id, inserted);
-            }
+            t.deltas.admit(elem, rp.id, inserted, || {
+                self.cover.set_contains(rp.id, elem)
+            });
         }
 
         // Evictions: when τ rose, any live member may have fallen below
@@ -726,50 +782,13 @@ impl FdRms {
         }
         st
     }
-
-    /// Routes a one-operation batch to the classic per-op maintenance
-    /// path (Algorithm 3), derived report included.
-    fn apply_single(&mut self, op: Op) -> Result<BatchReport, FdRmsError> {
-        let before_stats = self.stats;
-        let before_moves = self.cover.stabilize_moves();
-        let mut report = BatchReport {
-            ops: 1,
-            ..BatchReport::default()
-        };
-        match op {
-            Op::Insert(p) => {
-                self.insert_one(&p)?;
-                report.inserted = 1;
-            }
-            Op::Delete(id) => {
-                self.delete_one(id)?;
-                report.deleted = 1;
-            }
-            Op::Update(p) => {
-                if self.update_one(&p)? {
-                    report.updated = 1;
-                } else {
-                    report.noop_updates = 1;
-                }
-            }
-        }
-        report.affected_utilities =
-            (self.stats.affected_utilities - before_stats.affected_utilities) as usize;
-        report.requeried_utilities =
-            (self.stats.topk_requeries - before_stats.topk_requeries) as usize;
-        report.membership_additions = self.stats.admissions - before_stats.admissions;
-        report.membership_removals = self.stats.evictions - before_stats.evictions;
-        report.stabilize_moves = self.cover.stabilize_moves() - before_moves;
-        report.m = self.m;
-        report.result_size = self.cover.solution_size();
-        Ok(report)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithm::tests::membership_diff;
+    use crate::UpdateStats;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeSet;
@@ -910,7 +929,7 @@ mod tests {
     fn validation_precedence_is_uniform_across_verbs() {
         // A mixed bad op — wrong dimension AND unknown/duplicate id —
         // must yield the same error class regardless of verb: dimension
-        // is checked first, on the batched and the single-op path alike.
+        // is checked first, alone or behind a valid op.
         let pts = random_points(15, 30, 2);
         let mut fd = builder(2).build(pts).unwrap();
         let dim_err = FdRmsError::DimensionMismatch {
@@ -927,13 +946,13 @@ mod tests {
             Op::Update(bad_unknown),
             Op::Update(bad_live),
         ] {
-            // Batched path (a companion op forces the multi-op route).
+            // Behind a valid op.
             assert_eq!(
                 fd.apply_batch(vec![Op::Delete(1), op.clone()]).unwrap_err(),
                 dim_err,
                 "batched {op:?}"
             );
-            // Single-op path.
+            // Alone.
             assert_eq!(
                 fd.apply_batch(vec![op.clone()]).unwrap_err(),
                 dim_err,
@@ -941,6 +960,67 @@ mod tests {
             );
         }
         assert_eq!(fd.len(), 30, "failed validation must not mutate");
+        fd.check_invariants().unwrap();
+    }
+
+    /// Validation groups the ops by id, yet reports the batch's first
+    /// invalid op whichever id sorts first, judges each op against what
+    /// its id's earlier ops left, and mutates nothing on failure.
+    #[test]
+    fn validation_reports_the_first_invalid_op() {
+        let pts = random_points(16, 30, 2);
+        let mut fd = builder(2).build(pts.clone()).unwrap();
+        let at = |id, x| Point::new_unchecked(id, vec![x, 0.5]);
+        let failing = [
+            // Op 1 deletes 25 twice; op 2's duplicate 2 sorts first.
+            (
+                vec![
+                    Op::Delete(25),
+                    Op::Delete(25),
+                    Op::Insert(at(2, 0.1)),
+                    Op::Update(at(9_999, 0.2)),
+                ],
+                FdRmsError::UnknownId(25),
+            ),
+            // 100 lives only between its insert and its delete.
+            (
+                vec![
+                    Op::Insert(at(100, 0.3)),
+                    Op::Update(at(100, 0.4)),
+                    Op::Delete(100),
+                    Op::Update(at(100, 0.5)),
+                ],
+                FdRmsError::UnknownId(100),
+            ),
+            // A deleted id may come back, but only once.
+            (
+                vec![
+                    Op::Delete(3),
+                    Op::Insert(at(3, 0.6)),
+                    Op::Insert(at(3, 0.7)),
+                ],
+                FdRmsError::DuplicateId(3),
+            ),
+        ];
+        for (ops, want) in failing {
+            assert_eq!(fd.apply_batch(ops).unwrap_err(), want);
+        }
+        assert_eq!((fd.len(), fd.operations()), (30, 0));
+        assert_eq!(fd.stats(), UpdateStats::default());
+        // The fold judges an update against its id's earlier ops too.
+        let report = fd
+            .apply_batch(vec![
+                Op::Insert(at(100, 0.3)),
+                Op::Update(at(100, 0.3)),
+                Op::Update(pts[5].clone()),
+                Op::Delete(6),
+                Op::Insert(at(6, 0.8)),
+            ])
+            .unwrap();
+        assert_eq!(report.noop_updates, 2);
+        let net = (report.inserted, report.updated, report.deleted);
+        assert_eq!(net, (1, 1, 0));
+        assert_eq!(fd.operations(), 3);
         fd.check_invariants().unwrap();
     }
 
@@ -993,7 +1073,7 @@ mod tests {
             .unwrap();
         assert_eq!(report.noop_updates, 2);
         assert_eq!(report.affected_utilities, 0);
-        // Single-op routed no-op update.
+        // A one-op no-op update.
         fd.update(pts[2].clone()).unwrap();
         assert_eq!(fd.stats().topk_requeries, requeries_before);
         assert_eq!(fd.operations(), 0, "no-ops do not count as operations");
@@ -1009,7 +1089,7 @@ mod tests {
         let report = fd.apply_batch(drain).unwrap();
         assert_eq!(report.deleted, 25);
         // Every utility lost its whole top-k, and the stats book the
-        // requeries as the per-op path's last delete does.
+        // requeries.
         let after = fd.stats();
         assert_eq!(report.requeried_utilities, fd.max_utilities());
         assert_eq!(
@@ -1093,14 +1173,16 @@ mod tests {
         assert_eq!(fd.operations(), 40);
     }
 
-    /// `BatchReport`'s counters against brute force after every batch of
-    /// 25, on `tests/determinism.rs`'s data (anticorrelated, d = 6, n =
-    /// 600, `StdRng` 2021), in two regimes: ε = 0.1 saturates the universe
-    /// (m = M), ε = 0.001 keeps m < M so UPDATE-M runs. `before` trails
-    /// `fd` by one batch, so it holds the pre-batch state.
+    /// `BatchReport`'s counters against brute force after every call, on
+    /// `tests/determinism.rs`'s data (anticorrelated, d = 6, n = 600,
+    /// `StdRng` 2021), in two regimes: ε = 0.1 saturates the universe
+    /// (m = M), ε = 0.001 keeps m < M so UPDATE-M runs. One script runs
+    /// at two batch sizes: one-op calls (the report of `insert`, `delete`
+    /// and `update`) and batches of 25. `before` trails `fd` by one call,
+    /// so it holds the pre-call state.
     #[test]
     fn report_counters_match_brute_force() {
-        for (eps, r) in [(0.1, 50), (0.001, 20)] {
+        for (batch, eps, r) in [(1, 0.1, 50), (1, 0.001, 20), (25, 0.1, 50), (25, 0.001, 20)] {
             let mut rng = StdRng::seed_from_u64(2021);
             let points = rms_data::anticorrelated(&mut rng, 600, 6);
             let cfg = rms_data::MixedConfig {
@@ -1119,8 +1201,8 @@ mod tests {
                     .unwrap()
             };
             let (mut before, mut fd) = (build(), build());
-            for (b, batch) in wl.batches(25).enumerate() {
-                let ops: Vec<Op> = batch
+            for (b, ops) in wl.batches(batch).enumerate() {
+                let ops: Vec<Op> = ops
                     .iter()
                     .map(|op| match op {
                         rms_data::Operation::Insert(p) => Op::Insert(p.clone()),
@@ -1130,7 +1212,7 @@ mod tests {
                     .collect();
                 let stats = fd.stats();
                 let report = fd.apply_batch(ops.clone()).unwrap();
-                let at = format!("eps {eps}, batch {b}");
+                let at = format!("eps {eps}, {batch}-op call {b}");
                 fd.check_invariants()
                     .unwrap_or_else(|e| panic!("{at}: {e}"));
                 assert_eq!(
@@ -1208,16 +1290,16 @@ mod tests {
             assert_eq!(
                 s.m_grow_steps + s.m_shrink_steps > 0,
                 eps < 0.01,
-                "eps {eps}"
+                "eps {eps}, {batch}-op calls"
             );
         }
     }
 
-    /// The tuple table follows the cover's slots in both disciplines,
-    /// checked against the kd-tree after every call: a per-op update frees
-    /// its tuple's slot and takes it back; a batch hands its new tuples
-    /// fresh slots in phase 4(a) before its deleted tuples free theirs in
-    /// 4(d); the next batch's inserts take those, last freed first.
+    /// The tuple table follows the cover's slots at every batch size,
+    /// checked against the kd-tree after every call: a one-op update keeps
+    /// its slot; a batch hands its new tuples fresh slots in phase 4(a)
+    /// before its deleted tuples free theirs in 4(d); the next batch's
+    /// inserts take those, last freed first.
     #[test]
     fn table_rows_follow_slot_reuse() {
         let mut rng = StdRng::seed_from_u64(20);
@@ -1231,21 +1313,20 @@ mod tests {
         check(&fd, "build");
         let slot = |fd: &FdRms, id: PointId| fd.cover.slot(id);
 
-        // Per-op: the update's delete frees the slot, its insert takes it
-        // back with the new attributes.
+        // One-op calls: an update keeps its slot and rewrites its row.
         for id in [3, 17, 42] {
             let held = slot(&fd, id);
             fd.update(at(id)).unwrap();
-            check(&fd, "a per-op update");
+            check(&fd, "a one-op update");
             assert_eq!(slot(&fd, id), held);
         }
         // A delete, then an insert of a fresh id into the freed slot.
         let held = slot(&fd, 5);
         fd.delete(5).unwrap();
-        check(&fd, "a per-op delete");
+        check(&fd, "a one-op delete");
         assert_eq!(slot(&fd, 5), None);
         fd.insert(at(500)).unwrap();
-        check(&fd, "a per-op insert");
+        check(&fd, "a one-op insert");
         assert_eq!(slot(&fd, 500), held);
 
         // One batch deletes, inserts and updates. It deletes three tuples

@@ -9,8 +9,8 @@ use rms_setcover::Slot;
 /// reads each member's id and attributes from flat arrays instead of
 /// looking them up by id.
 ///
-/// A row is written when its slot is handed out (and rewritten when the
-/// batched path gives its tuple new attributes) and marked dead when its
+/// A row is written when its slot is handed out (and rewritten when an
+/// update gives its tuple new attributes) and marked dead when its
 /// tuple is deleted; a freed slot's row stays dead until the slot is
 /// handed out again.
 #[derive(Debug)]

@@ -107,6 +107,29 @@ impl ConeTree {
     /// inserted tuple.
     pub fn affected_by(&self, p: &Point) -> Vec<usize> {
         let mut out = Vec::new();
+        self.scan(p, |m| out.push(m));
+        out
+    }
+
+    /// Appends `(m, i)` to `out` for every utility `m` and every tuple
+    /// `points[i]` with `⟨u_m, p⟩ ≥ τ_m`, sorted by `m`, then `i`: one run
+    /// per reached utility, its hits ascending. Each tuple is one scan of
+    /// every threshold, as in [`ConeTree::affected_by`]; the pairs are
+    /// sorted only when there is more than one tuple, and no tuple means
+    /// no scan.
+    pub fn hits_into(&self, points: &[&Point], out: &mut Vec<(usize, usize)>) {
+        let start = out.len();
+        for (i, p) in points.iter().enumerate() {
+            self.scan(p, |m| out.push((m, i)));
+        }
+        if points.len() > 1 {
+            out[start..].sort_unstable();
+        }
+    }
+
+    /// Calls `hit(m)` for every utility `m` that `p` reaches, ascending:
+    /// one blocked sweep per lane block.
+    fn scan(&self, p: &Point, mut hit: impl FnMut(usize)) {
         let blocks = self
             .weights
             .blocks()
@@ -115,54 +138,26 @@ impl ConeTree {
             let scores = sweep(block, p.coords());
             for (l, (&s, &tau)) in scores.iter().zip(taus).enumerate() {
                 if s >= tau {
-                    out.push(b * LANES + l);
-                }
-            }
-        }
-        out
-    }
-
-    /// Calls `visit(m, hits)` for every utility `m` some tuple of `points`
-    /// reaches, in ascending `m`, where `hits` lists the indices into
-    /// `points` of the tuples with `⟨u_m, p⟩ ≥ τ_m`, ascending. Each lane
-    /// block is scored against every tuple in turn, so the hits come out
-    /// grouped and ordered without a map. The eight lane lists are cleared
-    /// and reused block after block, so a sweep allocates nothing per
-    /// utility.
-    pub fn visit_hits(&self, points: &[&Point], mut visit: impl FnMut(usize, &[usize])) {
-        let mut lane_hits: [Vec<usize>; LANES] = Default::default();
-        let blocks = self
-            .weights
-            .blocks()
-            .zip(self.thresholds.chunks_exact(LANES));
-        for (b, (block, taus)) in blocks.enumerate() {
-            for (pi, p) in points.iter().enumerate() {
-                let scores = sweep(block, p.coords());
-                for ((hits, &s), &tau) in lane_hits.iter_mut().zip(&scores).zip(taus) {
-                    if s >= tau {
-                        hits.push(pi);
-                    }
-                }
-            }
-            for (l, hits) in lane_hits.iter_mut().enumerate() {
-                if !hits.is_empty() {
-                    visit(b * LANES + l, hits);
-                    hits.clear();
+                    hit(b * LANES + l);
                 }
             }
         }
     }
 
-    /// [`ConeTree::visit_hits`] collected: `(m, hits)` per reached
-    /// utility, ascending `m`.
+    /// [`ConeTree::hits_into`] grouped: `(m, hits)` per reached utility,
+    /// ascending `m`, where `hits` lists the indices into `points` of the
+    /// tuples that reach it, ascending.
     pub fn affected_hits_many<'a, I>(&self, points: I) -> Vec<(usize, Vec<usize>)>
     where
         I: IntoIterator<Item = &'a Point>,
     {
         let points: Vec<&Point> = points.into_iter().collect();
-        let mut out = Vec::new();
-        self.visit_hits(&points, |m, hits| out.push((m, hits.to_vec())));
-        out
+        let mut pairs = Vec::new();
+        self.hits_into(&points, &mut pairs);
+        pairs
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| (run[0].0, run.iter().map(|&(_, i)| i).collect()))
+            .collect()
     }
 
     /// Brute-force reference for [`ConeTree::affected_by`], scoring each
@@ -212,6 +207,30 @@ mod tests {
                 let p = Point::new_unchecked(0, (0..3).map(|_| rng.gen()).collect());
                 assert_eq!(tree.affected_by(&p), tree.affected_by_scan(&p));
             }
+        }
+    }
+
+    /// `hits_into` appends, sorted by utility then tuple, exactly the
+    /// pairs `affected_by` reports tuple by tuple, and leaves what `out`
+    /// already held in place; no tuple appends nothing.
+    #[test]
+    fn hits_into_matches_affected_by() {
+        let (tree, mut rng) = tree_with_thresholds(12, 4, 300);
+        let pts: Vec<Point> = (0..9)
+            .map(|i| Point::new_unchecked(i, (0..4).map(|_| rng.gen()).collect()))
+            .collect();
+        let refs: Vec<&Point> = pts.iter().collect();
+        for n in [0, 1, 2, 9] {
+            let mut out = vec![(usize::MAX, 0)];
+            tree.hits_into(&refs[..n], &mut out);
+            let mut want: Vec<(usize, usize)> = refs[..n]
+                .iter()
+                .enumerate()
+                .flat_map(|(i, p)| tree.affected_by(p).into_iter().map(move |m| (m, i)))
+                .collect();
+            want.sort_unstable();
+            assert_eq!(out[0], (usize::MAX, 0), "{n} tuples");
+            assert_eq!(out[1..], want[..], "{n} tuples");
         }
     }
 

@@ -5,9 +5,7 @@
 //!
 //! One [`Reactor`] per thread multiplexes an accepting listener, every
 //! adopted connection, and a self-pipe [`Waker`] through a single
-//! poller — epoll on Linux with a transparent `poll(2)` fallback
-//! (forced via the [`FORCE_POLL_ENV`] environment variable for
-//! testing). Protocol logic is a [`Handler`] called back on accepted
+//! epoll poller (the crate builds for Linux only). Protocol logic is a [`Handler`] called back on accepted
 //! sockets, complete inbound lines, injected commands, and timer
 //! ticks; it stages output into bounded per-connection write queues of
 //! shared [`std::sync::Arc`]`<[u8]>` segments and never blocks.
@@ -30,7 +28,7 @@
 //! # Safety boundary
 //!
 //! All `unsafe` lives in the [`sys`] module — thin FFI declarations
-//! for the handful of kernel entry points (`epoll_*`, `poll`, `pipe`,
+//! for the handful of kernel entry points (`epoll_*`, `pipe`,
 //! `fcntl`, `setsockopt`, `getrlimit`/`setrlimit`) that `std` links
 //! but does not expose. The rest of the crate compiles under
 //! `deny(unsafe_code)`.
@@ -41,6 +39,6 @@ mod reactor;
 pub mod sys;
 
 pub use conn::{Conn, ConnPhase, LineStep, WriteQueue, MAX_LINE_BYTES};
-pub use poller::{Event, Interest, Poller, Token, Waker, FORCE_POLL_ENV};
+pub use poller::{Event, Interest, Poller, Token, Waker};
 pub use reactor::{Ctx, Handler, Injector, NetMetrics, Reactor, ReactorConfig};
 pub use sys::{raise_nofile_limit, set_recv_buffer, set_send_buffer};

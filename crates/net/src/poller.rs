@@ -1,20 +1,12 @@
-//! Readiness polling over the [`sys`](crate::sys) bindings: an epoll
-//! backend (the default on Linux) and a `poll(2)` fallback sharing one
-//! safe API, plus the pipe-based [`Waker`] other threads use to knock
-//! a blocked [`Poller::wait`] loose.
+//! Readiness polling over the [`sys`](crate::sys) epoll bindings, plus
+//! the pipe-based [`Waker`] other threads use to knock a blocked
+//! [`Poller::wait`] loose.
 
 use crate::sys;
-use std::collections::BTreeMap;
 use std::io;
 use std::os::unix::io::RawFd;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Environment variable forcing the `poll(2)` fallback backend even
-/// where epoll is available — set to a non-empty value other than `0`.
-/// The loopback test suite runs once per backend through this switch:
-/// CI runs the `rms-net` and `rms-serve` tests a second time with it set.
-pub const FORCE_POLL_ENV: &str = "KRMS_NET_FORCE_POLL";
 
 /// Identifies one registered descriptor across the poller and the
 /// reactor's connection table. Tokens are never reused within a
@@ -60,34 +52,17 @@ pub struct Event {
     pub failed: bool,
 }
 
-enum Backend {
-    Epoll {
-        epfd: RawFd,
-    },
-    Poll {
-        slots: BTreeMap<RawFd, (Token, Interest)>,
-    },
-}
-
-/// A readiness poller: register descriptors with a token and an
+/// An epoll readiness poller: register descriptors with a token and an
 /// interest set, then [`wait`](Poller::wait) for events.
 pub struct Poller {
-    backend: Backend,
-    /// Scratch buffer for the epoll backend, reused across waits.
-    epoll_buf: Vec<sys::EpollEvent>,
-    /// Scratch buffer for the poll backend, reused across waits.
-    poll_buf: Vec<sys::PollFd>,
+    epfd: RawFd,
+    /// Scratch buffer reused across waits.
+    buf: Vec<sys::EpollEvent>,
 }
 
 impl std::fmt::Debug for Poller {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.backend {
-            Backend::Epoll { epfd } => f.debug_struct("Poller").field("epoll", epfd).finish(),
-            Backend::Poll { slots } => f
-                .debug_struct("Poller")
-                .field("poll_slots", &slots.len())
-                .finish(),
-        }
+        f.debug_struct("Poller").field("epoll", &self.epfd).finish()
     }
 }
 
@@ -106,146 +81,64 @@ fn epoll_bits(interest: Interest) -> u32 {
 }
 
 impl Poller {
-    /// Creates a poller: epoll unless [`FORCE_POLL_ENV`] selects the
-    /// `poll(2)` fallback (or epoll creation fails, e.g. on a kernel
-    /// without it — the fallback then takes over silently).
+    /// Creates a poller; fails with the error `epoll_create1` returned.
     pub fn new() -> io::Result<Poller> {
-        let force_poll =
-            matches!(std::env::var(FORCE_POLL_ENV), Ok(v) if !v.is_empty() && v != "0");
-        let backend = if force_poll {
-            Backend::Poll {
-                slots: BTreeMap::new(),
-            }
-        } else {
-            match sys::epoll_create() {
-                Ok(epfd) => Backend::Epoll { epfd },
-                Err(_) => Backend::Poll {
-                    slots: BTreeMap::new(),
-                },
-            }
-        };
         Ok(Poller {
-            backend,
-            epoll_buf: vec![sys::EpollEvent { events: 0, data: 0 }; 1024],
-            poll_buf: Vec::new(),
+            epfd: sys::epoll_create()?,
+            buf: vec![sys::EpollEvent { events: 0, data: 0 }; 1024],
         })
-    }
-
-    /// Whether this poller runs on the `poll(2)` fallback.
-    #[must_use]
-    pub fn is_fallback(&self) -> bool {
-        matches!(self.backend, Backend::Poll { .. })
     }
 
     /// Registers `fd` under `token` with the given interest.
     pub fn register(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { epfd } => sys::epoll_control(
-                *epfd,
-                sys::EPOLL_CTL_ADD,
-                fd,
-                epoll_bits(interest),
-                token.0 as u64,
-            ),
-            Backend::Poll { slots } => {
-                slots.insert(fd, (token, interest));
-                Ok(())
-            }
-        }
+        sys::epoll_control(
+            self.epfd,
+            sys::EPOLL_CTL_ADD,
+            fd,
+            epoll_bits(interest),
+            token.0 as u64,
+        )
     }
 
     /// Changes the interest set (and token) of a registered `fd`.
     pub fn modify(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { epfd } => sys::epoll_control(
-                *epfd,
-                sys::EPOLL_CTL_MOD,
-                fd,
-                epoll_bits(interest),
-                token.0 as u64,
-            ),
-            Backend::Poll { slots } => {
-                slots.insert(fd, (token, interest));
-                Ok(())
-            }
-        }
+        sys::epoll_control(
+            self.epfd,
+            sys::EPOLL_CTL_MOD,
+            fd,
+            epoll_bits(interest),
+            token.0 as u64,
+        )
     }
 
-    /// Removes `fd` from the poller. Must be called *before* the fd is
-    /// closed (a closed fd auto-leaves epoll, but the fallback table
-    /// would keep polling it and see `POLLNVAL`).
+    /// Removes `fd` from the poller. Call it *before* the fd is closed:
+    /// a closed fd leaves epoll on its own only once no other descriptor
+    /// refers to the same open file.
     pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { epfd } => sys::epoll_control(*epfd, sys::EPOLL_CTL_DEL, fd, 0, 0),
-            Backend::Poll { slots } => {
-                slots.remove(&fd);
-                Ok(())
-            }
-        }
+        sys::epoll_control(self.epfd, sys::EPOLL_CTL_DEL, fd, 0, 0)
     }
 
     /// Blocks until readiness (or `timeout`), appending events to
     /// `out` (which is cleared first).
     pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         out.clear();
-        match &mut self.backend {
-            Backend::Epoll { epfd } => {
-                let n = sys::epoll_wait_events(*epfd, &mut self.epoll_buf, timeout)?;
-                for ev in &self.epoll_buf[..n] {
-                    let events = ev.events;
-                    out.push(Event {
-                        token: Token(ev.data as usize),
-                        readable: events & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP) != 0,
-                        writable: events & sys::EPOLLOUT != 0,
-                        failed: events & (sys::EPOLLERR | sys::EPOLLHUP) != 0,
-                    });
-                }
-                Ok(())
-            }
-            Backend::Poll { slots } => {
-                self.poll_buf.clear();
-                self.poll_buf.extend(slots.iter().map(|(&fd, &(_, i))| {
-                    let mut events = 0i16;
-                    if i.read {
-                        events |= sys::POLLIN;
-                    }
-                    if i.write {
-                        events |= sys::POLLOUT;
-                    }
-                    sys::PollFd {
-                        fd,
-                        events,
-                        revents: 0,
-                    }
-                }));
-                let n = sys::poll_fds(&mut self.poll_buf, timeout)?;
-                if n == 0 {
-                    return Ok(());
-                }
-                for slot in &self.poll_buf {
-                    if slot.revents == 0 {
-                        continue;
-                    }
-                    if let Some(&(token, _)) = slots.get(&slot.fd) {
-                        out.push(Event {
-                            token,
-                            readable: slot.revents & (sys::POLLIN | sys::POLLHUP) != 0,
-                            writable: slot.revents & sys::POLLOUT != 0,
-                            failed: slot.revents & (sys::POLLERR | sys::POLLHUP) != 0,
-                        });
-                    }
-                }
-                Ok(())
-            }
+        let n = sys::epoll_wait_events(self.epfd, &mut self.buf, timeout)?;
+        for ev in &self.buf[..n] {
+            let events = ev.events;
+            out.push(Event {
+                token: Token(ev.data as usize),
+                readable: events & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP) != 0,
+                writable: events & sys::EPOLLOUT != 0,
+                failed: events & (sys::EPOLLERR | sys::EPOLLHUP) != 0,
+            });
         }
+        Ok(())
     }
 }
 
 impl Drop for Poller {
     fn drop(&mut self) {
-        if let Backend::Epoll { epfd } = self.backend {
-            sys::close_fd(epfd);
-        }
+        sys::close_fd(self.epfd);
     }
 }
 
@@ -336,14 +229,6 @@ mod tests {
         assert!(events[0].readable);
         let mut buf = [0u8; 8];
         assert_eq!(server.read(&mut buf).unwrap(), 2);
-    }
-
-    /// The backend follows [`FORCE_POLL_ENV`], so a test run with the
-    /// variable set provably exercises the `poll(2)` fallback.
-    #[test]
-    fn backend_follows_force_poll_env() {
-        let forced = std::env::var_os(FORCE_POLL_ENV).is_some_and(|v| !v.is_empty() && v != "0");
-        assert_eq!(Poller::new().unwrap().is_fallback(), forced);
     }
 
     #[test]

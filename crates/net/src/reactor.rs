@@ -372,12 +372,6 @@ impl<C: Send + 'static> Reactor<C> {
         })
     }
 
-    /// Whether this reactor runs on the `poll(2)` fallback backend.
-    #[must_use]
-    pub fn is_fallback(&self) -> bool {
-        self.poller.is_fallback()
-    }
-
     /// Attaches the accepting listener (switched to nonblocking here).
     /// At most one reactor in a group should hold the listener; the
     /// others receive sockets via injected commands.

@@ -1,8 +1,7 @@
 //! The one `unsafe` corner of the workspace: thin `extern "C"`
 //! declarations against the libc that `std` already links, covering
 //! exactly the readiness surface the reactor needs — `epoll` (Linux),
-//! `poll(2)` as the portable fallback, a nonblocking pipe for the
-//! waker, socket buffer knobs, and the `RLIMIT_NOFILE` raise used by
+//! a nonblocking pipe for the waker, socket buffer knobs, and the `RLIMIT_NOFILE` raise used by
 //! the thousand-subscriber fan-out test.
 //!
 //! Everything else in `rms-net` is safe Rust; this module wraps each
@@ -51,30 +50,6 @@ pub struct EpollEvent {
     pub data: u64,
 }
 
-// --- poll(2) fallback -------------------------------------------------
-
-/// Readable.
-pub const POLLIN: i16 = 0x001;
-/// Writable.
-pub const POLLOUT: i16 = 0x004;
-/// Error condition (reported regardless of `events`).
-pub const POLLERR: i16 = 0x008;
-/// Hangup (reported regardless of `events`).
-pub const POLLHUP: i16 = 0x010;
-
-/// `struct pollfd`.
-#[repr(C)]
-#[derive(Clone, Copy)]
-pub struct PollFd {
-    /// The descriptor to poll (negative entries are skipped by the
-    /// kernel, which `poll(2)` documents as the way to leave holes).
-    pub fd: c_int,
-    /// Requested readiness (`POLLIN`/`POLLOUT`).
-    pub events: i16,
-    /// Kernel-reported readiness.
-    pub revents: i16,
-}
-
 // --- misc constants ---------------------------------------------------
 
 const F_GETFL: c_int = 3;
@@ -97,7 +72,6 @@ extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
-    fn poll(fds: *mut PollFd, nfds: u64, timeout: c_int) -> c_int;
     fn pipe(fds: *mut c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
@@ -122,8 +96,8 @@ fn cvt(ret: c_int) -> io::Result<c_int> {
     }
 }
 
-/// Converts an optional wait timeout to the millisecond argument shared
-/// by `epoll_wait` and `poll`: `None` blocks indefinitely, sub-ms
+/// Converts an optional wait timeout to `epoll_wait`'s millisecond
+/// argument: `None` blocks indefinitely, sub-ms
 /// remainders round *up* so a timer never fires early.
 fn timeout_ms(timeout: Option<Duration>) -> c_int {
     match timeout {
@@ -161,19 +135,6 @@ pub fn epoll_wait_events(
     loop {
         // SAFETY: `events` is a live buffer of `max` epoll_event slots.
         let n = unsafe { epoll_wait(epfd, events.as_mut_ptr(), max, timeout_ms(timeout)) };
-        match cvt(n) {
-            Ok(n) => return Ok(n as usize),
-            Err(e) if e.raw_os_error() == Some(EINTR) => continue,
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// `poll(2)` over the given descriptor set; retries `EINTR` internally.
-pub fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
-    loop {
-        // SAFETY: `fds` is a live buffer of `fds.len()` pollfd slots.
-        let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms(timeout)) };
         match cvt(n) {
             Ok(n) => return Ok(n as usize),
             Err(e) if e.raw_os_error() == Some(EINTR) => continue,

@@ -15,9 +15,9 @@
 //!
 //! * **Ingestion** blocks only on queue capacity (backpressure), never on
 //!   maintenance: the applier drains whatever is queued into one adaptive
-//!   batch — size 1 under light load (the classic per-op path), up to
-//!   [`ServeConfig::max_batch`] under pressure, exactly where
-//!   `apply_batch` amortises best.
+//!   batch — size 1 under light load (a one-op batch through the same
+//!   engine path), up to [`ServeConfig::max_batch`] under pressure,
+//!   exactly where `apply_batch` amortises best.
 //! * **Serving** never blocks ingestion: after every batch the applier
 //!   publishes an immutable, versioned [`ResultSnapshot`] (epoch, the
 //!   current solution, regret stats, service counters) behind a swapped

@@ -859,8 +859,7 @@ fn applier_inner(
     loop {
         // Block for the first message, then coalesce whatever else is
         // already queued — the adaptive batch: size 1 under light load
-        // (the engine routes it to the classic per-op path), up to
-        // `max_batch` under sustained pressure.
+        // (a one-op batch), up to `max_batch` under sustained pressure.
         let mut shutting_down = false;
         let mut ops: Vec<Op> = Vec::new();
         match rx.recv() {

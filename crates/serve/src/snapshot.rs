@@ -192,6 +192,37 @@ fn diff_results(prev: &[Point], next: &[Point]) -> (Vec<Point>, Vec<PointId>) {
     (added, removed)
 }
 
+/// The single-writer publication cell: the applier swaps a fresh
+/// `Arc<ResultSnapshot>` in after every batch; readers clone the `Arc`
+/// out. The lock is held only for the pointer clone/swap — never while a
+/// snapshot is built or a batch is applied — so readers are decoupled
+/// from maintenance (`std` offers no safe lock-free `Arc` swap and the
+/// workspace forbids `unsafe`; the nanosecond-scale critical section is
+/// the closest safe equivalent).
+#[derive(Debug)]
+pub(crate) struct SnapshotCell {
+    slot: RwLock<Arc<ResultSnapshot>>,
+}
+
+impl SnapshotCell {
+    pub(crate) fn new(initial: ResultSnapshot) -> Self {
+        Self {
+            slot: RwLock::new(Arc::new(initial)),
+        }
+    }
+
+    /// The most recently published snapshot.
+    pub(crate) fn load(&self) -> Arc<ResultSnapshot> {
+        recover_poisoned(self.slot.read()).clone()
+    }
+
+    /// Publishes a new snapshot. Takes the `Arc` so the applier can keep
+    /// a reference for publish-time delta computation.
+    pub(crate) fn store(&self, snapshot: Arc<ResultSnapshot>) {
+        *recover_poisoned(self.slot.write()) = snapshot;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,36 +315,5 @@ mod tests {
             .removed
             .iter()
             .all(|id| coalesced.added.binary_search_by_key(id, Point::id).is_err()));
-    }
-}
-
-/// The single-writer publication cell: the applier swaps a fresh
-/// `Arc<ResultSnapshot>` in after every batch; readers clone the `Arc`
-/// out. The lock is held only for the pointer clone/swap — never while a
-/// snapshot is built or a batch is applied — so readers are decoupled
-/// from maintenance (`std` offers no safe lock-free `Arc` swap and the
-/// workspace forbids `unsafe`; the nanosecond-scale critical section is
-/// the closest safe equivalent).
-#[derive(Debug)]
-pub(crate) struct SnapshotCell {
-    slot: RwLock<Arc<ResultSnapshot>>,
-}
-
-impl SnapshotCell {
-    pub(crate) fn new(initial: ResultSnapshot) -> Self {
-        Self {
-            slot: RwLock::new(Arc::new(initial)),
-        }
-    }
-
-    /// The most recently published snapshot.
-    pub(crate) fn load(&self) -> Arc<ResultSnapshot> {
-        recover_poisoned(self.slot.read()).clone()
-    }
-
-    /// Publishes a new snapshot. Takes the `Arc` so the applier can keep
-    /// a reference for publish-time delta computation.
-    pub(crate) fn store(&self, snapshot: Arc<ResultSnapshot>) {
-        *recover_poisoned(self.slot.write()) = snapshot;
     }
 }

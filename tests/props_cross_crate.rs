@@ -147,15 +147,15 @@ proptest! {
     }
 
     /// Batch-vs-sequential equivalence: for random op streams,
-    /// `apply_batch(ops)` and the sequential per-op loop reach the same
+    /// `apply_batch(ops)` and a loop of one-op calls reach the same
     /// canonical maintenance state — identical databases, and identical
     /// per-utility top-k / τ / `Φ` membership systems, which is exactly
     /// what `check_invariants()` certifies against brute-force
     /// recomputation on both sides.
     ///
     /// The two *solutions* (which stable cover of that canonical set
-    /// system you hold) may legitimately differ between the disciplines:
-    /// stable covers are not unique, and the paths take different
+    /// system you hold) may legitimately differ between the batch sizes:
+    /// stable covers are not unique, and the calls take different
     /// stabilisation/UPDATE-M trajectories — both end stable with the
     /// Theorem-1 `O(log m)` guarantee and within the size budget, which
     /// is the equivalence the algorithm promises.
@@ -174,7 +174,7 @@ proptest! {
         };
         let ops = materialise_ops(&db, &intents);
 
-        // Sequential per-op loop (the classic Algorithm-3 path).
+        // One-op calls, in order (the paper's Algorithm-3 discipline).
         let mut seq = build();
         for op in ops.clone() {
             match op {
