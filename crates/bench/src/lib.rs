@@ -26,7 +26,6 @@ use rms_baselines::{
 use rms_data::{paper_workload, DatasetSpec, Operation, WorkloadConfig};
 use rms_eval::{ExperimentRecord, RegretEstimator, UpdateTimer};
 use rms_geom::Point;
-use rms_serve::sync::recover_poisoned;
 
 /// Harness-wide scale knobs parsed from the command line.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -444,8 +443,8 @@ impl StaticRms for BoxedStatic {
 /// threads) and returns records in the input order.
 pub fn run_cells(cells: &[Cell], scale: Scale) -> Vec<ExperimentRecord> {
     let n = cells.len();
-    let results: Vec<std::sync::Mutex<Option<ExperimentRecord>>> =
-        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
+    let results: Vec<std::sync::OnceLock<ExperimentRecord>> =
+        (0..n).map(|_| std::sync::OnceLock::new()).collect();
     let next = std::sync::atomic::AtomicUsize::new(0);
     let workers = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -463,17 +462,15 @@ pub fn run_cells(cells: &[Cell], scale: Scale) -> Vec<ExperimentRecord> {
                     "  done: {} / {} / {}={}",
                     rec.dataset, rec.algorithm, rec.param, rec.value
                 );
-                *recover_poisoned(results[i].lock()) = Some(rec);
+                // Each index is claimed by exactly one worker, so the
+                // cell is still empty.
+                let _ = results[i].set(rec);
             });
         }
     });
     results
         .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("cell mutex poisoned")
-                .expect("all cells ran")
-        })
+        .map(|cell| cell.into_inner().expect("all cells ran"))
         .collect()
 }
 

@@ -26,12 +26,6 @@ impl RegretEstimator {
         }
     }
 
-    /// Wraps an explicit vector pool.
-    pub fn from_utilities(utilities: Vec<Utility>) -> Self {
-        assert!(!utilities.is_empty());
-        Self { utilities }
-    }
-
     /// Number of test vectors.
     pub fn len(&self) -> usize {
         self.utilities.len()

@@ -28,6 +28,8 @@ const WAKER_TOKEN: Token = Token(0);
 const LISTENER_TOKEN: Token = Token(1);
 /// First token handed to a connection.
 const FIRST_CONN_TOKEN: usize = 2;
+/// Final line queued to an evicted connection.
+const EVICT_NOTICE: &[u8] = b"ERR subscriber too slow; closing connection\n";
 
 /// Tuning knobs for a reactor.
 #[derive(Clone, Debug)]
@@ -35,8 +37,6 @@ pub struct ReactorConfig {
     /// Per-connection cap on queued unwritten bytes. Exceeding it
     /// triggers the slow-subscriber eviction policy.
     pub write_queue_cap: usize,
-    /// Final line queued to an evicted connection (newline appended).
-    pub evict_notice: String,
     /// How long an evicted or draining connection may linger while the
     /// peer drains its final bytes before the socket is dropped.
     pub evict_linger: Duration,
@@ -49,7 +49,6 @@ impl Default for ReactorConfig {
     fn default() -> Self {
         ReactorConfig {
             write_queue_cap: 256 * 1024,
-            evict_notice: "ERR subscriber too slow; closing connection".to_owned(),
             evict_linger: Duration::from_secs(2),
             send_buffer: None,
         }
@@ -162,7 +161,6 @@ pub struct Ctx<'a> {
     repump: &'a mut Vec<Token>,
     metrics: &'a NetMetrics,
     cfg: &'a ReactorConfig,
-    stop: &'a mut bool,
     draining: &'a mut bool,
 }
 
@@ -183,22 +181,10 @@ impl Ctx<'_> {
         Ok(token)
     }
 
-    /// Number of live connections.
-    #[must_use]
-    pub fn conn_count(&self) -> usize {
-        self.conns.len()
-    }
-
     /// Tokens of every live connection (snapshot).
     #[must_use]
     pub fn tokens(&self) -> Vec<Token> {
         self.conns.values().map(|c| c.token).collect()
-    }
-
-    /// Unwritten bytes queued for one connection (0 if unknown).
-    #[must_use]
-    pub fn queued_bytes(&self, token: Token) -> usize {
-        self.conns.get(&token.0).map_or(0, |c| c.queue.bytes())
     }
 
     /// Queues a shared segment for `token`, flushing opportunistically.
@@ -230,8 +216,7 @@ impl Ctx<'_> {
             }
         }
         if conn.queue.bytes() > self.cfg.write_queue_cap {
-            let notice = format!("{}\n", self.cfg.evict_notice);
-            self.evict_inner(token, &notice);
+            self.evict(token);
             return false;
         }
         true
@@ -246,16 +231,10 @@ impl Ctx<'_> {
         self.push(token, &segment)
     }
 
-    /// Applies the eviction policy to `token` with a custom final line
-    /// (newline appended): queued bytes are dropped, the notice is
-    /// queued past the cap, reads stop, and the connection closes once
+    /// The eviction policy: queued bytes are dropped, `EVICT_NOTICE`
+    /// is queued past the cap, reads stop, and the connection closes once
     /// the notice flushes or the linger deadline passes.
-    pub fn evict(&mut self, token: Token, notice: &str) {
-        let line = format!("{notice}\n");
-        self.evict_inner(token, &line);
-    }
-
-    fn evict_inner(&mut self, token: Token, notice_line: &str) {
+    fn evict(&mut self, token: Token) {
         let Some(conn) = self.conns.get_mut(&token.0) else {
             return;
         };
@@ -264,7 +243,7 @@ impl Ctx<'_> {
         }
         let dropped = conn.queue.clear();
         self.metrics.write_queue_bytes.add(-(dropped as i64));
-        let segment: Arc<[u8]> = Arc::from(notice_line.as_bytes());
+        let segment: Arc<[u8]> = Arc::from(EVICT_NOTICE);
         conn.queue.enqueue(&segment);
         self.metrics.write_queue_bytes.add(segment.len() as i64);
         if let Ok(flushed) = conn.queue.flush_into(&mut conn.stream) {
@@ -329,18 +308,6 @@ impl Ctx<'_> {
         }
         self.timers.push(std::cmp::Reverse(deadline));
     }
-
-    /// Whether [`Ctx::begin_drain`] has been called.
-    #[must_use]
-    pub fn is_draining(&self) -> bool {
-        *self.draining
-    }
-
-    /// Stops the loop immediately after the current iteration;
-    /// remaining queued bytes are dropped.
-    pub fn stop(&mut self) {
-        *self.stop = true;
-    }
 }
 
 /// A single-threaded readiness-driven event loop. Construct, attach an
@@ -392,8 +359,8 @@ impl<C: Send + 'static> Reactor<C> {
         }
     }
 
-    /// Runs the loop until a handler calls [`Ctx::stop`], or
-    /// [`Ctx::begin_drain`] was called and the last connection closed.
+    /// Runs the loop until [`Ctx::begin_drain`] was called and the last
+    /// connection closed.
     pub fn run<H: Handler<Cmd = C>>(self, mut handler: H) -> io::Result<()> {
         let Reactor {
             mut poller,
@@ -407,7 +374,6 @@ impl<C: Send + 'static> Reactor<C> {
         let mut next_token = FIRST_CONN_TOKEN;
         let mut timers: BinaryHeap<std::cmp::Reverse<Instant>> = BinaryHeap::new();
         let mut repump: Vec<Token> = Vec::new();
-        let mut stop = false;
         let mut draining = false;
         let mut listener_paused = false;
         let mut events: Vec<Event> = Vec::new();
@@ -426,7 +392,6 @@ impl<C: Send + 'static> Reactor<C> {
                     repump: &mut repump,
                     metrics: &metrics,
                     cfg: &cfg,
-                    stop: &mut stop,
                     draining: &mut draining,
                 }
             };
@@ -627,7 +592,7 @@ impl<C: Send + 'static> Reactor<C> {
                 }
             }
 
-            if stop || (draining && conns.is_empty()) {
+            if draining && conns.is_empty() {
                 if let Some(l) = listener.take() {
                     let _ = poller.deregister(l.as_raw_fd());
                 }
@@ -761,7 +726,6 @@ mod tests {
             write_queue_cap: 512,
             send_buffer: Some(1),
             evict_linger: Duration::from_millis(400),
-            ..ReactorConfig::default()
         };
         let mut reactor: Reactor<Arc<[u8]>> = Reactor::new(cfg, &registry).unwrap();
         reactor.set_listener(listener).unwrap();

@@ -14,7 +14,9 @@
 //! ```
 //!
 //! * **Ingestion** blocks only on queue capacity (backpressure), never on
-//!   maintenance: the applier drains whatever is queued into one adaptive
+//!   maintenance: [`RmsHandle::submit`] is [`RmsHandle::try_submit`]
+//!   retried while the queue is full, so every op takes one enqueue path.
+//!   The applier drains whatever is queued into one adaptive
 //!   batch — size 1 under light load (a one-op batch through the same
 //!   engine path), up to [`ServeConfig::max_batch`] under pressure,
 //!   exactly where `apply_batch` amortises best.
@@ -32,7 +34,9 @@
 //!   [`Registry`](rms_metrics::Registry) — applier latencies, WAL
 //!   activity, TCP request families — reachable through
 //!   [`RmsService::registry`], the `METRICS` verb, and `krms serve
-//!   --metrics-addr`'s `GET /metrics` endpoint.
+//!   --metrics-addr`'s `GET /metrics` endpoint. Each snapshot's
+//!   [`ServiceStats`] (the `STATS` verb) copies the same counters at
+//!   publish time.
 //! * [`RmsHandle::watch`] subscribes to the push stream of
 //!   [`SnapshotDelta`]s computed at publish time — applying every delta
 //!   to the starting snapshot reproduces the published solution at each
@@ -40,9 +44,9 @@
 //! * An optional [write-ahead log](crate::wal) makes acknowledgements
 //!   durable: every acknowledged op is framed into an append-only log
 //!   *before* its acknowledgement ([`RmsService::start_with_wal`]),
-//!   with enqueue and append serialized so log order equals apply
-//!   order; the log is replayed on the next start after an unclean
-//!   death, and graceful shutdown compacts it to a checkpoint.
+//!   with enqueue and append in one critical section so log order
+//!   equals apply order; the log is replayed on the next start after an
+//!   unclean death, and graceful shutdown compacts it to a checkpoint.
 //!
 //! ## Example
 //!

@@ -73,7 +73,7 @@ fn verb_index(line: &str) -> usize {
 
 /// Front-end instruments, registered once at [`RmsServer::run`]
 /// (crate::RmsServer::run) into the service's registry and cloned into
-/// every reactor handler.
+/// every reactor handler and the delta pump.
 #[derive(Debug, Clone)]
 pub(crate) struct TcpMetrics {
     /// The service registry, kept for the `METRICS` verb's exposition.
@@ -87,6 +87,17 @@ pub(crate) struct TcpMetrics {
     /// Per-verb `rms_tcp_requests_total` / `rms_tcp_request_seconds`,
     /// indexed like [`VERBS`].
     requests: Vec<(Counter, Histogram)>,
+    /// `rms_net_fanout_seconds` — per-publish fan-out latency within
+    /// one reactor (mirror apply through last write-queue append).
+    pub(crate) fanout_seconds: Histogram,
+    /// `rms_net_delta_encodes_total{kind="unfiltered"}`: exactly one per
+    /// publish (the shared buffer).
+    pub(crate) encodes_unfiltered: Counter,
+    /// `…{kind="filtered"}`: one per distinct id-range filter per
+    /// publish per reactor.
+    pub(crate) encodes_filtered: Counter,
+    /// `…{kind="coalesced"}`: one per `every>1` subscriber flush.
+    pub(crate) encodes_coalesced: Counter,
 }
 
 impl TcpMetrics {
@@ -109,6 +120,16 @@ impl TcpMetrics {
                 )
             })
             .collect();
+        let encode = |kind: &str| {
+            registry.register_counter(
+                "rms_net_delta_encodes_total",
+                "DELTA wire encodes, by kind: `unfiltered` is once per publish \
+                 (the shared fan-out buffer), `filtered` once per distinct id \
+                 filter per publish per reactor, `coalesced` once per every>1 \
+                 subscriber flush.",
+                &[("kind", kind)],
+            )
+        };
         TcpMetrics {
             registry: Arc::clone(registry),
             connections: registry.register_counter(
@@ -127,41 +148,6 @@ impl TcpMetrics {
                 &[],
             ),
             requests,
-        }
-    }
-}
-
-/// Fan-out instruments for the evented subscription path. The
-/// `kind` label partitions delta encodes: `unfiltered` counts exactly
-/// one per publish (the shared buffer), `filtered` one per distinct
-/// id-range filter per publish per reactor, `coalesced` one per
-/// `every>1` subscriber flush.
-#[derive(Debug, Clone)]
-pub(crate) struct ServeNetMetrics {
-    /// `rms_net_fanout_seconds` — per-publish fan-out latency within
-    /// one reactor (mirror apply through last write-queue append).
-    pub(crate) fanout_seconds: Histogram,
-    /// `rms_net_delta_encodes_total{kind="unfiltered"}`.
-    pub(crate) encodes_unfiltered: Counter,
-    /// `rms_net_delta_encodes_total{kind="filtered"}`.
-    pub(crate) encodes_filtered: Counter,
-    /// `rms_net_delta_encodes_total{kind="coalesced"}`.
-    pub(crate) encodes_coalesced: Counter,
-}
-
-impl ServeNetMetrics {
-    pub(crate) fn register(registry: &Arc<Registry>) -> Self {
-        let encode = |kind: &str| {
-            registry.register_counter(
-                "rms_net_delta_encodes_total",
-                "DELTA wire encodes, by kind: `unfiltered` is once per publish \
-                 (the shared fan-out buffer), `filtered` once per distinct id \
-                 filter per publish per reactor, `coalesced` once per every>1 \
-                 subscriber flush.",
-                &[("kind", kind)],
-            )
-        };
-        ServeNetMetrics {
             fanout_seconds: registry.register_histogram(
                 "rms_net_fanout_seconds",
                 "Per-publish fan-out latency within one reactor: mirror apply \
@@ -275,47 +261,37 @@ struct ConnState {
     parked: Option<Parked>,
 }
 
-/// The per-reactor protocol handler: owns connection states, a solution
-/// [`Mirror`], and the injectors of every peer reactor (for the accept
-/// handoff ring).
+/// What each reactor's handler is built from: the front end's shared
+/// pieces, the starting [`Mirror`], and the reactor's index in the
+/// group. One value is cloned per reactor.
+#[derive(Clone)]
+pub(crate) struct Front {
+    pub(crate) handle: RmsHandle,
+    pub(crate) info: ServerInfo,
+    pub(crate) metrics: TcpMetrics,
+    pub(crate) mirror: Mirror,
+    /// Every reactor's injector, for the accept handoff ring.
+    pub(crate) injectors: Vec<Injector<NetCmd>>,
+    pub(crate) my_index: usize,
+    pub(crate) shutdown_tx: Sender<()>,
+}
+
+/// The per-reactor protocol handler: its [`Front`] (whose mirror it
+/// advances) plus the connection states and timer flags it owns.
 pub(crate) struct NetHandler {
-    handle: RmsHandle,
-    info: ServerInfo,
-    metrics: TcpMetrics,
-    net: ServeNetMetrics,
-    mirror: Mirror,
+    front: Front,
     conns: HashMap<usize, ConnState>,
-    injectors: Vec<Injector<NetCmd>>,
-    my_index: usize,
     rr: usize,
-    shutdown_tx: Sender<()>,
     flush_armed: bool,
     park_armed: bool,
 }
 
 impl NetHandler {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        handle: RmsHandle,
-        info: ServerInfo,
-        metrics: TcpMetrics,
-        net: ServeNetMetrics,
-        mirror: Mirror,
-        injectors: Vec<Injector<NetCmd>>,
-        my_index: usize,
-        shutdown_tx: Sender<()>,
-    ) -> Self {
+    pub(crate) fn new(front: Front) -> Self {
         NetHandler {
-            handle,
-            info,
-            metrics,
-            net,
-            mirror,
+            front,
             conns: HashMap::new(),
-            injectors,
-            my_index,
             rr: 0,
-            shutdown_tx,
             flush_armed: false,
             park_armed: false,
         }
@@ -324,7 +300,7 @@ impl NetHandler {
     fn adopt_local(&mut self, stream: TcpStream, ctx: &mut Ctx<'_>) {
         let _ = stream.set_nodelay(true);
         if let Ok(token) = ctx.adopt(stream) {
-            self.metrics.connections.inc();
+            self.front.metrics.connections.inc();
             self.conns.insert(token.0, ConnState::default());
         }
     }
@@ -338,7 +314,7 @@ impl NetHandler {
         text: &str,
         ctx: &mut Ctx<'_>,
     ) {
-        let (requests_total, request_seconds) = &self.metrics.requests[verb_idx];
+        let (requests_total, request_seconds) = &self.front.metrics.requests[verb_idx];
         requests_total.inc();
         request_seconds.record(started.elapsed());
         ctx.push_line(token, text);
@@ -380,7 +356,7 @@ impl NetHandler {
                 ctx.resume_read(token);
                 return;
             };
-            match self.handle.try_submit(op) {
+            match self.front.handle.try_submit(op) {
                 Ok(()) => parked.submitted += 1,
                 Err(SubmitError::Full(op)) => {
                     parked.ops.push_front(op);
@@ -417,7 +393,7 @@ impl NetHandler {
         };
         batch.received += 1;
         if batch.bad.is_none() {
-            match parse_request(line, self.info.dim) {
+            match parse_request(line, self.front.info.dim) {
                 Ok(Request::Submit(op)) => batch.ops.push(op),
                 Ok(_) => {
                     batch.bad = Some((
@@ -471,8 +447,8 @@ impl NetHandler {
         ctx: &mut Ctx<'_>,
     ) {
         let ids = match filter {
-            None => join_iter(self.mirror.ids.iter()),
-            Some((lo, hi)) => join_iter(self.mirror.ids.range(lo..=hi)),
+            None => join_iter(self.front.mirror.ids.iter()),
+            Some((lo, hi)) => join_iter(self.front.mirror.ids.range(lo..=hi)),
         };
         let filter_field = match filter {
             None => String::new(),
@@ -480,7 +456,7 @@ impl NetHandler {
         };
         let ack = format!(
             "OK subscribed every={every}{filter_field} epoch={} n={} ids={ids}",
-            self.mirror.version, self.mirror.len,
+            self.front.mirror.version, self.front.mirror.len,
         );
         if let Some(state) = self.conns.get_mut(&token.0) {
             state.sub = Some(SubState {
@@ -489,20 +465,20 @@ impl NetHandler {
                 pending: None,
             });
         }
-        self.metrics.subscribers.inc();
+        self.front.metrics.subscribers.inc();
         ctx.pause_read(token);
         self.reply(token, verb_idx, started, &ack, ctx);
     }
 
     /// Fans one publish out to this reactor's subscribers.
     fn handle_publish(&mut self, delta: &Arc<SnapshotDelta>, line: &Arc<[u8]>, ctx: &mut Ctx<'_>) {
-        if delta.version <= self.mirror.version {
+        if delta.version <= self.front.mirror.version {
             // Published before this reactor's mirror was captured; every
             // subscriber's ack already covers it.
             return;
         }
         let started = Instant::now();
-        self.mirror.apply(delta);
+        self.front.mirror.apply(delta);
 
         // Pass 1 (handler state only): route each subscriber — direct
         // push, coalesce-and-hold, or coalesce-and-flush.
@@ -539,19 +515,19 @@ impl NetHandler {
             let segment = match filter {
                 None => Arc::clone(line),
                 Some(f) => Arc::clone(filtered_cache.entry(f).or_insert_with(|| {
-                    self.net.encodes_filtered.inc();
+                    self.front.metrics.encodes_filtered.inc();
                     encode_delta_line(delta, Some(f))
                 })),
             };
             if ctx.push(token, &segment) {
-                self.metrics.delta_bytes.add(segment.len() as u64);
+                self.front.metrics.delta_bytes.add(segment.len() as u64);
             }
         }
         for (token, merged, filter) in flush {
-            self.net.encodes_coalesced.inc();
+            self.front.metrics.encodes_coalesced.inc();
             let segment = encode_delta_line(&merged, filter);
             if ctx.push(token, &segment) {
-                self.metrics.delta_bytes.add(segment.len() as u64);
+                self.front.metrics.delta_bytes.add(segment.len() as u64);
             }
         }
 
@@ -559,7 +535,7 @@ impl NetHandler {
             ctx.set_timer(started + SUBSCRIBE_IDLE_FLUSH);
             self.flush_armed = true;
         }
-        self.net.fanout_seconds.record(started.elapsed());
+        self.front.metrics.fanout_seconds.record(started.elapsed());
     }
 
     /// Flushes every held coalescing accumulator (idle beat or stream
@@ -574,10 +550,10 @@ impl NetHandler {
             }
         }
         for (token, pending, filter) in flush {
-            self.net.encodes_coalesced.inc();
+            self.front.metrics.encodes_coalesced.inc();
             let segment = encode_delta_line(&pending, filter);
             if ctx.push(token, &segment) {
-                self.metrics.delta_bytes.add(segment.len() as u64);
+                self.front.metrics.delta_bytes.add(segment.len() as u64);
             }
         }
     }
@@ -604,17 +580,17 @@ impl Handler for NetHandler {
     type Cmd = NetCmd;
 
     fn on_accept(&mut self, stream: TcpStream, ctx: &mut Ctx<'_>) {
-        let n = self.injectors.len();
+        let n = self.front.injectors.len();
         if n <= 1 {
             self.adopt_local(stream, ctx);
             return;
         }
         let target = self.rr % n;
         self.rr = self.rr.wrapping_add(1);
-        if target == self.my_index {
+        if target == self.front.my_index {
             self.adopt_local(stream, ctx);
         } else {
-            self.injectors[target].inject(NetCmd::Adopt(stream));
+            self.front.injectors[target].inject(NetCmd::Adopt(stream));
         }
     }
 
@@ -631,7 +607,7 @@ impl Handler for NetHandler {
         }
         let started = Instant::now();
         let verb_idx = verb_index(line);
-        match parse_request(line, self.info.dim) {
+        match parse_request(line, self.front.info.dim) {
             // A BATCH header is *framing*: if it cannot be parsed (e.g. a
             // count that overflows), the announced op lines cannot be
             // consumed, and replying ERR while keeping the connection
@@ -652,7 +628,7 @@ impl Handler for NetHandler {
             Ok(Request::Hello(_)) => {
                 let text = format!(
                     "OK v{PROTOCOL_VERSION} dim={} k={} r={}",
-                    self.info.dim, self.info.k, self.info.r
+                    self.front.info.dim, self.front.info.k, self.front.info.r
                 );
                 self.reply(token, verb_idx, started, &text, ctx);
             }
@@ -661,7 +637,7 @@ impl Handler for NetHandler {
                 // The shutdown channel is an unbounded mpsc sender:
                 // send enqueues and returns, it can never park the
                 // reactor thread.
-                let _ = self.shutdown_tx.send(());
+                let _ = self.front.shutdown_tx.send(());
                 ctx.close(token);
             }
             Ok(Request::Submit(op)) => {
@@ -676,11 +652,11 @@ impl Handler for NetHandler {
                 self.submit_parked(token, parked, ctx);
             }
             Ok(Request::Query) => {
-                let text = format_query(&self.handle.snapshot());
+                let text = format_query(&self.front.handle.snapshot());
                 self.reply(token, verb_idx, started, &text, ctx);
             }
             Ok(Request::Stats) => {
-                let text = format_stats(&self.handle);
+                let text = format_stats(&self.front.handle);
                 self.reply(token, verb_idx, started, &text, ctx);
             }
             Ok(Request::Batch(n)) if n > MAX_BATCH_LINES => {
@@ -713,7 +689,7 @@ impl Handler for NetHandler {
                 self.do_subscribe(token, verb_idx, started, every, filter, ctx);
             }
             Ok(Request::Metrics) => {
-                let text = format_metrics(&self.metrics.registry);
+                let text = format_metrics(&self.front.metrics.registry);
                 self.reply(token, verb_idx, started, &text, ctx);
             }
         }
@@ -759,7 +735,7 @@ impl Handler for NetHandler {
     fn on_close(&mut self, token: Token) {
         if let Some(state) = self.conns.remove(&token.0) {
             if state.sub.is_some() {
-                self.metrics.subscribers.dec();
+                self.front.metrics.subscribers.dec();
             }
         }
     }

@@ -72,16 +72,18 @@ impl DeltaReceiver {
 }
 
 /// Instrument handles for one service instance, registered once at
-/// start against the service's [`Registry`] and cloned wherever the hot
-/// paths run: the applier thread owns the batch/publish instruments,
-/// client handles carry the WAL append counter.
+/// start against the service's [`Registry`]: the applier owns the
+/// batch/publish instruments, client handles carry the WAL append
+/// counter. They are the one store of the service's counters; the
+/// published [`ServiceStats`] is read back from them.
 #[derive(Debug, Clone)]
 pub(crate) struct ServiceMetrics {
     /// `rms_applier_queue_depth` — refreshed at every publish.
     queue_depth: Gauge,
     /// `rms_applier_batch_ops` — coalesced ops per `apply_batch` call.
     batch_ops: Histogram,
-    /// `rms_applier_apply_seconds` — wall clock per coalesced batch.
+    /// `rms_applier_apply_seconds` — wall clock per coalesced batch; its
+    /// `_count` is `STATS`' `batches`.
     apply_seconds: Histogram,
     /// `rms_applier_publish_seconds` — snapshot build + delta fan-out.
     publish_seconds: Histogram,
@@ -91,6 +93,9 @@ pub(crate) struct ServiceMetrics {
     ops_applied: Counter,
     /// `rms_applier_ops_rejected_total`.
     ops_rejected: Counter,
+    /// `rms_applier_replayed_batches_total` — coalesced batches the
+    /// engine rejected atomically and the per-op replay salvaged.
+    replayed_batches: Counter,
     /// `rms_wal_appends_total` — op frames appended by submitters.
     wal_appends: Counter,
     /// `rms_wal_fsync_seconds` — its `_count` is the fsync count.
@@ -141,6 +146,11 @@ impl ServiceMetrics {
                 "Operations validation rejected.",
                 l,
             ),
+            replayed_batches: registry.register_counter(
+                "rms_applier_replayed_batches_total",
+                "Coalesced batches rejected atomically and salvaged by the per-op replay.",
+                l,
+            ),
             wal_appends: registry.register_counter(
                 "rms_wal_appends_total",
                 "Op frames appended to the write-ahead log.",
@@ -161,6 +171,21 @@ impl ServiceMetrics {
                 "Torn-tail bytes truncated from the write-ahead log at open.",
                 l,
             ),
+        }
+    }
+
+    /// The counters [`ServiceStats`] copies from the registry. The three
+    /// values no instrument holds stay zero here; the applier fills them
+    /// in ([`Applier::stats`]).
+    fn stats(&self) -> ServiceStats {
+        ServiceStats {
+            ops_applied: self.ops_applied.value(),
+            ops_rejected: self.ops_rejected.value(),
+            batches: self.apply_seconds.count(),
+            replayed_batches: self.replayed_batches.value(),
+            wal_recovered_ops: self.wal_recovered_ops.value(),
+            total_apply_ms: self.apply_seconds.sum_ns() as f64 / 1e6,
+            ..ServiceStats::default()
         }
     }
 }
@@ -267,12 +292,12 @@ enum Msg {
 }
 
 /// High bit of the ingestion state word: set when shutdown begins. The
-/// low bits count acknowledged-but-undrained submissions, so checking
-/// "still accepting" and registering a submission is one atomic RMW —
-/// a submission either observes the closed bit (and is rejected before
-/// acknowledgement) or its count is visible to the shutdown drain, which
-/// runs until the count reaches zero. No interleaving can acknowledge an
-/// op and then drop it.
+/// low bits count enqueue attempts in flight plus queued ops the applier
+/// has not taken, so checking "still accepting" and counting an attempt
+/// is one atomic RMW — an attempt either observes the closed bit (and is
+/// refused before acknowledgement) or its count is visible to the
+/// shutdown drain, which runs until the count reaches zero. No
+/// interleaving can acknowledge an op and then drop it.
 const CLOSED_BIT: usize = 1 << (usize::BITS - 1);
 const COUNT_MASK: usize = CLOSED_BIT - 1;
 
@@ -293,108 +318,74 @@ pub struct RmsHandle {
     cell: Arc<SnapshotCell>,
     wal: Option<Arc<Mutex<Wal>>>,
     watchers: WatcherRegistry,
-    metrics: ServiceMetrics,
+    wal_appends: Counter,
 }
 
 impl RmsHandle {
-    /// Registers one pending submission unless shutdown has begun.
-    fn register(&self) -> bool {
-        let prev = self.state.fetch_add(1, Ordering::SeqCst);
-        if prev & CLOSED_BIT != 0 {
-            self.state.fetch_sub(1, Ordering::SeqCst);
-            return false;
-        }
-        true
-    }
-
-    /// Enqueues one operation, blocking while the queue is full
-    /// (backpressure). `Ok` means the operation *will* be applied — a
-    /// graceful shutdown drains every acknowledged op — and on a
-    /// WAL-backed service that the op is on the log before this returns.
+    /// [`RmsHandle::try_submit`] retried while the queue is full: blocks
+    /// out backpressure, backing off 100 µs between attempts, and
+    /// returns `Ok` or [`SubmitError::Disconnected`] (with the op).
     ///
-    /// **WAL ordering**: the enqueue and the log append happen atomically
-    /// under the log mutex (a try-send loop, so the mutex is never held
-    /// across a blocking wait), which makes log order equal queue order —
-    /// the order the applier applies ops in — even when different threads
-    /// race conflicting ops on the same id. Recovery therefore replays
-    /// exactly the serialization the live service applied. The applier's
-    /// group-commit fsync runs on a duplicated descriptor and never takes
-    /// this mutex, so submitters cannot deadlock against it; the append
-    /// lands after the enqueue, so an op's own batch commit can race its
-    /// record — an acknowledged op is fsync-durable no later than the
-    /// batch commit *after* its acknowledgement.
-    ///
-    /// The application itself is asynchronous; a later
-    /// [`RmsHandle::snapshot`] whose stats show it absorbed reflects it.
-    pub fn submit(&self, op: Op) -> Result<(), SubmitError> {
-        if !self.register() {
-            return Err(SubmitError::Disconnected(op));
-        }
-        let Some(wal) = &self.wal else {
-            return match self.tx.send(Msg::Op(op)) {
-                Ok(()) => Ok(()),
-                Err(e) => {
-                    self.state.fetch_sub(1, Ordering::SeqCst);
-                    let Msg::Op(op) = e.0 else {
-                        // rms-analyze: allow(unwrap-nontest, "send() above only ever sends Msg::Op; the error returns that value")
-                        unreachable!("handles only send ops")
-                    };
-                    Err(SubmitError::Disconnected(op))
-                }
-            };
-        };
-        // The op is framed once, outside the lock; the loop backs off
-        // outside the lock too, so the critical section is only the
-        // non-blocking try-send plus the append.
-        let frame = Wal::frame_op(&op);
-        let mut msg = Msg::Op(op);
+    /// A submitter waiting out backpressure holds no place in the queue:
+    /// once shutdown begins, its next attempt is refused rather than
+    /// applied.
+    pub fn submit(&self, mut op: Op) -> Result<(), SubmitError> {
+        // Framed once, outside the lock; the back-off runs outside it too.
+        let frame = self.wal.as_ref().map(|_| Wal::frame_op(&op));
         loop {
-            let mut guard = recover_poisoned(wal.lock());
-            match self.tx.try_send(msg) {
-                Ok(()) => {
-                    append_logged(&mut guard, &frame);
-                    self.metrics.wal_appends.inc();
-                    return Ok(());
-                }
-                Err(TrySendError::Disconnected(m)) => {
-                    drop(guard);
-                    self.state.fetch_sub(1, Ordering::SeqCst);
-                    let Msg::Op(op) = m else {
-                        // rms-analyze: allow(unwrap-nontest, "try_send() above only ever sends Msg::Op; the error returns that value")
-                        unreachable!("handles only send ops")
-                    };
-                    return Err(SubmitError::Disconnected(op));
-                }
-                Err(TrySendError::Full(m)) => {
-                    drop(guard);
-                    msg = m;
+            match self.enqueue(op, frame.as_deref()) {
+                Err(SubmitError::Full(back)) => {
+                    op = back;
                     // Backpressure: the queue drains at applier-batch
                     // cadence (milliseconds), so a sub-millisecond poll
                     // wastes neither latency nor CPU.
                     std::thread::sleep(Duration::from_micros(100));
                 }
+                done => return done,
             }
         }
     }
 
-    /// Non-blocking [`RmsHandle::submit`]: fails fast with
-    /// [`SubmitError::Full`] instead of waiting out backpressure.
+    /// Enqueues one operation without waiting: [`SubmitError::Full`]
+    /// returns the op when the queue is at capacity, and
+    /// [`SubmitError::Disconnected`] once shutdown has begun. `Ok` means
+    /// the operation *will* be applied — a graceful shutdown drains every
+    /// acknowledged op — and, on a WAL-backed service, that it is on the
+    /// log, in the order the applier applies it, before this returns. A
+    /// refused op is never logged: recovery must not replay ops the
+    /// caller knows were rejected.
     ///
-    /// Shares the blocking path's enqueue+append critical section, so
-    /// log order equals apply order across both entry points; a `Full`
-    /// bounce is never logged (recovery must not replay ops the caller
-    /// knows were rejected).
+    /// The application itself is asynchronous; a later
+    /// [`RmsHandle::snapshot`] whose stats show it absorbed reflects it.
     pub fn try_submit(&self, op: Op) -> Result<(), SubmitError> {
-        if !self.register() {
+        let frame = self.wal.as_ref().map(|_| Wal::frame_op(&op));
+        self.enqueue(op, frame.as_deref())
+    }
+
+    /// The one enqueue+append critical section. The try-send and the log
+    /// append both happen under the log mutex, so log order equals queue
+    /// order — the order the applier applies ops in — even when threads
+    /// race conflicting ops on the same id, and recovery replays exactly
+    /// the serialization the live service applied. `try_send` never
+    /// blocks, so the mutex is never held across a wait; the applier's
+    /// group-commit fsync runs on a duplicated descriptor and never takes
+    /// the mutex. The append lands after the enqueue, so an op's own
+    /// batch commit can race its record: an acknowledged op is
+    /// fsync-durable no later than the batch commit *after* its
+    /// acknowledgement.
+    fn enqueue(&self, op: Op, frame: Option<&[u8]>) -> Result<(), SubmitError> {
+        // Counting the submission is one RMW with observing the state
+        // word open (see `CLOSED_BIT`).
+        if self.state.fetch_add(1, Ordering::SeqCst) & CLOSED_BIT != 0 {
+            self.state.fetch_sub(1, Ordering::SeqCst);
             return Err(SubmitError::Disconnected(op));
         }
-        let frame = self.wal.as_ref().map(|_| Wal::frame_op(&op));
         let mut guard = self.wal.as_ref().map(|wal| recover_poisoned(wal.lock()));
         match self.tx.try_send(Msg::Op(op)) {
             Ok(()) => {
                 if let (Some(guard), Some(frame)) = (guard.as_mut(), frame) {
-                    append_logged(guard, &frame);
-                    self.metrics.wal_appends.inc();
+                    append_logged(guard, frame);
+                    self.wal_appends.inc();
                 }
                 Ok(())
             }
@@ -438,8 +429,9 @@ impl RmsHandle {
         self.cell.load()
     }
 
-    /// Operations currently queued (including submitters blocked on
-    /// backpressure). Approximate under concurrency.
+    /// Operations queued and not yet taken up by the applier (plus any
+    /// submission between its count and its enqueue). Approximate under
+    /// concurrency.
     pub fn queue_depth(&self) -> usize {
         self.state.load(Ordering::Relaxed) & COUNT_MASK
     }
@@ -487,7 +479,9 @@ impl RmsService {
         cfg: ServeConfig,
     ) -> Result<Self, FdRmsError> {
         let fd = builder.build(initial)?;
-        Ok(Self::spawn(fd, cfg, None, ServiceStats::default()))
+        let registry = Registry::new();
+        let metrics = ServiceMetrics::register(&registry);
+        Ok(Self::spawn(fd, cfg, None, registry, metrics))
     }
 
     /// [`RmsService::start`] with crash durability: opens (or creates)
@@ -504,9 +498,7 @@ impl RmsService {
     /// already in the checkpoint (the tail race of a graceful shutdown)
     /// re-applies as a rejection or attribute no-op, never as corruption.
     ///
-    /// **Ordering**: enqueue and append are serialized under the log
-    /// mutex (see [`RmsHandle::submit`]), so log order equals apply order
-    /// even when different threads race conflicting ops on the same id —
+    /// Log order equals apply order (see [`RmsHandle::try_submit`]), so
     /// recovery replays exactly the serialization the live service
     /// applied, pinned by `tests/wal.rs::
     /// contended_id_recovery_matches_live_outcome`.
@@ -538,79 +530,37 @@ impl RmsService {
             )));
         }
         let (wal, replay) = Wal::open(wal_path).map_err(ServeError::Wal)?;
-        let base = replay.checkpoint.unwrap_or(initial);
-        let mut fd = builder.build(base)?;
-        let mut stats = ServiceStats::default();
+        let mut fd = builder.build(replay.checkpoint.unwrap_or(initial))?;
+        let registry = Registry::new();
+        let metrics = ServiceMetrics::register(&registry);
         for chunk in replay.ops.chunks(cfg.max_batch.max(1)) {
             // Same salvage as live ingestion: one logged-but-bad op (or
             // one made redundant by a checkpoint) costs only itself.
-            stats.wal_recovered_ops += apply_salvaging(&mut fd, chunk).0 as u64;
+            let (accepted, _) = apply_salvaging(&mut fd, chunk);
+            metrics.wal_recovered_ops.add(accepted as u64);
         }
-        let service = Self::spawn(fd, cfg, Some(Arc::new(Mutex::new(wal))), stats);
-        let metrics = &service.handle.metrics;
-        metrics.wal_recovered_ops.add(stats.wal_recovered_ops);
         metrics.wal_truncated_bytes.add(replay.torn_bytes);
-        Ok(service)
+        Ok(Self::spawn(fd, cfg, Some(wal), registry, metrics))
     }
 
     fn spawn(
         fd: FdRms,
         cfg: ServeConfig,
-        wal: Option<Arc<Mutex<Wal>>>,
-        stats: ServiceStats,
+        wal: Option<Wal>,
+        registry: Registry,
+        metrics: ServiceMetrics,
     ) -> Self {
-        let registry = Arc::new(Registry::new());
-        let metrics = ServiceMetrics::register(&registry);
-        let dim = fd.dim();
-        let k = fd.k();
-        let r = fd.r();
-        let (tx, rx) = sync_channel(cfg.queue_capacity.max(1));
-        let state = Arc::new(AtomicUsize::new(0));
-        let cell = Arc::new(SnapshotCell::new(make_snapshot(&fd, 0, stats, None)));
-        let watchers: WatcherRegistry = Arc::new(Mutex::new(Vec::new()));
-        // Group commits run on a duplicated descriptor so the applier
-        // never contends with the submitters' enqueue+append mutex; if
-        // duplication fails, syncs fall back to taking that mutex (safe —
-        // submitters never hold it across a blocking wait — just slower).
-        let wal_sync = wal
-            .as_ref()
-            .and_then(|w| recover_poisoned(w.lock()).sync_handle().ok());
-        let applier = {
-            let cell = Arc::clone(&cell);
-            let state = Arc::clone(&state);
-            let wal = wal.clone();
-            let watchers = Arc::clone(&watchers);
-            let metrics = metrics.clone();
-            std::thread::Builder::new()
-                .name("rms-applier".into())
-                .spawn(move || {
-                    applier_loop(
-                        fd,
-                        &rx,
-                        &cell,
-                        &state,
-                        &cfg,
-                        wal.as_ref(),
-                        wal_sync.as_ref(),
-                        &watchers,
-                        stats,
-                        &metrics,
-                    )
-                })
-                // rms-analyze: allow(unwrap-nontest, "thread-spawn failure at service construction is unrecoverable; fail fast")
-                .expect("spawn applier thread")
-        };
+        let (dim, k, r) = (fd.dim(), fd.k(), fd.r());
+        let (applier, handle) = Applier::new(fd, cfg, wal, metrics);
+        let applier = std::thread::Builder::new()
+            .name("rms-applier".into())
+            .spawn(move || applier.run())
+            // rms-analyze: allow(unwrap-nontest, "thread-spawn failure at service construction is unrecoverable; fail fast")
+            .expect("spawn applier thread");
         Self {
-            handle: RmsHandle {
-                tx,
-                state,
-                cell,
-                wal,
-                watchers,
-                metrics,
-            },
+            handle,
             applier: Some(applier),
-            registry,
+            registry: Arc::new(registry),
             dim,
             k,
             r,
@@ -661,13 +611,14 @@ impl RmsService {
     }
 
     /// Graceful shutdown: the applier drains and applies every
-    /// *acknowledged* operation (every `submit` that returned `Ok`, even
-    /// from senders still blocked on a full queue), publishes a final
-    /// snapshot, compacts the write-ahead log (when configured) to a
-    /// checkpoint of the final state, and hands the engine back (e.g.
-    /// for invariant checks or persistence). Submissions racing the
-    /// start of shutdown either fail with [`SubmitError::Disconnected`]
-    /// or are applied — never acknowledged and dropped.
+    /// *acknowledged* operation (every submission that returned `Ok`),
+    /// publishes a final snapshot, compacts the write-ahead log (when
+    /// configured) to a checkpoint of the final state, and hands the
+    /// engine back (e.g. for invariant checks or persistence).
+    /// Submissions racing the start of shutdown, including a `submit`
+    /// still waiting out backpressure, either fail with
+    /// [`SubmitError::Disconnected`] or are applied — never acknowledged
+    /// and dropped.
     ///
     /// Panics if the applier thread panicked (an engine invariant
     /// failure), propagating that error.
@@ -748,40 +699,6 @@ fn apply_salvaging(fd: &mut FdRms, batch: &[Op]) -> (usize, bool) {
     (accepted, true)
 }
 
-/// Applies one coalesced batch through [`apply_salvaging`]. Whether the
-/// batch applies wholesale or is salvaged per-op, it counts as **one**
-/// logical batch in the stats (salvaged batches additionally bump
-/// `replayed_batches`), so `batches` always equals the number of
-/// coalesced batches the applier issued and `avg_apply_ms` stays the
-/// mean wall-clock per coalesced batch.
-fn apply_batch(fd: &mut FdRms, batch: &[Op], stats: &mut ServiceStats, m: &ServiceMetrics) {
-    let n = batch.len();
-    if n == 0 {
-        return;
-    }
-    stats.last_batch_ops = n;
-    stats.max_coalesced = stats.max_coalesced.max(n);
-    m.batch_ops.record_value(n as u64);
-    let t = Instant::now();
-    let (accepted, replayed) = apply_salvaging(fd, batch);
-    let (applied, rejected) = (accepted as u64, (n - accepted) as u64);
-    stats.ops_applied += applied;
-    stats.ops_rejected += rejected;
-    m.ops_applied.add(applied);
-    m.ops_rejected.add(rejected);
-    stats.replayed_batches += u64::from(replayed);
-    record_apply(stats, &m.apply_seconds, t);
-}
-
-fn record_apply(stats: &mut ServiceStats, apply_seconds: &Histogram, since: Instant) {
-    let elapsed = since.elapsed();
-    apply_seconds.record(elapsed);
-    let ms = elapsed.as_secs_f64() * 1e3;
-    stats.last_apply_ms = ms;
-    stats.total_apply_ms += ms;
-    stats.batches += 1;
-}
-
 /// Appends one pre-framed record, reporting (not propagating) IO
 /// failures: the op is already enqueued, so the submission proceeds; it
 /// merely loses durability.
@@ -791,182 +708,260 @@ fn append_logged(wal: &mut Wal, frame: &[u8]) {
     }
 }
 
-/// Group commit: one `fdatasync` per coalesced batch, preferring the
-/// duplicated descriptor (no mutex) and falling back to locking the log.
-fn group_commit(
-    wal: Option<&Arc<Mutex<Wal>>>,
-    sync: Option<&WalSyncHandle>,
-    fsync_seconds: &Histogram,
-) {
-    let t = Instant::now();
-    let result = match (sync, wal) {
-        (Some(sync), _) => sync.sync(),
-        (None, Some(wal)) => recover_poisoned(wal.lock()).sync(),
-        (None, None) => return,
-    };
-    fsync_seconds.record(t.elapsed());
-    if let Err(e) = result {
-        eprintln!("rms-serve: WAL fsync failed: {e}");
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn applier_loop(
+/// The applier thread: it owns the engine and everything a batch passes
+/// through on its way to readers — the queue's receiving end, the
+/// publication cell, the watcher registry, the log and the instruments.
+struct Applier {
     fd: FdRms,
-    rx: &Receiver<Msg>,
-    cell: &SnapshotCell,
-    state: &AtomicUsize,
-    cfg: &ServeConfig,
-    wal: Option<&Arc<Mutex<Wal>>>,
-    wal_sync: Option<&WalSyncHandle>,
-    watchers: &WatcherRegistry,
-    stats: ServiceStats,
-    metrics: &ServiceMetrics,
-) -> FdRms {
-    let fd = applier_inner(
-        fd, rx, cell, state, cfg, wal, wal_sync, watchers, stats, metrics,
-    );
-    // Dropping the senders closes every subscriber's delta stream; the
-    // closed ingestion bit (set before any exit path reaches here, or
-    // implied by every handle being gone) keeps late registrations
-    // from registering into the cleared registry.
-    recover_poisoned(watchers.lock()).clear();
-    fd
+    rx: Receiver<Msg>,
+    state: Arc<AtomicUsize>,
+    cell: Arc<SnapshotCell>,
+    watchers: WatcherRegistry,
+    wal: Option<Arc<Mutex<Wal>>>,
+    /// A duplicated log descriptor for group commits, so the applier
+    /// never contends with the submitters' enqueue+append mutex. Without
+    /// one (duplication failed), syncs take that mutex: safe, since
+    /// submitters never hold it across a wait, just slower.
+    wal_sync: Option<WalSyncHandle>,
+    metrics: ServiceMetrics,
+    cfg: ServeConfig,
+    estimator: Option<RegretEstimator>,
+    epoch: u64,
+    mrr: Option<f64>,
+    /// The three published values no instrument holds.
+    last_batch_ops: usize,
+    max_coalesced: usize,
+    last_apply_ms: f64,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn applier_inner(
-    mut fd: FdRms,
-    rx: &Receiver<Msg>,
-    cell: &SnapshotCell,
-    state: &AtomicUsize,
-    cfg: &ServeConfig,
-    wal: Option<&Arc<Mutex<Wal>>>,
-    wal_sync: Option<&WalSyncHandle>,
-    watchers: &WatcherRegistry,
-    mut stats: ServiceStats,
-    metrics: &ServiceMetrics,
-) -> FdRms {
-    let max_batch = cfg.max_batch.max(1);
-    let estimator = (cfg.mrr_directions > 0)
-        .then(|| RegretEstimator::new(fd.dim(), cfg.mrr_directions.max(fd.dim()), cfg.mrr_seed));
-    let mrr_every = cfg.mrr_every.max(1);
-    let mut epoch = 0u64;
-    let mut last_mrr = None;
-    // The previously published snapshot, kept for publish-time delta
-    // computation (watchers receive the diff, not the whole solution).
-    let mut prev = cell.load();
-    loop {
-        // Block for the first message, then coalesce whatever else is
-        // already queued — the adaptive batch: size 1 under light load
-        // (a one-op batch), up to `max_batch` under sustained pressure.
-        let mut shutting_down = false;
-        let mut ops: Vec<Op> = Vec::new();
-        match rx.recv() {
-            Ok(Msg::Op(op)) => {
-                state.fetch_sub(1, Ordering::SeqCst);
-                ops.push(op);
-            }
-            Ok(Msg::Shutdown) => shutting_down = true,
-            // The simulated unclean kill: no drain, no final snapshot,
-            // no WAL compaction.
-            Ok(Msg::Crash) => return fd,
-            // Every sender (service + all handles) dropped.
-            Err(_) => break,
+impl Applier {
+    /// The applier over `fd`, with the epoch-0 snapshot published, and
+    /// the handle that feeds it.
+    fn new(
+        fd: FdRms,
+        cfg: ServeConfig,
+        wal: Option<Wal>,
+        metrics: ServiceMetrics,
+    ) -> (Self, RmsHandle) {
+        let (tx, rx) = sync_channel(cfg.queue_capacity.max(1));
+        let state = Arc::new(AtomicUsize::new(0));
+        let first = make_snapshot(&fd, 0, metrics.stats(), None);
+        let cell = Arc::new(SnapshotCell::new(first));
+        let watchers = WatcherRegistry::default();
+        let wal_sync = wal.as_ref().and_then(|w| w.sync_handle().ok());
+        let wal = wal.map(|w| Arc::new(Mutex::new(w)));
+        let estimator = (cfg.mrr_directions > 0).then(|| {
+            RegretEstimator::new(fd.dim(), cfg.mrr_directions.max(fd.dim()), cfg.mrr_seed)
+        });
+        let handle = RmsHandle {
+            tx,
+            state: Arc::clone(&state),
+            cell: Arc::clone(&cell),
+            wal: wal.clone(),
+            watchers: Arc::clone(&watchers),
+            wal_appends: metrics.wal_appends.clone(),
+        };
+        let applier = Applier {
+            fd,
+            rx,
+            state,
+            cell,
+            watchers,
+            wal,
+            wal_sync,
+            metrics,
+            cfg,
+            estimator,
+            epoch: 0,
+            mrr: None,
+            last_batch_ops: 0,
+            max_coalesced: 0,
+            last_apply_ms: 0.0,
+        };
+        (applier, handle)
+    }
+
+    /// Runs until shutdown, a simulated crash, or the last handle's drop,
+    /// and hands the engine back. Every exit clears the watchers:
+    /// dropping their senders closes every subscriber's delta stream, and
+    /// the closed ingestion bit (set before any exit path reaches here,
+    /// or implied by every handle being gone) keeps late registrations
+    /// out of the cleared registry.
+    fn run(mut self) -> FdRms {
+        if self.serve() {
+            self.compact();
         }
-        while ops.len() < max_batch && !shutting_down {
-            match rx.try_recv() {
-                Ok(Msg::Op(op)) => {
-                    state.fetch_sub(1, Ordering::SeqCst);
-                    ops.push(op);
-                }
+        recover_poisoned(self.watchers.lock()).clear();
+        self.fd
+    }
+
+    /// The coalesce–apply–publish loop. Returns `false` on a simulated
+    /// crash: no drain, no final snapshot, no compaction.
+    fn serve(&mut self) -> bool {
+        let max_batch = self.cfg.max_batch.max(1);
+        loop {
+            // Block for the first message, then coalesce whatever else is
+            // already queued — the adaptive batch: size 1 under light load
+            // (a one-op batch), up to `max_batch` under sustained pressure.
+            let mut shutting_down = false;
+            let mut ops: Vec<Op> = Vec::new();
+            match self.rx.recv() {
+                Ok(Msg::Op(op)) => self.take(op, &mut ops),
                 Ok(Msg::Shutdown) => shutting_down = true,
-                Ok(Msg::Crash) => return fd,
-                Err(_) => break,
+                Ok(Msg::Crash) => return false,
+                // Every sender (service + all handles) dropped.
+                Err(_) => return true,
             }
-        }
-        if shutting_down {
-            // Drain until the submission count reaches zero, not just
-            // until the channel reads empty: every acknowledged op was
-            // counted *atomically with* observing the state word open
-            // (see `CLOSED_BIT`), and the closed bit was set before the
-            // shutdown marker was sent — so any count this loop still
-            // sees is an op that will arrive (possibly from a sender
-            // blocked on a full queue), and no new counts can appear.
-            loop {
-                match rx.try_recv() {
-                    Ok(Msg::Op(op)) => {
-                        state.fetch_sub(1, Ordering::SeqCst);
-                        ops.push(op);
-                    }
-                    Ok(Msg::Shutdown) => {}
-                    Ok(Msg::Crash) => return fd,
-                    Err(_) => {
-                        if state.load(Ordering::SeqCst) & COUNT_MASK == 0 {
-                            break;
-                        }
-                        std::thread::yield_now();
+            while ops.len() < max_batch && !shutting_down {
+                match self.rx.try_recv() {
+                    Ok(Msg::Op(op)) => self.take(op, &mut ops),
+                    Ok(Msg::Shutdown) => shutting_down = true,
+                    Ok(Msg::Crash) => return false,
+                    Err(_) => break,
+                }
+            }
+            if shutting_down {
+                // Drain until the submission count reaches zero, not just
+                // until the channel reads empty: every acknowledged op was
+                // counted *atomically with* observing the state word open
+                // (see `CLOSED_BIT`), and the closed bit was set before the
+                // shutdown marker was sent — so any count this loop still
+                // sees is a submission between its count and its try-send,
+                // which either lands in the queue or is refused, and no new
+                // counts can appear.
+                loop {
+                    match self.rx.try_recv() {
+                        Ok(Msg::Op(op)) => self.take(op, &mut ops),
+                        Ok(Msg::Shutdown) => {}
+                        Ok(Msg::Crash) => return false,
+                        Err(_) if self.state.load(Ordering::SeqCst) & COUNT_MASK == 0 => break,
+                        Err(_) => std::thread::yield_now(),
                     }
                 }
             }
-        }
-        for chunk in ops.chunks(max_batch) {
-            apply_batch(&mut fd, chunk, &mut stats, metrics);
-            // Group commit: the submitters' appends for this batch (and
-            // possibly later ones — strictly more durability) reach
-            // stable storage with one fdatasync per coalesced batch.
-            if cfg.wal_fsync {
-                group_commit(wal, wal_sync, &metrics.wal_fsync_seconds);
-            }
-        }
-        if !ops.is_empty() || shutting_down {
-            epoch += 1;
-            if let Some(est) = &estimator {
-                if epoch % mrr_every == 0 || shutting_down {
-                    let live = fd.live_points();
-                    last_mrr = Some(est.mrr(&live, &fd.result(), fd.k()));
+            for chunk in ops.chunks(max_batch) {
+                self.apply(chunk);
+                // Group commit: the submitters' appends for this batch (and
+                // possibly later ones — strictly more durability) reach
+                // stable storage with one fdatasync per coalesced batch.
+                if self.cfg.wal_fsync {
+                    self.group_commit();
                 }
             }
-            stats.queue_depth = state.load(Ordering::Relaxed) & COUNT_MASK;
-            metrics.queue_depth.set(stats.queue_depth as i64);
-            let publish_start = Instant::now();
-            let snap = Arc::new(make_snapshot(&fd, epoch, stats, last_mrr));
-            // The cell swap and the delta broadcast happen under the
-            // registry lock, atomically with any concurrent watcher
-            // registration — so every subscriber's base snapshot meets
-            // its first delta gap-free.
-            let mut registry = recover_poisoned(watchers.lock());
-            cell.store(Arc::clone(&snap));
-            if !registry.is_empty() {
-                // The O(r) diff runs only when someone consumes deltas.
-                let delta = snap.delta_from(&prev);
-                // Watcher channels are unbounded, so these sends under
-                // the registry lock never block — and the ascription
-                // lets rms-analyze's channel classification know it, so
-                // no pragma is needed here.
-                registry
-                    .retain(|watcher: &Sender<SnapshotDelta>| watcher.send(delta.clone()).is_ok());
+            if !ops.is_empty() || shutting_down {
+                self.publish(shutting_down);
             }
-            drop(registry);
-            metrics.publish_seconds.record(publish_start.elapsed());
-            metrics.publishes.inc();
-            prev = snap;
-        }
-        if shutting_down {
-            break;
+            if shutting_down {
+                return true;
+            }
         }
     }
-    // Graceful exit: compact the log to a checkpoint of the final state,
-    // bounding its size and making the next start replay-free. (IO
-    // failure leaves the op log intact — recovery still works, the log
-    // is merely uncompacted.)
-    if let Some(wal) = wal {
-        let mut wal = recover_poisoned(wal.lock());
-        if let Err(e) = wal.checkpoint(&fd.live_points()) {
-            eprintln!("rms-serve: WAL compaction failed: {e}");
+
+    /// Takes one op off the queue into the forming batch.
+    fn take(&self, op: Op, ops: &mut Vec<Op>) {
+        self.state.fetch_sub(1, Ordering::SeqCst);
+        ops.push(op);
+    }
+
+    /// Applies one coalesced batch through [`apply_salvaging`] and
+    /// records it. Whether the batch applies wholesale or is salvaged
+    /// per-op, it is **one** logical batch: one `apply_seconds`
+    /// observation, so `batches` always equals the number of coalesced
+    /// batches the applier issued and `avg_apply_ms` stays the mean
+    /// wall-clock per coalesced batch, and a salvage additionally bumps
+    /// `replayed_batches`.
+    fn apply(&mut self, batch: &[Op]) {
+        let n = batch.len();
+        let m = &self.metrics;
+        m.batch_ops.record_value(n as u64);
+        let t = Instant::now();
+        let (accepted, replayed) = apply_salvaging(&mut self.fd, batch);
+        let elapsed = t.elapsed();
+        m.apply_seconds.record(elapsed);
+        m.ops_applied.add(accepted as u64);
+        m.ops_rejected.add((n - accepted) as u64);
+        m.replayed_batches.add(u64::from(replayed));
+        self.last_batch_ops = n;
+        self.max_coalesced = self.max_coalesced.max(n);
+        self.last_apply_ms = elapsed.as_secs_f64() * 1e3;
+    }
+
+    /// The published counters: the registry's, plus the three values no
+    /// instrument holds.
+    fn stats(&self) -> ServiceStats {
+        ServiceStats {
+            last_batch_ops: self.last_batch_ops,
+            max_coalesced: self.max_coalesced,
+            last_apply_ms: self.last_apply_ms,
+            ..self.metrics.stats()
         }
     }
-    fd
+
+    /// Publishes the next epoch: refreshes the regret estimate on its
+    /// beat (and on the final publish), samples the queue-depth gauge,
+    /// and swaps in a snapshot whose stats are read back from the
+    /// registry — so `STATS` and `METRICS` read the same cells, and
+    /// `STATS` stays a copy taken at publish time.
+    fn publish(&mut self, last: bool) {
+        self.epoch += 1;
+        if let Some(est) = &self.estimator {
+            if self.epoch % self.cfg.mrr_every.max(1) == 0 || last {
+                let live = self.fd.live_points();
+                self.mrr = Some(est.mrr(&live, &self.fd.result(), self.fd.k()));
+            }
+        }
+        let depth = self.state.load(Ordering::Relaxed) & COUNT_MASK;
+        self.metrics.queue_depth.set(depth as i64);
+        let publish_start = Instant::now();
+        let snap = Arc::new(make_snapshot(&self.fd, self.epoch, self.stats(), self.mrr));
+        // The cell swap and the delta broadcast happen under the
+        // registry lock, atomically with any concurrent watcher
+        // registration — so every subscriber's base snapshot meets
+        // its first delta gap-free.
+        let mut registry = recover_poisoned(self.watchers.lock());
+        let prev = self.cell.store(Arc::clone(&snap));
+        if !registry.is_empty() {
+            // The O(r) diff runs only when someone consumes deltas.
+            let delta = snap.delta_from(&prev);
+            // Watcher channels are unbounded, so these sends under
+            // the registry lock never block — and the ascription
+            // lets rms-analyze's channel classification know it, so
+            // no pragma is needed here.
+            registry.retain(|watcher: &Sender<SnapshotDelta>| watcher.send(delta.clone()).is_ok());
+        }
+        drop(registry);
+        self.metrics.publish_seconds.record(publish_start.elapsed());
+        self.metrics.publishes.inc();
+    }
+
+    /// Group commit: one `fdatasync` per coalesced batch, preferring the
+    /// duplicated descriptor (no mutex) and falling back to locking the
+    /// log.
+    fn group_commit(&self) {
+        let t = Instant::now();
+        let result = match (&self.wal_sync, &self.wal) {
+            (Some(sync), _) => sync.sync(),
+            (None, Some(wal)) => recover_poisoned(wal.lock()).sync(),
+            (None, None) => return,
+        };
+        self.metrics.wal_fsync_seconds.record(t.elapsed());
+        if let Err(e) = result {
+            eprintln!("rms-serve: WAL fsync failed: {e}");
+        }
+    }
+
+    /// Graceful exit: compact the log to a checkpoint of the final
+    /// state, bounding its size and making the next start replay-free.
+    /// (IO failure leaves the op log intact — recovery still works, the
+    /// log is merely uncompacted.)
+    fn compact(&self) {
+        if let Some(wal) = &self.wal {
+            let mut wal = recover_poisoned(wal.lock());
+            if let Err(e) = wal.checkpoint(&self.fd.live_points()) {
+                eprintln!("rms-serve: WAL compaction failed: {e}");
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -977,18 +972,20 @@ mod tests {
     /// (the failed attempt plus one per replayed op), deflating
     /// `avg_apply_ms` and disagreeing with the coalescing counters. The
     /// whole salvage is one logical batch, tallied in `replayed_batches`.
+    /// The stats are read from the published snapshot, so they also pin
+    /// the copy `STATS` serves against the registry's cells.
     #[test]
     fn rejected_batch_counts_as_one_logical_batch() {
         let initial: Vec<Point> = (0..20)
             .map(|i| Point::new_unchecked(i, vec![(i as f64) / 20.0, 1.0 - (i as f64) / 20.0]))
             .collect();
-        let mut fd = FdRms::builder(2)
+        let fd = FdRms::builder(2)
             .r(3)
             .max_utilities(64)
             .build(initial)
             .unwrap();
-        let mut stats = ServiceStats::default();
         let metrics = ServiceMetrics::register(&Registry::new());
+        let (mut applier, handle) = Applier::new(fd, ServeConfig::default(), None, metrics);
 
         // 4 ops, one invalid (duplicate insert): atomic rejection, per-op
         // replay salvages 3.
@@ -998,7 +995,9 @@ mod tests {
             Op::Delete(1),
             Op::Update(Point::new_unchecked(2, vec![0.5, 0.6])),
         ];
-        apply_batch(&mut fd, &batch, &mut stats, &metrics);
+        applier.apply(&batch);
+        applier.publish(false);
+        let stats = handle.snapshot().stats;
         assert_eq!(stats.batches, 1, "salvage is one logical batch");
         assert_eq!(stats.replayed_batches, 1);
         assert_eq!(stats.ops_applied, 3);
@@ -1006,24 +1005,23 @@ mod tests {
         assert_eq!(stats.last_batch_ops, 4);
 
         // A clean batch keeps agreeing with the coalescing counters.
-        apply_batch(
-            &mut fd,
-            &[Op::Insert(Point::new_unchecked(101, vec![0.7, 0.7]))],
-            &mut stats,
-            &metrics,
-        );
+        applier.apply(&[Op::Insert(Point::new_unchecked(101, vec![0.7, 0.7]))]);
+        applier.publish(false);
+        let stats = handle.snapshot().stats;
         assert_eq!(stats.batches, 2);
         assert_eq!(stats.replayed_batches, 1);
         assert_eq!(stats.ops_applied, 4);
         assert!(stats.avg_apply_ms() > 0.0);
-        // The registry counters mirror the stats, including through the
-        // per-op salvage path, and the batch-size histogram saw both
-        // coalesced sizes.
+        // The registry counters agree with the published stats, including
+        // through the per-op salvage path, and the batch-size histogram
+        // saw both coalesced sizes.
+        let metrics = &applier.metrics;
         assert_eq!(metrics.ops_applied.value(), 4);
         assert_eq!(metrics.ops_rejected.value(), 1);
+        assert_eq!(metrics.replayed_batches.value(), 1);
         assert_eq!(metrics.batch_ops.count(), 2);
         assert_eq!(metrics.batch_ops.sum_ns(), 5);
         assert_eq!(metrics.apply_seconds.count(), 2);
-        fd.check_invariants().unwrap();
+        applier.fd.check_invariants().unwrap();
     }
 }

@@ -7,25 +7,34 @@ use rms_geom::{Point, PointId};
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
-/// Aggregate service instrumentation carried on every snapshot.
+/// Aggregate service instrumentation carried on every snapshot: a copy
+/// of the service's registry counters taken when the snapshot was
+/// published (so it is epoch-consistent with the snapshot and `STATS`
+/// agrees with `METRICS` at quiescence), plus the three per-batch
+/// values no instrument holds (`last_batch_ops`, `max_coalesced`,
+/// `last_apply_ms`).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServiceStats {
-    /// Operations applied to the engine (accepted by validation).
+    /// Operations applied to the engine (accepted by validation):
+    /// `rms_applier_ops_applied_total`.
     pub ops_applied: u64,
     /// Operations rejected by validation (duplicate insert, unknown
-    /// delete/update, dimension mismatch).
+    /// delete/update, dimension mismatch):
+    /// `rms_applier_ops_rejected_total`.
     pub ops_rejected: u64,
     /// Coalesced batches the applier issued. A batch salvaged by the
     /// per-op replay after an atomic rejection still counts as **one**
     /// logical batch here (see `replayed_batches`), so this always
-    /// agrees with the coalescing counters.
+    /// agrees with the coalescing counters: the `_count` of
+    /// `rms_applier_apply_seconds`.
     pub batches: u64,
     /// Coalesced batches that were atomically rejected by the engine and
-    /// salvaged by the per-op replay.
+    /// salvaged by the per-op replay:
+    /// `rms_applier_replayed_batches_total`.
     pub replayed_batches: u64,
     /// Operations recovered from the write-ahead log before the service
     /// went live (0 without a WAL or after a clean shutdown's
-    /// checkpoint compaction).
+    /// checkpoint compaction): `rms_wal_recovered_ops_total`.
     pub wal_recovered_ops: u64,
     /// Operation count of the most recent coalesced batch.
     pub last_batch_ops: usize,
@@ -33,11 +42,9 @@ pub struct ServiceStats {
     pub max_coalesced: usize,
     /// Wall-clock of the most recent apply, milliseconds.
     pub last_apply_ms: f64,
-    /// Total wall-clock spent inside `apply_batch`, milliseconds.
+    /// Total wall-clock spent inside `apply_batch`, milliseconds: the
+    /// `_sum` of `rms_applier_apply_seconds`.
     pub total_apply_ms: f64,
-    /// Ops sitting in the ingestion queue when the snapshot was
-    /// published (including submitters blocked on backpressure).
-    pub queue_depth: usize,
 }
 
 impl ServiceStats {
@@ -216,10 +223,11 @@ impl SnapshotCell {
         recover_poisoned(self.slot.read()).clone()
     }
 
-    /// Publishes a new snapshot. Takes the `Arc` so the applier can keep
-    /// a reference for publish-time delta computation.
-    pub(crate) fn store(&self, snapshot: Arc<ResultSnapshot>) {
-        *recover_poisoned(self.slot.write()) = snapshot;
+    /// Publishes a new snapshot and hands back the one it replaced (the
+    /// base of the publish-time delta), so the caller also releases it
+    /// after the lock.
+    pub(crate) fn store(&self, snapshot: Arc<ResultSnapshot>) -> Arc<ResultSnapshot> {
+        std::mem::replace(&mut *recover_poisoned(self.slot.write()), snapshot)
     }
 }
 

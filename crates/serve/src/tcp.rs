@@ -17,9 +17,7 @@
 //! wrapped in an `Arc<[u8]>`, and injected into every reactor, which
 //! fan it out to unfiltered subscribers by reference.
 
-use crate::net::{
-    encode_delta_line, Mirror, NetCmd, NetHandler, ServeNetMetrics, ServerInfo, TcpMetrics,
-};
+use crate::net::{encode_delta_line, Front, Mirror, NetCmd, NetHandler, ServerInfo, TcpMetrics};
 use crate::service::RmsService;
 use fdrms::FdRms;
 use rms_net::{Injector, Reactor, ReactorConfig};
@@ -106,10 +104,7 @@ impl RmsServer {
         };
         let registry = Arc::clone(service.registry());
         let metrics = TcpMetrics::register(&registry);
-        let net_metrics = ServeNetMetrics::register(&registry);
-        let handle = service.handle();
-        let rx = handle.watch();
-        let mirror = Mirror::from_snapshot(rx.base());
+        let rx = service.watch();
 
         let cfg = ReactorConfig {
             write_queue_cap,
@@ -128,42 +123,44 @@ impl RmsServer {
         // reactor thread dies without one (so a crashed loop still
         // unblocks the orchestrator instead of hanging it).
         let (shutdown_tx, shutdown_rx) = mpsc::channel::<()>();
+        let front = Front {
+            handle: service.handle(),
+            info,
+            metrics: metrics.clone(),
+            mirror: Mirror::from_snapshot(rx.base()),
+            injectors: injectors.clone(),
+            my_index: 0,
+            shutdown_tx,
+        };
 
         let mut threads = Vec::with_capacity(net_threads);
         for (i, reactor) in reactors.into_iter().enumerate() {
-            let handler = NetHandler::new(
-                handle.clone(),
-                info,
-                metrics.clone(),
-                net_metrics.clone(),
-                mirror.clone(),
-                injectors.clone(),
-                i,
-                shutdown_tx.clone(),
-            );
+            let handler = NetHandler::new(Front {
+                my_index: i,
+                ..front.clone()
+            });
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("rms-net-{i}"))
                     .spawn(move || reactor.run(handler))?,
             );
         }
-        drop(shutdown_tx);
+        // Only the handlers may keep a shutdown sender (see above).
+        drop(front);
 
         // The delta pump: the one consumer of the service's watch
         // stream. Encodes each published delta exactly once and fans
         // the shared buffer out to every reactor; reactors slice it
         // per-filter from the parsed form riding alongside.
-        let pump_injectors = injectors;
-        let pump_metrics = net_metrics;
         let pump = std::thread::Builder::new()
             .name("rms-net-pump".to_owned())
             .spawn(move || loop {
                 match rx.recv() {
                     Ok(delta) => {
-                        pump_metrics.encodes_unfiltered.inc();
+                        metrics.encodes_unfiltered.inc();
                         let line = encode_delta_line(&delta, None);
                         let delta = Arc::new(delta);
-                        for injector in &pump_injectors {
+                        for injector in &injectors {
                             injector.inject(NetCmd::Publish {
                                 delta: Arc::clone(&delta),
                                 line: Arc::clone(&line),
@@ -173,7 +170,7 @@ impl RmsServer {
                     Err(_) => {
                         // Publisher gone: the service shut down. Tell the
                         // reactors to flush pending subscriptions and drain.
-                        for injector in &pump_injectors {
+                        for injector in &injectors {
                             injector.inject(NetCmd::StreamEnd);
                         }
                         return;

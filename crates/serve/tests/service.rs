@@ -134,7 +134,7 @@ fn readers_observe_monotone_epochs_and_final_state_matches_sequential() {
     assert_eq!(snap.stats.ops_rejected, 0);
     assert_eq!(snap.len, fd.len());
     assert!(snap.epoch >= 1);
-    assert_eq!(snap.stats.queue_depth, 0);
+    assert_eq!(handle.queue_depth(), 0, "the drain left nothing queued");
     let orphan = Op::Delete(0);
     assert!(matches!(
         handle.submit(orphan.clone()),
@@ -280,4 +280,143 @@ fn mrr_stats_publish_when_enabled() {
     let mrr = snap.mrr.expect("estimation enabled");
     assert!((0.0..=1.0).contains(&mrr), "mrr {mrr}");
     fd.check_invariants().unwrap();
+}
+
+/// Four writers race `submit` against the end of a one-slot queue. Each
+/// inserts fresh ids until it is refused and reports what it was told:
+/// the ids that got `Ok`, and every refused op, which must come back as
+/// `Disconnected` carrying the op intact. The main thread ends the
+/// service once the writers have acked `acked_before_end` ops between
+/// them, while they are still submitting.
+fn race_writers_against_the_end(
+    service: RmsService,
+    acked_before_end: usize,
+    end: impl FnOnce(RmsService),
+) -> (Vec<PointId>, Vec<PointId>) {
+    let writers = 4;
+    let acked_total = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let threads: Vec<_> = (0..writers)
+        .map(|w| {
+            let handle = service.handle();
+            let acked_total = Arc::clone(&acked_total);
+            std::thread::spawn(move || {
+                let (mut acked, mut refused) = (Vec::new(), Vec::new());
+                for i in 0.. {
+                    let id = 1_000_000 + w * 100_000 + i;
+                    let op = Op::Insert(Point::new_unchecked(id, vec![0.5, 0.5]));
+                    match handle.submit(op.clone()) {
+                        Ok(()) => {
+                            acked.push(id);
+                            acked_total.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(SubmitError::Disconnected(back)) => {
+                            assert_eq!(back, op, "a refused op comes back intact");
+                            refused.push(id);
+                            // Refusal is final: the next attempt is refused
+                            // too, before it reaches the queue.
+                            let next = Op::Delete(id);
+                            assert!(matches!(
+                                handle.submit(next.clone()),
+                                Err(SubmitError::Disconnected(back)) if back == next
+                            ));
+                            break;
+                        }
+                        Err(e) => panic!("submit never reports {e}"),
+                    }
+                }
+                (acked, refused)
+            })
+        })
+        .collect();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while acked_total.load(Ordering::Relaxed) < acked_before_end {
+        assert!(std::time::Instant::now() < deadline, "writers stalled");
+        std::thread::yield_now();
+    }
+    end(service);
+    let (mut acked, mut refused) = (Vec::new(), Vec::new());
+    for t in threads {
+        let (a, r) = t.join().unwrap();
+        acked.extend(a);
+        refused.extend(r);
+    }
+    assert_eq!(
+        refused.len(),
+        writers as usize,
+        "every writer was refused once"
+    );
+    (acked, refused)
+}
+
+/// Backpressure across shutdown: with a one-slot queue every writer is
+/// waiting out a full queue when `shutdown()` begins. Every op that got
+/// `Ok` is live in the returned engine, and no refused op is.
+#[test]
+fn submit_under_backpressure_across_shutdown_keeps_every_ack() {
+    let d = 2;
+    let initial = random_points(41, 40, d);
+    let service = RmsService::start(
+        builder(d),
+        initial,
+        ServeConfig {
+            queue_capacity: 1,
+            max_batch: 4,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let handle = service.handle();
+    let engine = std::sync::Mutex::new(None);
+    let (acked, refused) = race_writers_against_the_end(service, 200, |service| {
+        *engine.lock().unwrap() = Some(service.shutdown());
+    });
+    let fd = engine.into_inner().unwrap().unwrap();
+    fd.check_invariants().unwrap();
+    for id in &acked {
+        assert!(fd.contains(*id), "acknowledged id {id} was dropped");
+    }
+    for id in &refused {
+        assert!(!fd.contains(*id), "refused id {id} was applied");
+    }
+    assert_eq!(fd.len(), 40 + acked.len());
+    let stats = handle.snapshot().stats;
+    assert_eq!(stats.ops_applied, acked.len() as u64);
+    assert_eq!(stats.ops_rejected, 0);
+}
+
+/// The WAL variant: the service is killed with `crash()` while the
+/// writers wait out backpressure, and a restart on the same log recovers
+/// every op that got `Ok` and none that was refused.
+#[test]
+fn submit_under_backpressure_across_a_crash_recovers_every_ack() {
+    let d = 2;
+    let dir = std::env::temp_dir().join("krms-serve-wal-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("submit-crash-{}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let initial = random_points(43, 40, d);
+    let cfg = ServeConfig {
+        queue_capacity: 1,
+        max_batch: 4,
+        ..ServeConfig::default()
+    };
+    let service = RmsService::start_with_wal(builder(d), initial.clone(), cfg, &path).unwrap();
+    let (acked, refused) = race_writers_against_the_end(service, 200, RmsService::crash);
+
+    let restarted = RmsService::start_with_wal(builder(d), initial, cfg, &path).unwrap();
+    assert_eq!(
+        restarted.snapshot().stats.wal_recovered_ops,
+        acked.len() as u64,
+        "the log holds exactly the acknowledged ops"
+    );
+    let fd = restarted.shutdown();
+    fd.check_invariants().unwrap();
+    for id in &acked {
+        assert!(fd.contains(*id), "acknowledged id {id} was lost");
+    }
+    for id in &refused {
+        assert!(!fd.contains(*id), "refused id {id} was recovered");
+    }
+    assert_eq!(fd.len(), 40 + acked.len());
+    std::fs::remove_file(&path).unwrap();
 }

@@ -465,17 +465,17 @@ fn v2_metrics_exposition_agrees_with_stats() {
     assert_eq!(client.roundtrip("UPDATE 1 0.5 0.6"), "OK queued");
     assert_eq!(client.roundtrip("DELETE 77777"), "OK queued");
     let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
+    let stats = loop {
         let reply = client.roundtrip("STATS");
         if field(&reply, "ops_applied") == Some("3") && field(&reply, "ops_rejected") == Some("1") {
-            break;
+            break reply;
         }
         assert!(
             Instant::now() < deadline,
             "ops never became visible: {reply}"
         );
         std::thread::sleep(Duration::from_millis(5));
-    }
+    };
 
     let body = fetch_metrics(&mut client);
     let fams = families(&body);
@@ -492,6 +492,7 @@ fn v2_metrics_exposition_agrees_with_stats() {
         "rms_applier_snapshot_publishes_total",
         "rms_applier_ops_applied_total",
         "rms_applier_ops_rejected_total",
+        "rms_applier_replayed_batches_total",
         "rms_wal_appends_total",
         "rms_wal_fsync_seconds",
         "rms_wal_recovered_ops_total",
@@ -508,6 +509,18 @@ fn v2_metrics_exposition_agrees_with_stats() {
     // Counter agreement with the STATS fields above.
     assert_eq!(family_total(&body, "rms_applier_ops_applied_total"), 3.0);
     assert_eq!(family_total(&body, "rms_applier_ops_rejected_total"), 1.0);
+    // At quiescence every STATS counter key equals its family: STATS is
+    // the registry's cells copied at the last publish.
+    for (key, family) in [
+        ("ops_applied", "rms_applier_ops_applied_total"),
+        ("ops_rejected", "rms_applier_ops_rejected_total"),
+        ("batches", "rms_applier_apply_seconds_count"),
+        ("replayed_batches", "rms_applier_replayed_batches_total"),
+        ("wal_recovered", "rms_wal_recovered_ops_total"),
+    ] {
+        let stat: f64 = field(&stats, key).unwrap().parse().unwrap();
+        assert_eq!(stat, family_total(&body, family), "STATS {key} vs {family}");
+    }
     assert!(family_total(&body, "rms_applier_snapshot_publishes_total") >= 1.0);
     // This connection alone issued ≥ 6 requests before the scrape.
     assert!(family_total(&body, "rms_tcp_requests_total") >= 6.0);

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the `krms` CLI: generate → run → skyline →
+# workload (FD-RMS at two batch sizes, Greedy, a refused k) →
 # flag-parser regressions and refusals (an unknown flag, the removed
 # shard option, a shard group's old WAL) → WAL-backed serve round-trip
 # over loopback (INSERT/QUERY/STATS, a Prometheus scrape of the
@@ -60,6 +61,34 @@ fi
 "$BIN" run --in "$TMP/ds.krms" --algo FD-RMS --r 8 --eval 2000 | grep -q "mrr" \
     || fail "run FD-RMS"
 "$BIN" skyline --in "$TMP/ds.krms" | grep -q "skyline" || fail "skyline"
+
+# --- workload ------------------------------------------------------------
+# Each run prints the header and one row per 10% checkpoint; FD-RMS takes
+# one-op batches at --batch 1 and adds a summary line at --batch 8.
+rows() { grep -cE '^ *[0-9]+0 +[0-9]+ +[0-9]+ +[0-9.]+ +[0-9.]+$' <<<"$1"; }
+out=$("$BIN" workload --in "$TMP/ds.krms" --algo FD-RMS --r 8 --ops 60 --eval 1000 --batch 1) \
+    || fail "workload FD-RMS --batch 1"
+[ "$(rows "$out")" -eq 10 ] || fail "workload FD-RMS --batch 1 rows: $out"
+[[ "$out" != *"batched:"* ]] || fail "workload --batch 1 printed a batch summary: $out"
+out=$("$BIN" workload --in "$TMP/ds.krms" --algo FD-RMS --r 8 --ops 60 --eval 1000 --batch 8) \
+    || fail "workload FD-RMS --batch 8"
+[ "$(rows "$out")" -eq 10 ] || fail "workload FD-RMS --batch 8 rows: $out"
+[[ "$out" == *"batched: 60 ops in batches of 8"* ]] || fail "workload --batch 8 summary: $out"
+out=$("$BIN" workload --in "$TMP/ds.krms" --algo Greedy --k 1 --r 8 --ops 60 --eval 1000) \
+    || fail "workload Greedy k = 1"
+[ "$(rows "$out")" -eq 10 ] || fail "workload Greedy rows: $out"
+# A baseline that does not support k is refused like `krms run` does,
+# with exit 1 and a message, not a panic.
+set +e
+err=$("$BIN" workload --in "$TMP/ds.krms" --algo Greedy --k 2 --r 8 --ops 60 2>&1)
+status=$?
+set -e
+[ "$status" -eq 1 ] || fail "workload Greedy --k 2 exited $status: $err"
+[[ "$err" == "error: Greedy does not support k = 2" ]] || fail "workload k refusal: $err"
+if err=$("$BIN" workload --in "$TMP/ds.krms" --algo FD-RMS --r 8 --batch 0 2>&1); then
+    fail "workload --batch 0 was not refused"
+fi
+[[ "$err" == "error: --batch must be at least 1" ]] || fail "workload --batch 0 refusal: $err"
 
 # --- flag-parser regressions -------------------------------------------
 # A flag with a missing value must error, not swallow the next flag.

@@ -58,8 +58,9 @@ USAGE:
                 [--eval N]
   krms workload --in FILE --algo ALGO --r R [--k K] [--eps E] [--max-m M]
                 [--ops N] [--eval N] [--seed S]
-                [--batch B]   (B > 1 streams FD-RMS updates through the
-                               batch engine, B operations at a time)
+                [--batch B]   (FD-RMS applies B operations per batch
+                               engine call; default 1, the only size a
+                               baseline takes)
   krms serve    --in FILE --r R [--k K] [--eps E] [--max-m M]
                 [--addr HOST:PORT] [--queue Q] [--max-batch B]
                 [--wal PATH]     (write-ahead op log: acknowledged ops
@@ -268,7 +269,6 @@ fn cmd_workload(flags: &HashMap<String, String>) -> Result<(), String> {
     let mut live = w.initial.clone();
     let mut timer = krms::eval::UpdateTimer::new();
 
-    println!("op%   n_live   |Q|   mrr_{k}    avg_update_ms");
     enum Runner {
         Fd(Box<FdRms>),
         Ad(Box<DynamicAdapter<BoxedStatic>>),
@@ -285,6 +285,10 @@ fn cmd_workload(flags: &HashMap<String, String>) -> Result<(), String> {
             self.0.compute(s, f, k, r)
         }
     }
+    let batch: usize = get(flags, "batch", 1)?;
+    if batch == 0 {
+        return Err("--batch must be at least 1".into());
+    }
     let mut runner = if algo.eq_ignore_ascii_case("fd-rms") {
         let eps: f64 = get(flags, "eps", 0.02)?;
         let max_m: usize = get(flags, "max-m", 1 << 12)?;
@@ -299,116 +303,65 @@ fn cmd_workload(flags: &HashMap<String, String>) -> Result<(), String> {
         ))
     } else {
         let a = static_algo(algo, d)?.ok_or(format!("unknown algorithm {algo}"))?;
+        if !a.supports_k(k) {
+            return Err(format!("{} does not support k = {k}", a.name()));
+        }
+        if batch > 1 {
+            return Err("--batch requires --algo FD-RMS".into());
+        }
         Runner::Ad(Box::new(
             DynamicAdapter::new(BoxedStatic(a), k, r, w.initial.clone())
                 .map_err(|e| e.to_string())?,
         ))
     };
 
-    let batch: usize = get(flags, "batch", 1)?;
-    if batch > 1 {
-        // Batched FD-RMS path: stream the operations through the batch
-        // update engine, `batch` at a time.
-        let Runner::Fd(fd) = &mut runner else {
-            return Err("--batch requires --algo FD-RMS".into());
-        };
-        let mut applied = 0usize;
-        let mut next_cp = 0usize;
-        for chunk in w.batches(batch) {
-            for op in chunk {
-                match op {
-                    krms::data::Operation::Insert(p) => live.push(p.clone()),
-                    krms::data::Operation::Delete(id) => live.retain(|q| q.id() != *id),
-                    krms::data::Operation::Update(p) => {
-                        if let Some(slot) = live.iter_mut().find(|q| q.id() == p.id()) {
-                            *slot = p.clone();
-                        }
-                    }
-                }
-            }
-            timer.record(|| {
-                fd.apply_batch(krms::engine_ops(chunk))
-                    .expect("workload operations are valid")
-            });
-            applied += chunk.len();
-            // Report every checkpoint this batch crossed.
-            while next_cp < w.checkpoints.len() && w.checkpoints[next_cp] < applied {
-                next_cp += 1;
-                let q = fd.result();
-                println!(
-                    "{:>3}   {:>6}   {:>3}   {:.4}   {:>12.4}",
-                    next_cp * 10,
-                    live.len(),
-                    q.len(),
-                    est.mrr(&live, &q, k),
-                    timer.avg_ms()
-                );
-            }
-        }
-        println!(
-            "batched: {} ops in batches of {batch}, avg {:.4} ms/batch",
-            applied,
-            timer.avg_ms()
-        );
-        return Ok(());
-    }
-
-    let mut next_cp = 0;
-    for (i, op) in w.operations.iter().enumerate() {
-        match op {
-            krms::data::Operation::Insert(p) => {
-                live.push(p.clone());
-                match &mut runner {
-                    Runner::Fd(fd) => {
-                        timer.record(|| fd.insert(p.clone()).expect("fresh id"));
-                    }
-                    Runner::Ad(ad) => {
-                        let needs = ad.insert_lazy(p.clone()).expect("fresh id");
-                        if needs {
-                            timer.record(|| ad.recompute());
-                        } else {
-                            timer.add(std::time::Duration::ZERO);
-                        }
-                    }
-                }
-            }
-            krms::data::Operation::Delete(id) => {
-                live.retain(|q| q.id() != *id);
-                match &mut runner {
-                    Runner::Fd(fd) => {
-                        timer.record(|| fd.delete(*id).expect("live id"));
-                    }
-                    Runner::Ad(ad) => {
-                        let needs = ad.delete_lazy(*id).expect("live id");
-                        if needs {
-                            timer.record(|| ad.recompute());
-                        } else {
-                            timer.add(std::time::Duration::ZERO);
-                        }
-                    }
-                }
-            }
-            krms::data::Operation::Update(p) => {
-                if let Some(slot) = live.iter_mut().find(|q| q.id() == p.id()) {
-                    *slot = p.clone();
-                }
-                match &mut runner {
-                    Runner::Fd(fd) => {
-                        timer.record(|| fd.update(p.clone()).expect("live id"));
-                    }
-                    Runner::Ad(ad) => {
-                        let del = ad.delete_lazy(p.id()).expect("live id");
-                        let ins = ad.insert_lazy(p.clone()).expect("id just freed");
-                        if del || ins {
-                            timer.record(|| ad.recompute());
-                        } else {
-                            timer.add(std::time::Duration::ZERO);
-                        }
+    println!("op%   n_live   |Q|   mrr_{k}    avg_update_ms");
+    // FD-RMS streams the operations through its batch update engine,
+    // `batch` at a time (`--batch 1` is one-op batches through the same
+    // path); a baseline takes them one at a time through its adapter.
+    let mut applied = 0usize;
+    let mut next_cp = 0usize;
+    for chunk in w.batches(batch) {
+        for op in chunk {
+            match op {
+                krms::data::Operation::Insert(p) => live.push(p.clone()),
+                krms::data::Operation::Delete(id) => live.retain(|q| q.id() != *id),
+                krms::data::Operation::Update(p) => {
+                    if let Some(slot) = live.iter_mut().find(|q| q.id() == p.id()) {
+                        *slot = p.clone();
                     }
                 }
             }
         }
-        if next_cp < w.checkpoints.len() && w.checkpoints[next_cp] == i {
+        match &mut runner {
+            Runner::Fd(fd) => {
+                let ops = krms::engine_ops(chunk);
+                timer.record(|| fd.apply_batch(ops).expect("workload operations are valid"));
+            }
+            Runner::Ad(ad) => {
+                for op in chunk {
+                    let needs = match op {
+                        krms::data::Operation::Insert(p) => {
+                            ad.insert_lazy(p.clone()).expect("fresh id")
+                        }
+                        krms::data::Operation::Delete(id) => ad.delete_lazy(*id).expect("live id"),
+                        krms::data::Operation::Update(p) => {
+                            let del = ad.delete_lazy(p.id()).expect("live id");
+                            let ins = ad.insert_lazy(p.clone()).expect("id just freed");
+                            del || ins
+                        }
+                    };
+                    if needs {
+                        timer.record(|| ad.recompute());
+                    } else {
+                        timer.add(std::time::Duration::ZERO);
+                    }
+                }
+            }
+        }
+        applied += chunk.len();
+        // Report every checkpoint this batch crossed.
+        while next_cp < w.checkpoints.len() && w.checkpoints[next_cp] < applied {
             next_cp += 1;
             let q = match &runner {
                 Runner::Fd(fd) => fd.result(),
@@ -423,6 +376,12 @@ fn cmd_workload(flags: &HashMap<String, String>) -> Result<(), String> {
                 timer.avg_ms()
             );
         }
+    }
+    if batch > 1 {
+        println!(
+            "batched: {applied} ops in batches of {batch}, avg {:.4} ms/batch",
+            timer.avg_ms()
+        );
     }
     Ok(())
 }
