@@ -8,6 +8,11 @@
 //! the server crate, so the wire format has two independent in-tree
 //! implementations testing each other.
 //!
+//! Every request — a one-line verb or a whole `BATCH` frame — is encoded
+//! into a buffer the client keeps and handed to the socket in one write,
+//! so it costs one syscall and, on the client's `TCP_NODELAY` socket, one
+//! segment.
+//!
 //! ```no_run
 //! use rms_client::{ClientOp, RmsClient};
 //!
@@ -32,7 +37,7 @@
 #![warn(missing_docs)]
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -114,20 +119,67 @@ impl ClientOp {
         ClientOp::Update { id, coords }
     }
 
-    fn encode(&self) -> String {
-        fn coords_str(coords: &[f64]) -> String {
-            coords
-                .iter()
-                .map(f64::to_string)
-                .collect::<Vec<_>>()
-                .join(" ")
+    /// Appends the op's request line, its newline included.
+    fn encode(&self, out: &mut Vec<u8>) -> io::Result<()> {
+        let (verb, id, coords) = match self {
+            ClientOp::Insert { id, coords } => ("INSERT", id, coords),
+            ClientOp::Update { id, coords } => ("UPDATE", id, coords),
+            ClientOp::Delete { id } => return writeln!(out, "DELETE {id}"),
+        };
+        write!(out, "{verb} {id} ")?;
+        let mut sep = "";
+        for c in coords {
+            write!(out, "{sep}{c}")?;
+            sep = " ";
         }
+        writeln!(out)
+    }
+}
+
+/// One request, as the client frames it.
+#[derive(Debug, Clone, Copy)]
+enum Request<'a> {
+    Hello,
+    Op(&'a ClientOp),
+    Batch(&'a [ClientOp]),
+    Query,
+    Stats,
+    Metrics,
+    Shutdown,
+    Subscribe { every: u64, ids: Option<(u64, u64)> },
+}
+
+impl Request<'_> {
+    /// Appends the request's complete wire bytes: one line, or a `BATCH`
+    /// header and its op lines.
+    fn encode(self, out: &mut Vec<u8>) -> io::Result<()> {
         match self {
-            ClientOp::Insert { id, coords } => format!("INSERT {id} {}", coords_str(coords)),
-            ClientOp::Delete { id } => format!("DELETE {id}"),
-            ClientOp::Update { id, coords } => format!("UPDATE {id} {}", coords_str(coords)),
+            Request::Hello => writeln!(out, "HELLO v{PROTOCOL_VERSION}"),
+            Request::Op(op) => op.encode(out),
+            Request::Batch(ops) => {
+                writeln!(out, "BATCH {}", ops.len())?;
+                ops.iter().try_for_each(|op| op.encode(out))
+            }
+            Request::Query => writeln!(out, "QUERY"),
+            Request::Stats => writeln!(out, "STATS"),
+            Request::Metrics => writeln!(out, "METRICS"),
+            Request::Shutdown => writeln!(out, "SHUTDOWN"),
+            Request::Subscribe { every, ids: None } => writeln!(out, "SUBSCRIBE every={every}"),
+            Request::Subscribe {
+                every,
+                ids: Some((lo, hi)),
+            } => writeln!(out, "SUBSCRIBE every={every} ids={lo}..{hi}"),
         }
     }
+}
+
+/// Frames every request the client sends: encodes `req` into `buf`
+/// (cleared first; its capacity is kept from request to request) and
+/// hands the complete request to `w` in one `write_all`.
+fn send_request(w: &mut impl Write, buf: &mut Vec<u8>, req: Request<'_>) -> io::Result<()> {
+    buf.clear();
+    req.encode(buf)?;
+    w.write_all(buf)
 }
 
 /// What the server advertised in its `HELLO` reply.
@@ -199,13 +251,15 @@ pub struct Delta {
     pub removed: Vec<u64>,
 }
 
-/// A typed client connection. Every call sends one request line and
-/// reads one reply line; [`RmsClient::subscribe`] consumes the client
-/// and turns the connection into a push-mode [`Subscription`].
+/// A typed client connection. Every call sends its whole request in one
+/// write and reads one reply line; [`RmsClient::subscribe`] consumes the
+/// client and turns the connection into a push-mode [`Subscription`].
 #[derive(Debug)]
 pub struct RmsClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The encode buffer [`send_request`] reuses for every request.
+    request: Vec<u8>,
     hello: ServerHello,
 }
 
@@ -219,6 +273,7 @@ impl RmsClient {
         let mut client = Self {
             reader,
             writer: stream,
+            request: Vec::new(),
             hello: ServerHello {
                 version: 1,
                 dim: 0,
@@ -226,7 +281,7 @@ impl RmsClient {
                 r: 0,
             },
         };
-        let reply = client.roundtrip(&format!("HELLO v{PROTOCOL_VERSION}"))?;
+        let reply = client.roundtrip(Request::Hello)?;
         client.hello = parse_hello(&reply)?;
         Ok(client)
     }
@@ -243,25 +298,16 @@ impl RmsClient {
         Ok(())
     }
 
-    fn send(&mut self, line: &str) -> Result<(), ClientError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        Ok(())
-    }
-
-    fn read_reply(&mut self) -> Result<String, ClientError> {
+    /// Sends `req` in one write and reads its reply line.
+    fn roundtrip(&mut self, req: Request<'_>) -> Result<String, ClientError> {
+        send_request(&mut self.writer, &mut self.request, req)?;
         read_ok_line(&mut self.reader)
-    }
-
-    fn roundtrip(&mut self, line: &str) -> Result<String, ClientError> {
-        self.send(line)?;
-        self.read_reply()
     }
 
     /// Submits one mutation; `Ok` means the server acknowledged the
     /// enqueue (`OK queued`).
     pub fn submit(&mut self, op: &ClientOp) -> Result<(), ClientError> {
-        self.roundtrip(&op.encode()).map(|_| ())
+        self.roundtrip(Request::Op(op)).map(|_| ())
     }
 
     /// Enqueues an insertion.
@@ -294,13 +340,7 @@ impl RmsClient {
     pub fn submit_batch(&mut self, ops: &[ClientOp]) -> Result<usize, ClientError> {
         let mut total = 0;
         for chunk in ops.chunks(MAX_BATCH_LINES.max(1)) {
-            let mut lines = format!("BATCH {}\n", chunk.len());
-            for op in chunk {
-                lines.push_str(&op.encode());
-                lines.push('\n');
-            }
-            self.writer.write_all(lines.as_bytes())?;
-            let reply = self.read_reply()?;
+            let reply = self.roundtrip(Request::Batch(chunk))?;
             total += field(&reply, "n")
                 .and_then(|v| v.parse::<usize>().ok())
                 .ok_or_else(|| ClientError::Protocol(format!("no n= in batch ack `{reply}`")))?;
@@ -310,7 +350,7 @@ impl RmsClient {
 
     /// Reads the published solution.
     pub fn query(&mut self) -> Result<QueryResult, ClientError> {
-        let reply = self.roundtrip("QUERY")?;
+        let reply = self.roundtrip(Request::Query)?;
         let fields = parse_fields(&reply);
         let epoch = parse_epoch(&fields)
             .ok_or_else(|| ClientError::Protocol(format!("no epoch= in query reply `{reply}`")))?;
@@ -332,7 +372,7 @@ impl RmsClient {
 
     /// Reads service metrics.
     pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
-        let reply = self.roundtrip("STATS")?;
+        let reply = self.roundtrip(Request::Stats)?;
         Ok(ServerStats {
             fields: parse_fields(&reply),
         })
@@ -344,7 +384,7 @@ impl RmsClient {
     /// a scrape endpoint would serve it; empty string when the server
     /// exposes no metric families).
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        let reply = self.roundtrip("METRICS")?;
+        let reply = self.roundtrip(Request::Metrics)?;
         let lines: usize = field(&reply, "lines")
             .and_then(|v| v.parse().ok())
             .ok_or_else(|| ClientError::Protocol(format!("no lines= in metrics ack `{reply}`")))?;
@@ -365,7 +405,7 @@ impl RmsClient {
 
     /// Asks the server to drain and stop (`SHUTDOWN`).
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        self.roundtrip("SHUTDOWN").map(|_| ())
+        self.roundtrip(Request::Shutdown).map(|_| ())
     }
 
     /// Switches the connection to push mode: the server acknowledges
@@ -373,7 +413,7 @@ impl RmsClient {
     /// `every` published epochs. The returned [`Subscription`] applies
     /// each delta to its mirror of the solution as it yields it.
     pub fn subscribe(self, every: u64) -> Result<Subscription, ClientError> {
-        self.subscribe_line(&format!("SUBSCRIBE every={every}"))
+        self.subscribe_with(Request::Subscribe { every, ids: None })
     }
 
     /// Like [`RmsClient::subscribe`], but with a server-side id-range
@@ -389,11 +429,14 @@ impl RmsClient {
         lo: u64,
         hi: u64,
     ) -> Result<Subscription, ClientError> {
-        self.subscribe_line(&format!("SUBSCRIBE every={every} ids={lo}..{hi}"))
+        self.subscribe_with(Request::Subscribe {
+            every,
+            ids: Some((lo, hi)),
+        })
     }
 
-    fn subscribe_line(mut self, request: &str) -> Result<Subscription, ClientError> {
-        let reply = self.roundtrip(request)?;
+    fn subscribe_with(mut self, req: Request<'_>) -> Result<Subscription, ClientError> {
+        let reply = self.roundtrip(req)?;
         let fields = parse_fields(&reply);
         let epoch = parse_epoch(&fields).ok_or_else(|| {
             ClientError::Protocol(format!("no epoch= in subscribe ack `{reply}`"))
@@ -597,14 +640,68 @@ fn parse_delta(line: &str) -> Result<Delta, ClientError> {
 mod tests {
     use super::*;
 
+    /// A `Write` that records the bytes of every `write` call.
+    #[derive(Default)]
+    struct Recorder {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.writes.push(bytes.to_vec());
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Each verb's request reaches the socket as one `write` carrying the
+    /// whole request — a `BATCH` header together with its op lines — in
+    /// the bytes the protocol specifies, coordinates in `f64`'s shortest
+    /// round-trip form. One buffer serves every request, so a shorter
+    /// request after a longer one carries nothing stale.
     #[test]
-    fn encodes_ops() {
-        assert_eq!(
-            ClientOp::insert(7, vec![0.5, 0.25]).encode(),
-            "INSERT 7 0.5 0.25"
-        );
-        assert_eq!(ClientOp::delete(9).encode(), "DELETE 9");
-        assert_eq!(ClientOp::update(3, vec![1.0, 0.0]).encode(), "UPDATE 3 1 0");
+    fn every_request_is_one_write() {
+        let insert = ClientOp::insert(7, vec![0.5, 0.25]);
+        let delete = ClientOp::delete(9);
+        let update = ClientOp::update(3, vec![1.0, 0.0]);
+        let batch = [insert.clone(), delete.clone()];
+        let cases: [(Request<'_>, &str); 11] = [
+            (Request::Hello, "HELLO v2\n"),
+            (Request::Op(&insert), "INSERT 7 0.5 0.25\n"),
+            (Request::Op(&delete), "DELETE 9\n"),
+            (Request::Op(&update), "UPDATE 3 1 0\n"),
+            (
+                Request::Batch(&batch),
+                "BATCH 2\nINSERT 7 0.5 0.25\nDELETE 9\n",
+            ),
+            (Request::Query, "QUERY\n"),
+            (Request::Stats, "STATS\n"),
+            (Request::Metrics, "METRICS\n"),
+            (Request::Shutdown, "SHUTDOWN\n"),
+            (
+                Request::Subscribe {
+                    every: 1,
+                    ids: None,
+                },
+                "SUBSCRIBE every=1\n",
+            ),
+            (
+                Request::Subscribe {
+                    every: 4,
+                    ids: Some((10, 20)),
+                },
+                "SUBSCRIBE every=4 ids=10..20\n",
+            ),
+        ];
+        let mut buf = Vec::new();
+        for (req, want) in cases {
+            let mut socket = Recorder::default();
+            send_request(&mut socket, &mut buf, req).unwrap();
+            assert_eq!(socket.writes, [want.as_bytes()], "{req:?}");
+        }
     }
 
     #[test]

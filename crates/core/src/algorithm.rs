@@ -407,28 +407,6 @@ impl FdRms {
         self.stats
     }
 
-    /// Solves the **min-size** variant referenced in the related work
-    /// (\[3\], \[19\]): the smallest subset whose maximum k-regret ratio is at
-    /// most ε (with respect to the full sampled net of `M` utility
-    /// vectors, not just the tuned prefix `m`). Runs greedy set cover on
-    /// a clone of the maintained system, so the dynamic state is
-    /// untouched. Cost is one greedy pass — `O(r'·n)` — so call it on
-    /// demand, not per update.
-    pub fn min_size_result(&self) -> Vec<Point> {
-        if self.kd.is_empty() {
-            return Vec::new();
-        }
-        let mut cover = self.cover.clone();
-        cover.reset_universe(0..self.cap_m as ElemId);
-        cover.greedy().expect("every utility has a top-1 tuple");
-        let mut out: Vec<Point> = cover
-            .solution()
-            .map(|pid| self.tuple(pid).expect("solution sets are live tuples"))
-            .collect();
-        out.sort_unstable_by_key(Point::id);
-        out
-    }
-
     // ------------------------------------------------------------------
     // Algorithm 3: UPDATE
     // ------------------------------------------------------------------
@@ -906,28 +884,6 @@ pub(crate) mod tests {
         let s = fd.stats();
         assert!(s.affected_utilities > 0);
         assert!(s.topk_requeries > 0);
-    }
-
-    #[test]
-    fn min_size_result_has_eps_quality() {
-        let pts = random_points(81, 150, 3);
-        let eps = 0.08;
-        let fd = FdRms::builder(3)
-            .r(3)
-            .epsilon(eps)
-            .max_utilities(256)
-            .build(pts.clone())
-            .unwrap();
-        let q = fd.min_size_result();
-        assert!(!q.is_empty());
-        // Quality over the sampled net: by construction the set covers all
-        // M utilities within eps; the Monte-Carlo estimate over *fresh*
-        // directions should be near eps (allow net-resolution slack).
-        let mrr = rms_eval::max_regret_ratio(&pts, &q, 1, 5_000, 9);
-        assert!(mrr < eps + 0.1, "min-size mrr {mrr}");
-        // The maintained (size-capped) state is untouched.
-        fd.check_invariants().unwrap();
-        assert!(fd.result().len() <= 3);
     }
 
     #[test]

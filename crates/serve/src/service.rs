@@ -31,8 +31,9 @@ type WatcherRegistry = Arc<Mutex<Vec<Sender<SnapshotDelta>>>>;
 /// apply on top of it, pushed by the applier at publish time (no
 /// polling). The stream is *gap-free*: the first delta's `from_version`
 /// equals the base snapshot's epoch and each subsequent delta continues
-/// where the previous ended. It closes when the service shuts down or
-/// the receiver is dropped.
+/// where the previous ended. It closes when the applier exits (the
+/// service shuts down, or the applier panics) or the receiver is
+/// dropped.
 ///
 /// Delivery is unbounded-buffered: a subscriber that stops receiving
 /// accumulates pending deltas (each at most `2r` entries) until it is
@@ -405,15 +406,15 @@ impl RmsHandle {
     /// Subscribes to the service's delta stream: the returned receiver
     /// carries the current snapshot as its base plus every subsequent
     /// [`SnapshotDelta`], computed and pushed by the applier at publish
-    /// time. The stream closes on shutdown; registration after shutdown
-    /// yields an already-closed stream.
+    /// time. The stream closes when the applier exits, on shutdown or on
+    /// a panic; registration after that yields an already-closed stream.
     pub fn watch(&self) -> DeltaReceiver {
         let (tx, rx) = channel();
         // Registration reads the base under the registry lock, so the
         // base snapshot and the first delta line up gap-free.
         let mut watchers = recover_poisoned(self.watchers.lock());
         let base = self.cell.load();
-        // After shutdown the applier has already dropped every watcher;
+        // An exited applier has dropped every watcher (`CloseOnExit`);
         // registering would leak a never-closing stream. Dropping the
         // sender instead closes the subscriber's receiver immediately.
         if self.state.load(Ordering::SeqCst) & CLOSED_BIT == 0 {
@@ -782,16 +783,16 @@ impl Applier {
     }
 
     /// Runs until shutdown, a simulated crash, or the last handle's drop,
-    /// and hands the engine back. Every exit clears the watchers:
-    /// dropping their senders closes every subscriber's delta stream, and
-    /// the closed ingestion bit (set before any exit path reaches here,
-    /// or implied by every handle being gone) keeps late registrations
-    /// out of the cleared registry.
+    /// and hands the engine back. Every exit closes the service through
+    /// [`CloseOnExit`], a panic unwinding out of `serve` included.
     fn run(mut self) -> FdRms {
+        let _close = CloseOnExit {
+            state: Arc::clone(&self.state),
+            watchers: Arc::clone(&self.watchers),
+        };
         if self.serve() {
             self.compact();
         }
-        recover_poisoned(self.watchers.lock()).clear();
         self.fd
     }
 
@@ -871,6 +872,11 @@ impl Applier {
     /// wall-clock per coalesced batch, and a salvage additionally bumps
     /// `replayed_batches`.
     fn apply(&mut self, batch: &[Op]) {
+        #[cfg(test)]
+        assert!(
+            !tests::PANIC_ON_APPLY.with(std::cell::Cell::get),
+            "injected applier panic"
+        );
         let n = batch.len();
         let m = &self.metrics;
         m.batch_ops.record_value(n as u64);
@@ -964,9 +970,84 @@ impl Applier {
     }
 }
 
+/// Closes the service when the applier exits, whichever way it exits:
+/// its `Drop` runs on a normal return and on a panic's unwind alike.
+/// Without it a panicked applier would leave every delta stream open —
+/// the registry's senders outlive the applier in every [`RmsHandle`] —
+/// and a later [`RmsHandle::watch`] would register a stream nothing
+/// ever closes.
+struct CloseOnExit {
+    state: Arc<AtomicUsize>,
+    watchers: WatcherRegistry,
+}
+
+impl Drop for CloseOnExit {
+    fn drop(&mut self) {
+        // The closed bit goes first: a `watch()` that takes the registry
+        // lock after the clear below sees it and registers nothing, and
+        // every later submission is refused with `Disconnected`.
+        self.state.fetch_or(CLOSED_BIT, Ordering::SeqCst);
+        recover_poisoned(self.watchers.lock()).clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Set on an applier's thread, makes its next `apply` panic, as
+        /// an engine invariant failure would.
+        pub(super) static PANIC_ON_APPLY: Cell<bool> = const { Cell::new(false) };
+    }
+
+    fn small_engine() -> FdRms {
+        let initial: Vec<Point> = (0..20)
+            .map(|i| Point::new_unchecked(i, vec![(i as f64) / 20.0, 1.0 - (i as f64) / 20.0]))
+            .collect();
+        FdRms::builder(2)
+            .r(3)
+            .max_utilities(64)
+            .build(initial)
+            .unwrap()
+    }
+
+    /// A panicking applier closes the service on its way out: the open
+    /// delta stream ends, a later `watch()` is closed from the start, and
+    /// submissions are refused. None of them waits on a dead applier.
+    #[test]
+    fn panicked_applier_closes_every_stream() {
+        let metrics = ServiceMetrics::register(&Registry::new());
+        let (applier, handle) = Applier::new(small_engine(), ServeConfig::default(), None, metrics);
+        let open = handle.watch();
+        let thread = std::thread::spawn(move || {
+            PANIC_ON_APPLY.with(|p| p.set(true));
+            applier.run()
+        });
+        handle
+            .try_submit(Op::Insert(Point::new_unchecked(100, vec![0.9, 0.8])))
+            .unwrap();
+        assert!(
+            matches!(
+                open.recv_timeout(Duration::from_secs(2)),
+                Err(RecvTimeoutError::Disconnected)
+            ),
+            "an open stream must close when the applier panics"
+        );
+        assert!(
+            thread.join().is_err(),
+            "the injected panic unwound the applier"
+        );
+        let late = handle.watch();
+        assert!(matches!(late.try_recv(), Err(TryRecvError::Disconnected)));
+        assert_eq!(late.base().epoch, 0);
+        let refused = handle.try_submit(Op::Delete(1));
+        assert!(matches!(
+            refused,
+            Err(SubmitError::Disconnected(Op::Delete(1)))
+        ));
+    }
 
     /// An atomically-rejected N-op batch used to bump `batches` N+1 times
     /// (the failed attempt plus one per replayed op), deflating
@@ -976,16 +1057,9 @@ mod tests {
     /// the copy `STATS` serves against the registry's cells.
     #[test]
     fn rejected_batch_counts_as_one_logical_batch() {
-        let initial: Vec<Point> = (0..20)
-            .map(|i| Point::new_unchecked(i, vec![(i as f64) / 20.0, 1.0 - (i as f64) / 20.0]))
-            .collect();
-        let fd = FdRms::builder(2)
-            .r(3)
-            .max_utilities(64)
-            .build(initial)
-            .unwrap();
         let metrics = ServiceMetrics::register(&Registry::new());
-        let (mut applier, handle) = Applier::new(fd, ServeConfig::default(), None, metrics);
+        let (mut applier, handle) =
+            Applier::new(small_engine(), ServeConfig::default(), None, metrics);
 
         // 4 ops, one invalid (duplicate insert): atomic rejection, per-op
         // replay salvages 3.

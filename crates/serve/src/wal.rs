@@ -31,6 +31,10 @@
 //! truncated or checksum-failing final record; [`Wal::open`] stops
 //! replay at the last intact record and truncates the file there before
 //! new appends, so the log never accumulates unreachable garbage.
+//! Corruption is fatal: a crash tears only the record being appended, so
+//! a bad record with an intact one anywhere after it is damage to
+//! acknowledged ops, not a tear. [`Wal::open`] then refuses the log and
+//! leaves it untouched instead of truncating those ops away.
 
 use fdrms::Op;
 use rms_geom::Point;
@@ -103,7 +107,10 @@ impl Wal {
     /// is already there. The scan tolerates a torn tail — the file is
     /// truncated to its last intact record so appends resume cleanly — but
     /// refuses a non-empty file that is not a KWAL log, so a mistaken
-    /// `--wal` path never clobbers foreign data.
+    /// `--wal` path never clobbers foreign data, and refuses a bad record
+    /// followed by an intact one (`InvalidData`, naming both offsets), so
+    /// corruption never truncates acknowledged ops away. A refused file is
+    /// left byte for byte as it was.
     pub fn open(path: &Path) -> io::Result<(Self, WalReplay)> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
@@ -319,8 +326,9 @@ fn decode_point(payload: &[u8]) -> Option<Point> {
 }
 
 /// Scans a log buffer: returns the replay state and the byte length of
-/// the intact prefix. A torn or corrupt record ends the scan (its bytes
-/// count as torn); a non-KWAL prefix is an error.
+/// the intact prefix. A bad record with nothing intact after it ends the
+/// scan (its bytes count as torn); one with an intact record anywhere
+/// after it, and a non-KWAL prefix, are errors.
 fn scan(raw: &[u8]) -> io::Result<(WalReplay, u64)> {
     if raw.is_empty() {
         return Ok((WalReplay::default(), 0));
@@ -336,28 +344,37 @@ fn scan(raw: &[u8]) -> io::Result<(WalReplay, u64)> {
     while let Some(next) = parse_record(&raw[pos..], &mut replay) {
         pos += next;
     }
+    // The bad record's length field may be what is damaged, so an intact
+    // record is looked for at every later offset.
+    if let Some(intact) = (pos + 1..raw.len()).find(|&at| checked_frame(&raw[at..]).is_some()) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "corrupt record at byte {pos} with an intact record after it at byte {intact}; \
+                 refusing to truncate the acknowledged ops that follow (move the log aside)"
+            ),
+        ));
+    }
     replay.torn_bytes = (raw.len() - pos) as u64;
     Ok((replay, pos as u64))
+}
+
+/// The frame at the front of `buf` if it is whole and its checksum
+/// holds: its tag, its payload and its total length.
+fn checked_frame(buf: &[u8]) -> Option<(u8, &[u8], usize)> {
+    let tag = *buf.first()?;
+    let len = le_u32(buf, 1)? as usize;
+    let end = len.checked_add(5)?;
+    let payload = buf.get(5..end)?;
+    let stored = le_u64(buf, end)?;
+    (record_hash(tag, payload) == stored).then_some((tag, payload, FRAME_OVERHEAD + len))
 }
 
 /// Parses one record at the front of `buf` into `replay`; returns the
 /// record's total length, or `None` when the record is torn, corrupt, or
 /// `buf` is exhausted.
 fn parse_record(buf: &[u8], replay: &mut WalReplay) -> Option<usize> {
-    if buf.len() < FRAME_OVERHEAD {
-        return None;
-    }
-    let tag = *buf.first()?;
-    let len = le_u32(buf, 1)? as usize;
-    let total = FRAME_OVERHEAD.checked_add(len)?;
-    if buf.len() < total {
-        return None;
-    }
-    let payload = buf.get(5..5 + len)?;
-    let stored = le_u64(buf, 5 + len)?;
-    if record_hash(tag, payload) != stored {
-        return None;
-    }
+    let (tag, payload, total) = checked_frame(buf)?;
     match tag {
         TAG_INSERT => replay.ops.push(Op::Insert(decode_point(payload)?)),
         TAG_UPDATE => replay.ops.push(Op::Update(decode_point(payload)?)),
@@ -448,8 +465,9 @@ mod tests {
         }
         drop(wal);
         let mut raw = std::fs::read(&path).unwrap();
-        // Flip a payload byte of the second record (header is 8 bytes,
-        // first record is 13 + 20 = 33 bytes; the second starts at 41).
+        // Flip a payload byte of the last record (its final 8 bytes are
+        // the checksum): a bad record with nothing intact after it is a
+        // torn tail, so replay stops there.
         let idx = raw.len() - 15;
         raw[idx] ^= 0xFF;
         std::fs::write(&path, &raw).unwrap();

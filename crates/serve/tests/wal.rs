@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rms_geom::{Point, PointId};
 use rms_serve::wal::Wal;
-use rms_serve::{RmsService, ServeConfig};
+use rms_serve::{RmsService, ServeConfig, ServeError};
 use std::path::PathBuf;
 
 fn random_points(seed: u64, n: usize, d: usize) -> Vec<Point> {
@@ -239,6 +239,71 @@ fn graceful_shutdown_compacts_to_a_checkpoint() {
     let fd = restarted.shutdown();
     fd.check_invariants().unwrap();
     assert_eq!(live_ids(&fd), expected);
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A crash tears at most the record being appended, the last one. A bad
+/// record with an intact one after it is corruption: the start is
+/// refused and the log left byte for byte as it was, where truncating at
+/// the bad record would destroy every acknowledged op after it. The same
+/// flip in the last record is a torn tail, and the other 99 ops recover.
+#[test]
+fn corrupt_record_before_intact_ones_refuses_the_start() {
+    let d = 2;
+    let path = temp_wal("corrupt-middle");
+    let _ = std::fs::remove_file(&path);
+    let initial = random_points(41, 30, d);
+    let inserts: Vec<Op> = random_points(42, 100, d)
+        .into_iter()
+        .map(|p| Op::Insert(Point::new_unchecked(1_000 + p.id(), p.coords().to_vec())))
+        .collect();
+    let service =
+        RmsService::start_with_wal(builder(d), initial.clone(), ServeConfig::default(), &path)
+            .unwrap();
+    for op in inserts.clone() {
+        service.submit(op).unwrap();
+    }
+    service.crash();
+    let logged = std::fs::read(&path).unwrap();
+    // An 8-byte header, then one record per insert: tag, length, id,
+    // dimension, d coordinates and an 8-byte checksum.
+    let record = 1 + 4 + 8 + 4 + 8 * d + 8;
+    assert_eq!(logged.len(), 8 + 100 * record);
+    let flip_first_coordinate = |index: usize| {
+        let start = 8 + index * record;
+        let mut raw = logged.clone();
+        raw[start + 17] ^= 0xFF;
+        std::fs::write(&path, &raw).unwrap();
+        (start, raw)
+    };
+
+    let (third, corrupt) = flip_first_coordinate(2);
+    let err =
+        RmsService::start_with_wal(builder(d), initial.clone(), ServeConfig::default(), &path)
+            .map(|_| ())
+            .unwrap_err();
+    assert!(
+        matches!(&err, ServeError::Wal(e) if e.kind() == std::io::ErrorKind::InvalidData),
+        "{err}"
+    );
+    assert!(err.to_string().contains(&format!("byte {third}")), "{err}");
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        corrupt,
+        "a refused start must leave the log as it found it"
+    );
+
+    flip_first_coordinate(99);
+    let restarted =
+        RmsService::start_with_wal(builder(d), initial.clone(), ServeConfig::default(), &path)
+            .unwrap();
+    assert_eq!(restarted.snapshot().stats.wal_recovered_ops, 99);
+    let fd = restarted.shutdown();
+    fd.check_invariants().unwrap();
+    assert_eq!(
+        live_ids(&fd),
+        live_ids(&sequential(d, &initial, &inserts[..99]))
+    );
     std::fs::remove_file(&path).unwrap();
 }
 
