@@ -163,9 +163,11 @@ pub const RULE_DESCRIPTIONS: &[(&str, &str)] = &[
 
 /// Method/function names whose calls block (or may block arbitrarily
 /// long): channel sends/receives, fsyncs, socket accepts, buffered IO,
-/// thread joins/sleeps. Holding a lock guard across any of these is the
-/// PR-4/PR-5 bug class. `try_send`/`try_recv` are deliberately absent —
-/// the serve layer's enqueue+append critical section is built on them.
+/// thread joins/sleeps, condition-variable waits. Holding a lock guard
+/// across any of these is the PR-4/PR-5 bug class. `try_send`/`try_recv`
+/// are absent: they never block. A `Condvar` wait releases only the
+/// guard it is handed, so any other guard alive across it is a finding,
+/// and a wait on the one guard it releases carries a pragma saying so.
 pub(crate) const BLOCKING_CALLS: &[&str] = &[
     "send",
     "recv",
@@ -183,6 +185,8 @@ pub(crate) const BLOCKING_CALLS: &[&str] = &[
     "read_to_string",
     "wait",
     "wait_timeout",
+    "wait_while",
+    "wait_timeout_while",
     "park",
 ];
 

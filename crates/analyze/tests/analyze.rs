@@ -80,9 +80,16 @@ fn r1_guard_across_blocking() {
     let text = stdout(&out);
     assert_eq!(
         count_rule(&out, "guard-across-blocking"),
-        3,
-        "expected the sync send, the fsync, and the may-block helper call:\n{text}"
+        5,
+        "expected the sync send, the fsync, the may-block helper call and the two \
+         condvar waits:\n{text}"
     );
+    for wait in ["wait_while", "wait_timeout_while"] {
+        assert!(
+            text.contains(&format!("blocking call `{wait}(…)`")),
+            "the guard across `{wait}` was missed:\n{text}"
+        );
+    }
     assert!(
         text.contains("`persist(…)`, which may block"),
         "may-block fixpoint did not reach the helper call:\n{text}"

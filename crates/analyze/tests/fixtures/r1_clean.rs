@@ -17,8 +17,7 @@ fn scope_before_send(m: &std::sync::Mutex<u32>, tx: &std::sync::mpsc::Sender<u32
 }
 
 fn nonblocking_under_guard(m: &std::sync::Mutex<u32>, tx: &std::sync::mpsc::SyncSender<u32>) {
-    // try_send never blocks; holding the guard across it is the
-    // serve layer's sanctioned enqueue+append critical section.
+    // try_send never blocks, so the guard may stay alive across it.
     let guard = recover_poisoned(m.lock());
     tx.try_send(*guard).ok();
 }

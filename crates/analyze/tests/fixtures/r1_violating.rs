@@ -1,7 +1,8 @@
 // Fixture: a Mutex guard held across blocking calls — the PR-4/PR-5
 // bug class rule `guard-across-blocking` exists to catch. Expected
-// findings: the sync-channel send, the fsync, and the call into the
-// local helper the may-block fixpoint marks blocking.
+// findings: the sync-channel send, the fsync, the call into the local
+// helper the may-block fixpoint marks blocking, and the two condvar
+// waits.
 
 fn held_across_send(m: &std::sync::Mutex<u32>, tx: &std::sync::mpsc::SyncSender<u32>) {
     let guard = recover_poisoned(m.lock());
@@ -16,6 +17,21 @@ fn held_across_fsync(m: &std::sync::Mutex<std::fs::File>) -> std::io::Result<()>
 fn held_across_helper(m: &std::sync::Mutex<std::fs::File>) {
     let file = recover_poisoned(m.lock());
     persist(&file);
+}
+
+fn held_across_condvar_waits(
+    m: &std::sync::Mutex<u32>,
+    queue: &std::sync::Mutex<Vec<u32>>,
+    ready: &std::sync::Condvar,
+) {
+    let count = recover_poisoned(m.lock());
+    // Each wait releases the queue lock it is handed while it is parked,
+    // but `count` stays locked the whole time.
+    let q = recover_poisoned(ready.wait_while(recover_poisoned(queue.lock()), |q| q.is_empty()));
+    drop(q);
+    let pause = std::time::Duration::from_millis(1);
+    let _ = ready.wait_timeout_while(recover_poisoned(queue.lock()), pause, |q| q.is_empty());
+    drop(count);
 }
 
 // The fixpoint marks this may-block: it fsyncs.

@@ -19,6 +19,9 @@ use crate::poller::Token;
 /// closes the connection.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
+/// Bytes [`Conn::fill`] asks the socket for per `read`.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// Outcome of pulling one line out of the read buffer.
 #[derive(Debug, PartialEq, Eq)]
 pub enum LineStep {
@@ -163,12 +166,23 @@ impl Conn {
         self.phase == ConnPhase::Open && !self.paused && !self.eof
     }
 
-    /// Reads everything currently available into the buffer. Returns
-    /// `Ok(true)` if the connection should be torn down (hard error).
-    /// Sets [`Conn::eof`] on clean peer shutdown.
+    /// Reads what is available into the buffer, until the socket would
+    /// block or the unconsumed input exceeds [`MAX_LINE_BYTES`]: past
+    /// that, [`Conn::take_line`] either finds lines in it or refuses the
+    /// connection, and since readiness is level-triggered the rest is
+    /// read on the next wakeup. So one call buffers at most
+    /// `MAX_LINE_BYTES` plus one read chunk, however fast the peer
+    /// sends. Returns `true` if the connection should be torn down
+    /// (hard error). Sets [`Conn::eof`] on clean peer shutdown.
     pub fn fill(&mut self) -> bool {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
+        // Drop the consumed prefix first: a buffer that always ends
+        // mid-line is never cleared by `take_line`.
+        if self.rpos > 0 {
+            self.rbuf.drain(..self.rpos);
+            self.rpos = 0;
+        }
+        let mut chunk = [0u8; READ_CHUNK];
+        while self.rbuf.len() <= MAX_LINE_BYTES {
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     self.eof = true;
@@ -180,6 +194,7 @@ impl Conn {
                 Err(_) => return true,
             }
         }
+        false
     }
 
     /// Extracts the next complete line, advancing the cursor. The
@@ -262,6 +277,29 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(50));
         assert!(!conn.fill());
         assert_eq!(conn.take_line(), LineStep::Malformed);
+    }
+
+    /// A peer streaming without a newline cannot grow the buffer past
+    /// the line cap plus one read chunk in one `fill`.
+    #[test]
+    fn one_fill_buffers_at_most_a_line_past_the_cap() {
+        let (mut client, server) = sock_pair();
+        let mut conn = Conn::new(server, Token(1));
+        let writer = std::thread::spawn(move || {
+            let blob = vec![b'x'; 1 << 20];
+            // Runs until the reader's socket closes.
+            while client.write_all(&blob).is_ok() {}
+        });
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert!(!conn.fill());
+        assert!(
+            conn.rbuf.len() <= MAX_LINE_BYTES + READ_CHUNK,
+            "one fill buffered {} bytes",
+            conn.rbuf.len()
+        );
+        assert_eq!(conn.take_line(), LineStep::Malformed);
+        drop(conn);
+        writer.join().unwrap();
     }
 
     #[test]

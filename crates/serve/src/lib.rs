@@ -3,11 +3,11 @@
 //! The batch update engine (`fdrms::engine`) made maintenance cheap to
 //! amortise; this crate turns the engine into a *service*. An
 //! [`RmsService`] moves the [`FdRms`](fdrms::FdRms) instance onto a
-//! dedicated applier thread fed by a bounded MPSC queue:
+//! dedicated applier thread fed by a bounded op queue:
 //!
 //! ```text
 //!  writers ──submit(Op)──▶ [bounded queue] ──▶ applier thread
-//!                           (backpressure)      │ coalesce ≤ max_batch
+//!                           (backpressure)      │ take ≤ max_batch
 //!                                               │ FdRms::apply_batch
 //!                                               ▼
 //!  readers ◀──snapshot()── [Arc<ResultSnapshot> swap cell]
@@ -43,10 +43,14 @@
 //!   delivered version.
 //! * An optional [write-ahead log](crate::wal) makes acknowledgements
 //!   durable: every acknowledged op is framed into an append-only log
-//!   *before* its acknowledgement ([`RmsService::start_with_wal`]),
-//!   with enqueue and append in one critical section so log order
-//!   equals apply order; the log is replayed on the next start after an
-//!   unclean death, and graceful shutdown compacts it to a checkpoint.
+//!   *before* its acknowledgement ([`RmsService::start_with_wal`]). One
+//!   mutex guards the queue and the log: a submission appends, then
+//!   queues, and the applier takes under the same lock, so log order
+//!   equals apply order and no op is applied before its record is
+//!   logged. A failed append refuses the op
+//!   ([`SubmitError::LogFailed`]). The log is replayed on the next
+//!   start after an unclean death, and graceful shutdown compacts it to
+//!   a checkpoint.
 //!
 //! ## Example
 //!

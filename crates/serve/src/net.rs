@@ -342,7 +342,9 @@ impl NetHandler {
     }
 
     /// Submits `ops` via the non-blocking path; on backpressure parks
-    /// the remainder (pausing reads) instead of stalling the reactor.
+    /// the remainder (pausing reads) instead of stalling the reactor. A
+    /// refusal (shutdown, or a failed log append) answers `ERR` and drops
+    /// the rest; a `BATCH` says how many of its ops were queued.
     fn submit_parked(&mut self, token: Token, mut parked: Parked, ctx: &mut Ctx<'_>) {
         loop {
             let Some(op) = parked.ops.pop_front() else {
@@ -367,7 +369,7 @@ impl NetHandler {
                     self.arm_park_retry(ctx);
                     return;
                 }
-                Err(e @ SubmitError::Disconnected(_)) => {
+                Err(e) => {
                     let text = if parked.batch {
                         format!("ERR {e} ({} of {} queued)", parked.submitted, parked.total)
                     } else {

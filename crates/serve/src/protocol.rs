@@ -41,12 +41,14 @@
 //! asynchronously; `STATS` exposes `ops_applied`/`ops_rejected` so a
 //! client can await visibility (plus `replayed_batches` and
 //! `wal_recovered`). On a WAL-backed server the acknowledgement
-//! additionally means the op is on the log. Malformed input never kills
-//! the connection — the reply is `ERR <reason>` and the next line is
-//! parsed fresh — with one class of exceptions: a `BATCH` header the
-//! server cannot honor (count above [`MAX_BATCH_LINES`], or unparseable
-//! at all) closes the connection, because the announced op lines can
-//! neither be consumed nor safely reinterpreted as requests.
+//! additionally means the op is on the log; an op the log cannot take
+//! is refused with `ERR write-ahead log append failed: …`. Malformed
+//! input never kills the connection — the reply is `ERR <reason>` and
+//! the next line is parsed fresh — with one class of exceptions: a
+//! `BATCH` header the server cannot honor (count above
+//! [`MAX_BATCH_LINES`], or unparseable at all) closes the connection,
+//! because the announced op lines can neither be consumed nor safely
+//! reinterpreted as requests.
 
 use fdrms::Op;
 use rms_geom::{Point, PointId};

@@ -9,13 +9,10 @@ use fdrms::{FdRms, FdRmsBuilder, FdRmsError, Op};
 use rms_eval::RegretEstimator;
 use rms_geom::Point;
 use rms_metrics::{Counter, Gauge, Histogram, Registry};
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{
-    channel, sync_channel, Receiver, RecvError, RecvTimeoutError, Sender, SyncSender, TryRecvError,
-    TrySendError,
-};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, Receiver, RecvError, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -212,13 +209,13 @@ pub struct ServeConfig {
     pub mrr_seed: u64,
     /// When serving with a write-ahead log
     /// ([`RmsService::start_with_wal`]): `fsync` the log once per
-    /// coalesced batch (group commit). Off, the log still survives a
+    /// coalesced batch (group commit), after the batch applies and
+    /// before its snapshot publishes. Off, the log still survives a
     /// process kill (records reach the OS before acknowledgement) but
-    /// not a power failure; on, every *acknowledged* op is on stable
-    /// storage no later than the batch commit after its acknowledgement
-    /// (the record lands between the enqueue and the ack, so the commit
-    /// covering its own batch can race it), at the cost of one
-    /// `fdatasync` per batch.
+    /// not a power failure; on, every op a published snapshot holds is
+    /// on stable storage, since an op is queued only after its record
+    /// is appended, at the cost of one `fdatasync` per batch. The
+    /// acknowledgement itself does not wait for that commit.
     pub wal_fsync: bool,
 }
 
@@ -270,6 +267,10 @@ pub enum SubmitError {
     /// [`RmsHandle::try_submit`] only: the queue is at capacity; the
     /// operation (returned) was not enqueued.
     Full(Op),
+    /// The write-ahead log refused the operation's record (the `String`
+    /// says why); the operation (returned) was neither logged nor
+    /// enqueued.
+    LogFailed(Op, String),
 }
 
 impl std::fmt::Display for SubmitError {
@@ -277,35 +278,61 @@ impl std::fmt::Display for SubmitError {
         match self {
             SubmitError::Disconnected(_) => write!(f, "service has shut down"),
             SubmitError::Full(_) => write!(f, "ingestion queue is full"),
+            SubmitError::LogFailed(_, why) => write!(f, "write-ahead log append failed: {why}"),
         }
     }
 }
 
 impl std::error::Error for SubmitError {}
 
-enum Msg {
-    Op(Op),
-    Shutdown,
-    /// Durability-testing hook: stop the applier *immediately* — no
-    /// drain, no final snapshot, no WAL compaction — as an unclean kill
-    /// would. See [`RmsService::crash`].
-    Crash,
+/// What the ingestion lock guards.
+#[derive(Debug)]
+struct Queue {
+    /// Acknowledged ops the applier has not taken yet, in log order.
+    ops: VecDeque<Op>,
+    /// Set when shutdown begins, on [`RmsService::crash`] and when the
+    /// applier exits: every later submission is refused.
+    closed: bool,
+    /// Set by [`RmsService::crash`]: the applier stops at once, with no
+    /// drain, no final snapshot and no compaction, as an unclean kill
+    /// would.
+    crashed: bool,
+    /// The write-ahead log, on a WAL-backed service. Compaction takes it
+    /// out once the queue is closed.
+    wal: Option<Wal>,
 }
 
-/// High bit of the ingestion state word: set when shutdown begins. The
-/// low bits count enqueue attempts in flight plus queued ops the applier
-/// has not taken, so checking "still accepting" and counting an attempt
-/// is one atomic RMW — an attempt either observes the closed bit (and is
-/// refused before acknowledgement) or its count is visible to the
-/// shutdown drain, which runs until the count reaches zero. No
-/// interleaving can acknowledge an op and then drop it.
-const CLOSED_BIT: usize = 1 << (usize::BITS - 1);
-const COUNT_MASK: usize = CLOSED_BIT - 1;
+/// The ingestion queue shared by handles, which enqueue, and the
+/// applier, which takes. One mutex orders enqueue, log append and take
+/// (see [`RmsHandle::enqueue`] and [`Applier::next_batch`]); the applier
+/// waits on `ready` while the queue is empty and open.
+#[derive(Debug)]
+struct Ingest {
+    queue: Mutex<Queue>,
+    ready: Condvar,
+    capacity: usize,
+    /// Whether submissions carry a log record, so handles frame it
+    /// before they take the lock.
+    logged: bool,
+}
 
-// The state word carries the accept/drain handshake above, so its RMWs
-// and the loads that pair with them are SeqCst; the two monitoring-only
-// reads (queue-depth gauges) are Relaxed on purpose.
-// rms-analyze: atomic-policy(state: SeqCst|Relaxed)
+impl Ingest {
+    /// Ends intake: every later submission is refused, and the applier
+    /// wakes to drain what is queued or, on a `crash`, to stop without
+    /// draining.
+    fn close(&self, crash: bool) {
+        let mut queue = recover_poisoned(self.queue.lock());
+        queue.closed = true;
+        queue.crashed |= crash;
+        drop(queue);
+        self.ready.notify_one();
+    }
+
+    /// Ops queued and not yet taken by the applier.
+    fn depth(&self) -> usize {
+        recover_poisoned(self.queue.lock()).ops.len()
+    }
+}
 
 /// A cheap, cloneable client of a running [`RmsService`]: submit
 /// operations (blocking or not) and read published snapshots. Handles
@@ -314,10 +341,8 @@ const COUNT_MASK: usize = CLOSED_BIT - 1;
 /// published state.
 #[derive(Debug, Clone)]
 pub struct RmsHandle {
-    tx: SyncSender<Msg>,
-    state: Arc<AtomicUsize>,
+    ingest: Arc<Ingest>,
     cell: Arc<SnapshotCell>,
-    wal: Option<Arc<Mutex<Wal>>>,
     watchers: WatcherRegistry,
     wal_appends: Counter,
 }
@@ -325,14 +350,15 @@ pub struct RmsHandle {
 impl RmsHandle {
     /// [`RmsHandle::try_submit`] retried while the queue is full: blocks
     /// out backpressure, backing off 100 µs between attempts, and
-    /// returns `Ok` or [`SubmitError::Disconnected`] (with the op).
+    /// returns `Ok`, [`SubmitError::Disconnected`] or
+    /// [`SubmitError::LogFailed`] (with the op).
     ///
     /// A submitter waiting out backpressure holds no place in the queue:
     /// once shutdown begins, its next attempt is refused rather than
     /// applied.
     pub fn submit(&self, mut op: Op) -> Result<(), SubmitError> {
         // Framed once, outside the lock; the back-off runs outside it too.
-        let frame = self.wal.as_ref().map(|_| Wal::frame_op(&op));
+        let frame = self.ingest.logged.then(|| Wal::frame_op(&op));
         loop {
             match self.enqueue(op, frame.as_deref()) {
                 Err(SubmitError::Full(back)) => {
@@ -348,59 +374,55 @@ impl RmsHandle {
     }
 
     /// Enqueues one operation without waiting: [`SubmitError::Full`]
-    /// returns the op when the queue is at capacity, and
-    /// [`SubmitError::Disconnected`] once shutdown has begun. `Ok` means
-    /// the operation *will* be applied — a graceful shutdown drains every
-    /// acknowledged op — and, on a WAL-backed service, that it is on the
-    /// log, in the order the applier applies it, before this returns. A
-    /// refused op is never logged: recovery must not replay ops the
-    /// caller knows were rejected.
+    /// returns the op when the queue is at capacity,
+    /// [`SubmitError::Disconnected`] once shutdown has begun, and
+    /// [`SubmitError::LogFailed`] when a WAL-backed service cannot append
+    /// its record. `Ok` means the operation *will* be applied — a
+    /// graceful shutdown drains every acknowledged op — and, on a
+    /// WAL-backed service, that it is on the log, in the order the
+    /// applier applies it, before this returns. A refused op is never
+    /// logged: recovery must not replay ops the caller knows were
+    /// rejected.
     ///
     /// The application itself is asynchronous; a later
     /// [`RmsHandle::snapshot`] whose stats show it absorbed reflects it.
     pub fn try_submit(&self, op: Op) -> Result<(), SubmitError> {
-        let frame = self.wal.as_ref().map(|_| Wal::frame_op(&op));
+        let frame = self.ingest.logged.then(|| Wal::frame_op(&op));
         self.enqueue(op, frame.as_deref())
     }
 
-    /// The one enqueue+append critical section. The try-send and the log
-    /// append both happen under the log mutex, so log order equals queue
-    /// order — the order the applier applies ops in — even when threads
-    /// race conflicting ops on the same id, and recovery replays exactly
-    /// the serialization the live service applied. `try_send` never
-    /// blocks, so the mutex is never held across a wait; the applier's
-    /// group-commit fsync runs on a duplicated descriptor and never takes
-    /// the mutex. The append lands after the enqueue, so an op's own
-    /// batch commit can race its record: an acknowledged op is
-    /// fsync-durable no later than the batch commit *after* its
-    /// acknowledgement.
+    /// The one ingestion critical section. Under the queue lock it
+    /// checks that intake is open and below capacity, appends the op's
+    /// record to the log, and only then queues the op. The applier takes
+    /// ops under the same lock ([`Applier::next_batch`]), so log order
+    /// equals queue order equals apply order, even when threads race
+    /// conflicting ops on the same id, and recovery replays exactly the
+    /// serialization the live service applied. No op reaches the
+    /// applier before its record is on the log, so the group commit
+    /// after a batch applies covers every op in it. An op whose append
+    /// fails is handed back, neither logged nor queued.
     fn enqueue(&self, op: Op, frame: Option<&[u8]>) -> Result<(), SubmitError> {
-        // Counting the submission is one RMW with observing the state
-        // word open (see `CLOSED_BIT`).
-        if self.state.fetch_add(1, Ordering::SeqCst) & CLOSED_BIT != 0 {
-            self.state.fetch_sub(1, Ordering::SeqCst);
+        let mut queue = recover_poisoned(self.ingest.queue.lock());
+        if queue.closed {
             return Err(SubmitError::Disconnected(op));
         }
-        let mut guard = self.wal.as_ref().map(|wal| recover_poisoned(wal.lock()));
-        match self.tx.try_send(Msg::Op(op)) {
-            Ok(()) => {
-                if let (Some(guard), Some(frame)) = (guard.as_mut(), frame) {
-                    append_logged(guard, frame);
-                    self.wal_appends.inc();
-                }
-                Ok(())
-            }
-            Err(e) => {
-                drop(guard);
-                self.state.fetch_sub(1, Ordering::SeqCst);
-                match e {
-                    TrySendError::Full(Msg::Op(op)) => Err(SubmitError::Full(op)),
-                    TrySendError::Disconnected(Msg::Op(op)) => Err(SubmitError::Disconnected(op)),
-                    // rms-analyze: allow(unwrap-nontest, "try_send() above only ever sends Msg::Op; the error returns that value")
-                    _ => unreachable!("handles only send ops"),
-                }
-            }
+        if queue.ops.len() >= self.ingest.capacity {
+            return Err(SubmitError::Full(op));
         }
+        if let (Some(wal), Some(frame)) = (queue.wal.as_mut(), frame) {
+            if let Err(e) = wal.append_frame(frame) {
+                return Err(SubmitError::LogFailed(op, e.to_string()));
+            }
+            self.wal_appends.inc();
+        }
+        queue.ops.push_back(op);
+        let was_empty = queue.ops.len() == 1;
+        drop(queue);
+        // The applier waits only on an empty queue.
+        if was_empty {
+            self.ingest.ready.notify_one();
+        }
+        Ok(())
     }
 
     /// Subscribes to the service's delta stream: the returned receiver
@@ -417,7 +439,7 @@ impl RmsHandle {
         // An exited applier has dropped every watcher (`CloseOnExit`);
         // registering would leak a never-closing stream. Dropping the
         // sender instead closes the subscriber's receiver immediately.
-        if self.state.load(Ordering::SeqCst) & CLOSED_BIT == 0 {
+        if !recover_poisoned(self.ingest.queue.lock()).closed {
             watchers.push(tx);
         }
         DeltaReceiver { rx, base }
@@ -430,17 +452,15 @@ impl RmsHandle {
         self.cell.load()
     }
 
-    /// Operations queued and not yet taken up by the applier (plus any
-    /// submission between its count and its enqueue). Approximate under
-    /// concurrency.
+    /// Operations queued and not yet taken up by the applier.
     pub fn queue_depth(&self) -> usize {
-        self.state.load(Ordering::Relaxed) & COUNT_MASK
+        self.ingest.depth()
     }
 }
 
 /// A running FD-RMS instance behind an ingestion queue.
 ///
-/// The engine lives on a dedicated applier thread fed by a bounded MPSC
+/// The engine lives on a dedicated applier thread fed by a bounded op
 /// queue. The applier drains whatever is queued (up to
 /// [`ServeConfig::max_batch`]) into one [`FdRms::apply_batch`] call — so
 /// batch sizes adapt to load, amortising maintenance exactly where the
@@ -482,7 +502,7 @@ impl RmsService {
         let fd = builder.build(initial)?;
         let registry = Registry::new();
         let metrics = ServiceMetrics::register(&registry);
-        Ok(Self::spawn(fd, cfg, None, registry, metrics))
+        Ok(Self::spawn(fd, cfg, None, None, registry, metrics))
     }
 
     /// [`RmsService::start`] with crash durability: opens (or creates)
@@ -496,8 +516,8 @@ impl RmsService {
     /// shutdown`] compacts the log to a checkpoint of the final state.
     ///
     /// Replay is idempotent over checkpoints: a logged op whose effect is
-    /// already in the checkpoint (the tail race of a graceful shutdown)
-    /// re-applies as a rejection or attribute no-op, never as corruption.
+    /// already in the checkpoint re-applies as a rejection or attribute
+    /// no-op, never as corruption.
     ///
     /// Log order equals apply order (see [`RmsHandle::try_submit`]), so
     /// recovery replays exactly the serialization the live service
@@ -531,6 +551,13 @@ impl RmsService {
             )));
         }
         let (wal, replay) = Wal::open(wal_path).map_err(ServeError::Wal)?;
+        // The group commit syncs a duplicated descriptor, so it never
+        // waits on the queue lock the submitters append under.
+        let wal_sync = if cfg.wal_fsync {
+            Some(wal.sync_handle().map_err(ServeError::Wal)?)
+        } else {
+            None
+        };
         let mut fd = builder.build(replay.checkpoint.unwrap_or(initial))?;
         let registry = Registry::new();
         let metrics = ServiceMetrics::register(&registry);
@@ -541,18 +568,19 @@ impl RmsService {
             metrics.wal_recovered_ops.add(accepted as u64);
         }
         metrics.wal_truncated_bytes.add(replay.torn_bytes);
-        Ok(Self::spawn(fd, cfg, Some(wal), registry, metrics))
+        Ok(Self::spawn(fd, cfg, Some(wal), wal_sync, registry, metrics))
     }
 
     fn spawn(
         fd: FdRms,
         cfg: ServeConfig,
         wal: Option<Wal>,
+        wal_sync: Option<WalSyncHandle>,
         registry: Registry,
         metrics: ServiceMetrics,
     ) -> Self {
         let (dim, k, r) = (fd.dim(), fd.k(), fd.r());
-        let (applier, handle) = Applier::new(fd, cfg, wal, metrics);
+        let (applier, handle) = Applier::new(fd, cfg, wal, wal_sync, metrics);
         let applier = std::thread::Builder::new()
             .name("rms-applier".into())
             .spawn(move || applier.run())
@@ -641,19 +669,16 @@ impl RmsService {
     /// in-process.)
     pub fn crash(mut self) {
         if let Some(applier) = self.applier.take() {
-            self.handle.state.fetch_or(CLOSED_BIT, Ordering::SeqCst);
-            let _ = self.handle.tx.send(Msg::Crash);
+            self.handle.ingest.close(true);
             let _ = applier.join();
         }
     }
 
     fn shutdown_inner(&mut self) -> Option<std::thread::Result<FdRms>> {
         let applier = self.applier.take()?;
-        // Close the ingestion state word first: any submission that was
-        // not already counted is rejected from here on, so the drain's
-        // count target can only shrink once the marker is seen.
-        self.handle.state.fetch_or(CLOSED_BIT, Ordering::SeqCst);
-        let _ = self.handle.tx.send(Msg::Shutdown);
+        // From here on every submission is refused, and the applier takes
+        // every op already queued.
+        self.handle.ingest.close(false);
         Some(applier.join())
     }
 }
@@ -700,29 +725,28 @@ fn apply_salvaging(fd: &mut FdRms, batch: &[Op]) -> (usize, bool) {
     (accepted, true)
 }
 
-/// Appends one pre-framed record, reporting (not propagating) IO
-/// failures: the op is already enqueued, so the submission proceeds; it
-/// merely loses durability.
-fn append_logged(wal: &mut Wal, frame: &[u8]) {
-    if let Err(e) = wal.append_frame(frame) {
-        eprintln!("rms-serve: WAL append failed ({e}); op applied without durability");
-    }
+/// How the applier's wait in [`Applier::next_batch`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Intake {
+    /// Ops were taken; the queue is still open.
+    Open,
+    /// Shutdown began: every queued op was taken, and no more can come.
+    Closed,
+    /// [`RmsService::crash`]: stop now, without draining.
+    Crashed,
 }
 
 /// The applier thread: it owns the engine and everything a batch passes
-/// through on its way to readers — the queue's receiving end, the
-/// publication cell, the watcher registry, the log and the instruments.
+/// through on its way to readers — the queue's taking end, the
+/// publication cell, the watcher registry, the log's sync handle and the
+/// instruments.
 struct Applier {
     fd: FdRms,
-    rx: Receiver<Msg>,
-    state: Arc<AtomicUsize>,
+    ingest: Arc<Ingest>,
     cell: Arc<SnapshotCell>,
     watchers: WatcherRegistry,
-    wal: Option<Arc<Mutex<Wal>>>,
-    /// A duplicated log descriptor for group commits, so the applier
-    /// never contends with the submitters' enqueue+append mutex. Without
-    /// one (duplication failed), syncs take that mutex: safe, since
-    /// submitters never hold it across a wait, just slower.
+    /// A duplicated log descriptor for group commits, present when
+    /// `wal_fsync` is on, so a commit never waits on the queue lock.
     wal_sync: Option<WalSyncHandle>,
     metrics: ServiceMetrics,
     cfg: ServeConfig,
@@ -742,33 +766,37 @@ impl Applier {
         fd: FdRms,
         cfg: ServeConfig,
         wal: Option<Wal>,
+        wal_sync: Option<WalSyncHandle>,
         metrics: ServiceMetrics,
     ) -> (Self, RmsHandle) {
-        let (tx, rx) = sync_channel(cfg.queue_capacity.max(1));
-        let state = Arc::new(AtomicUsize::new(0));
+        let ingest = Arc::new(Ingest {
+            logged: wal.is_some(),
+            queue: Mutex::new(Queue {
+                ops: VecDeque::new(),
+                closed: false,
+                crashed: false,
+                wal,
+            }),
+            ready: Condvar::new(),
+            capacity: cfg.queue_capacity.max(1),
+        });
         let first = make_snapshot(&fd, 0, metrics.stats(), None);
         let cell = Arc::new(SnapshotCell::new(first));
         let watchers = WatcherRegistry::default();
-        let wal_sync = wal.as_ref().and_then(|w| w.sync_handle().ok());
-        let wal = wal.map(|w| Arc::new(Mutex::new(w)));
         let estimator = (cfg.mrr_directions > 0).then(|| {
             RegretEstimator::new(fd.dim(), cfg.mrr_directions.max(fd.dim()), cfg.mrr_seed)
         });
         let handle = RmsHandle {
-            tx,
-            state: Arc::clone(&state),
+            ingest: Arc::clone(&ingest),
             cell: Arc::clone(&cell),
-            wal: wal.clone(),
             watchers: Arc::clone(&watchers),
             wal_appends: metrics.wal_appends.clone(),
         };
         let applier = Applier {
             fd,
-            rx,
-            state,
+            ingest,
             cell,
             watchers,
-            wal,
             wal_sync,
             metrics,
             cfg,
@@ -782,12 +810,12 @@ impl Applier {
         (applier, handle)
     }
 
-    /// Runs until shutdown, a simulated crash, or the last handle's drop,
-    /// and hands the engine back. Every exit closes the service through
-    /// [`CloseOnExit`], a panic unwinding out of `serve` included.
+    /// Runs until shutdown or a simulated crash, and hands the engine
+    /// back. Every exit closes the service through [`CloseOnExit`], a
+    /// panic unwinding out of `serve` included.
     fn run(mut self) -> FdRms {
         let _close = CloseOnExit {
-            state: Arc::clone(&self.state),
+            ingest: Arc::clone(&self.ingest),
             watchers: Arc::clone(&self.watchers),
         };
         if self.serve() {
@@ -796,72 +824,53 @@ impl Applier {
         self.fd
     }
 
-    /// The coalesce–apply–publish loop. Returns `false` on a simulated
+    /// The take–apply–publish loop. Returns `false` on a simulated
     /// crash: no drain, no final snapshot, no compaction.
     fn serve(&mut self) -> bool {
         let max_batch = self.cfg.max_batch.max(1);
+        let mut ops = Vec::new();
         loop {
-            // Block for the first message, then coalesce whatever else is
-            // already queued — the adaptive batch: size 1 under light load
-            // (a one-op batch), up to `max_batch` under sustained pressure.
-            let mut shutting_down = false;
-            let mut ops: Vec<Op> = Vec::new();
-            match self.rx.recv() {
-                Ok(Msg::Op(op)) => self.take(op, &mut ops),
-                Ok(Msg::Shutdown) => shutting_down = true,
-                Ok(Msg::Crash) => return false,
-                // Every sender (service + all handles) dropped.
-                Err(_) => return true,
-            }
-            while ops.len() < max_batch && !shutting_down {
-                match self.rx.try_recv() {
-                    Ok(Msg::Op(op)) => self.take(op, &mut ops),
-                    Ok(Msg::Shutdown) => shutting_down = true,
-                    Ok(Msg::Crash) => return false,
-                    Err(_) => break,
-                }
-            }
-            if shutting_down {
-                // Drain until the submission count reaches zero, not just
-                // until the channel reads empty: every acknowledged op was
-                // counted *atomically with* observing the state word open
-                // (see `CLOSED_BIT`), and the closed bit was set before the
-                // shutdown marker was sent — so any count this loop still
-                // sees is a submission between its count and its try-send,
-                // which either lands in the queue or is refused, and no new
-                // counts can appear.
-                loop {
-                    match self.rx.try_recv() {
-                        Ok(Msg::Op(op)) => self.take(op, &mut ops),
-                        Ok(Msg::Shutdown) => {}
-                        Ok(Msg::Crash) => return false,
-                        Err(_) if self.state.load(Ordering::SeqCst) & COUNT_MASK == 0 => break,
-                        Err(_) => std::thread::yield_now(),
-                    }
-                }
+            ops.clear();
+            let intake = self.next_batch(&mut ops);
+            if intake == Intake::Crashed {
+                return false;
             }
             for chunk in ops.chunks(max_batch) {
                 self.apply(chunk);
-                // Group commit: the submitters' appends for this batch (and
-                // possibly later ones — strictly more durability) reach
-                // stable storage with one fdatasync per coalesced batch.
-                if self.cfg.wal_fsync {
-                    self.group_commit();
-                }
+                self.group_commit();
             }
-            if !ops.is_empty() || shutting_down {
-                self.publish(shutting_down);
+            let closed = intake == Intake::Closed;
+            if !ops.is_empty() || closed {
+                self.publish(closed);
             }
-            if shutting_down {
+            if closed {
                 return true;
             }
         }
     }
 
-    /// Takes one op off the queue into the forming batch.
-    fn take(&self, op: Op, ops: &mut Vec<Op>) {
-        self.state.fetch_sub(1, Ordering::SeqCst);
-        ops.push(op);
+    /// The applier's wait-and-take step: waits while the queue is empty
+    /// and open, then moves what is queued into `ops` — the adaptive
+    /// batch, one op under light load and up to `max_batch` under
+    /// sustained pressure, or every queued op once the queue is closed.
+    /// It takes under the lock every enqueue appends under, so no op
+    /// reaches the applier before its record is on the log.
+    fn next_batch(&self, ops: &mut Vec<Op>) -> Intake {
+        let Ingest { queue, ready, .. } = &*self.ingest;
+        let queue = recover_poisoned(queue.lock());
+        // rms-analyze: allow(guard-across-blocking, "the wait releases the queue lock while it is parked")
+        let waited = ready.wait_while(queue, |q| q.ops.is_empty() && !q.closed);
+        let mut queue = recover_poisoned(waited);
+        if queue.crashed {
+            return Intake::Crashed;
+        }
+        if queue.closed {
+            ops.extend(queue.ops.drain(..));
+            return Intake::Closed;
+        }
+        let n = queue.ops.len().min(self.cfg.max_batch.max(1));
+        ops.extend(queue.ops.drain(..n));
+        Intake::Open
     }
 
     /// Applies one coalesced batch through [`apply_salvaging`] and
@@ -916,8 +925,7 @@ impl Applier {
                 self.mrr = Some(est.mrr(&live, &self.fd.result(), self.fd.k()));
             }
         }
-        let depth = self.state.load(Ordering::Relaxed) & COUNT_MASK;
-        self.metrics.queue_depth.set(depth as i64);
+        self.metrics.queue_depth.set(self.ingest.depth() as i64);
         let publish_start = Instant::now();
         let snap = Arc::new(make_snapshot(&self.fd, self.epoch, self.stats(), self.mrr));
         // The cell swap and the delta broadcast happen under the
@@ -940,16 +948,16 @@ impl Applier {
         self.metrics.publishes.inc();
     }
 
-    /// Group commit: one `fdatasync` per coalesced batch, preferring the
-    /// duplicated descriptor (no mutex) and falling back to locking the
-    /// log.
+    /// Group commit, when `wal_fsync` is on: one `fdatasync` per
+    /// coalesced batch, after it applies and before it publishes. Every
+    /// op in the batch was appended before it was queued, so the commit
+    /// covers every op the next snapshot holds.
     fn group_commit(&self) {
-        let t = Instant::now();
-        let result = match (&self.wal_sync, &self.wal) {
-            (Some(sync), _) => sync.sync(),
-            (None, Some(wal)) => recover_poisoned(wal.lock()).sync(),
-            (None, None) => return,
+        let Some(sync) = &self.wal_sync else {
+            return;
         };
+        let t = Instant::now();
+        let result = sync.sync();
         self.metrics.wal_fsync_seconds.record(t.elapsed());
         if let Err(e) = result {
             eprintln!("rms-serve: WAL fsync failed: {e}");
@@ -958,11 +966,13 @@ impl Applier {
 
     /// Graceful exit: compact the log to a checkpoint of the final
     /// state, bounding its size and making the next start replay-free.
+    /// The queue is closed, so no submission needs the log any more: it
+    /// is taken out of the queue and checkpointed without the lock.
     /// (IO failure leaves the op log intact — recovery still works, the
     /// log is merely uncompacted.)
     fn compact(&self) {
-        if let Some(wal) = &self.wal {
-            let mut wal = recover_poisoned(wal.lock());
+        let wal = recover_poisoned(self.ingest.queue.lock()).wal.take();
+        if let Some(mut wal) = wal {
             if let Err(e) = wal.checkpoint(&self.fd.live_points()) {
                 eprintln!("rms-serve: WAL compaction failed: {e}");
             }
@@ -977,16 +987,17 @@ impl Applier {
 /// and a later [`RmsHandle::watch`] would register a stream nothing
 /// ever closes.
 struct CloseOnExit {
-    state: Arc<AtomicUsize>,
+    ingest: Arc<Ingest>,
     watchers: WatcherRegistry,
 }
 
 impl Drop for CloseOnExit {
     fn drop(&mut self) {
-        // The closed bit goes first: a `watch()` that takes the registry
-        // lock after the clear below sees it and registers nothing, and
-        // every later submission is refused with `Disconnected`.
-        self.state.fetch_or(CLOSED_BIT, Ordering::SeqCst);
+        // The queue closes first: a `watch()` that takes the registry
+        // lock after the clear below sees it closed and registers
+        // nothing, and every later submission is refused with
+        // `Disconnected`.
+        self.ingest.close(false);
         recover_poisoned(self.watchers.lock()).clear();
     }
 }
@@ -1013,13 +1024,111 @@ mod tests {
             .unwrap()
     }
 
+    /// A WAL-backed applier and its handle over a fresh log at a
+    /// per-test path, which is returned for the caller to inspect.
+    fn logged_applier(name: &str) -> (Applier, RmsHandle, PathBuf) {
+        let dir = std::env::temp_dir().join("krms-service-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{name}-{}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let (wal, _) = Wal::open(&path).unwrap();
+        let metrics = ServiceMetrics::register(&Registry::new());
+        let (applier, handle) = Applier::new(
+            small_engine(),
+            ServeConfig::default(),
+            Some(wal),
+            None,
+            metrics,
+        );
+        (applier, handle, path)
+    }
+
+    fn log_len(path: &Path) -> u64 {
+        std::fs::metadata(path).unwrap().len()
+    }
+
+    /// No op reaches the applier before its record is on the log: a
+    /// writer thread races 20 000 inserts into a logged queue while this
+    /// thread takes them as the applier does, and after every take the
+    /// log holds a record for each op taken so far.
+    #[test]
+    fn no_op_is_taken_before_its_record_is_logged() {
+        const OPS: u64 = 20_000;
+        let (applier, handle, path) = logged_applier("take-after-log");
+        let insert = |i: u64| Op::Insert(Point::new_unchecked(1_000 + i, vec![0.5, 0.5]));
+        let record = Wal::frame_op(&insert(0)).len() as u64;
+        let header = log_len(&path);
+        let writer = std::thread::spawn(move || {
+            // Closing the queue on any exit, a panic included, ends the
+            // taker's wait instead of hanging the test.
+            let _close = CloseOnExit {
+                ingest: Arc::clone(&handle.ingest),
+                watchers: Arc::clone(&handle.watchers),
+            };
+            for i in 0..OPS {
+                let mut op = insert(i);
+                loop {
+                    match handle.try_submit(op) {
+                        Ok(()) => break,
+                        Err(SubmitError::Full(back)) => {
+                            op = back;
+                            std::thread::yield_now();
+                        }
+                        Err(e) => panic!("submit {i}: {e}"),
+                    }
+                }
+            }
+        });
+        let (mut taken, mut ops) = (0, Vec::new());
+        while taken < OPS {
+            ops.clear();
+            let intake = applier.next_batch(&mut ops);
+            taken += ops.len() as u64;
+            let logged = (log_len(&path) - header) / record;
+            assert!(
+                logged >= taken,
+                "{taken} ops taken with only {logged} records on the log"
+            );
+            assert!(
+                intake == Intake::Open || taken == OPS,
+                "the writer stopped after {taken} ops"
+            );
+        }
+        writer.join().unwrap();
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A failed append refuses the op: it comes back unlogged and
+    /// unqueued, and the log does not grow.
+    #[test]
+    fn failed_append_refuses_the_op() {
+        let (_applier, handle, path) = logged_applier("refused-append");
+        let before = log_len(&path);
+        let mut queue = recover_poisoned(handle.ingest.queue.lock());
+        queue.wal.as_mut().unwrap().poison();
+        drop(queue);
+        let op = Op::Insert(Point::new_unchecked(100, vec![0.9, 0.8]));
+        for refused in [handle.try_submit(op.clone()), handle.submit(op.clone())] {
+            let Err(e @ SubmitError::LogFailed(back, _)) = &refused else {
+                panic!("a failed append must refuse the op: {refused:?}");
+            };
+            assert_eq!(*back, op);
+            // The text after `ERR ` on the wire.
+            assert!(e.to_string().starts_with("write-ahead log append failed: "));
+        }
+        assert_eq!(handle.queue_depth(), 0);
+        assert_eq!(log_len(&path), before);
+        std::fs::remove_file(&path).unwrap();
+    }
+
     /// A panicking applier closes the service on its way out: the open
     /// delta stream ends, a later `watch()` is closed from the start, and
     /// submissions are refused. None of them waits on a dead applier.
     #[test]
     fn panicked_applier_closes_every_stream() {
         let metrics = ServiceMetrics::register(&Registry::new());
-        let (applier, handle) = Applier::new(small_engine(), ServeConfig::default(), None, metrics);
+        let (applier, handle) =
+            Applier::new(small_engine(), ServeConfig::default(), None, None, metrics);
         let open = handle.watch();
         let thread = std::thread::spawn(move || {
             PANIC_ON_APPLY.with(|p| p.set(true));
@@ -1059,7 +1168,7 @@ mod tests {
     fn rejected_batch_counts_as_one_logical_batch() {
         let metrics = ServiceMetrics::register(&Registry::new());
         let (mut applier, handle) =
-            Applier::new(small_engine(), ServeConfig::default(), None, metrics);
+            Applier::new(small_engine(), ServeConfig::default(), None, None, metrics);
 
         // 4 ops, one invalid (duplicate insert): atomic rejection, per-op
         // replay salvages 3.

@@ -161,9 +161,8 @@ impl Wal {
     }
 
     /// Encodes one operation into its on-disk record, for callers that
-    /// must build the frame before the op is moved elsewhere (the
-    /// serving layer frames before enqueueing, then appends after the
-    /// enqueue succeeds).
+    /// build the frame before they take a lock (the serving layer frames
+    /// outside its queue lock, then appends under it).
     pub fn frame_op(op: &Op) -> Vec<u8> {
         let (tag, payload) = encode_op(op);
         frame(tag, &payload)
@@ -196,18 +195,24 @@ impl Wal {
         }
     }
 
+    /// Marks the log poisoned, as a failed append whose truncation also
+    /// failed would, so tests can drive the refusal path.
+    #[cfg(test)]
+    pub(crate) fn poison(&mut self) {
+        self.poisoned = true;
+    }
+
     /// Flushes appended records to stable storage (`fdatasync`).
     pub fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()
     }
 
     /// An independent fsync handle over the same log file (a duplicated
-    /// descriptor), so the applier's group-commit `fdatasync` never
-    /// contends with — let alone deadlocks against — the append mutex
-    /// the submitters serialize enqueue+append under. After a
-    /// [`Wal::checkpoint`] the handle points at the unlinked pre-compaction
-    /// file; syncing that is harmless, and compaction only happens at
-    /// shutdown, after the last group commit.
+    /// descriptor), so the serving layer's group-commit `fdatasync` runs
+    /// without the queue lock its submitters append under, and never
+    /// stalls them. After a [`Wal::checkpoint`] the handle points at the
+    /// unlinked pre-compaction file; syncing that is harmless, and
+    /// compaction only happens at shutdown, after the last group commit.
     pub fn sync_handle(&self) -> io::Result<WalSyncHandle> {
         Ok(WalSyncHandle {
             file: self.file.try_clone()?,

@@ -4,7 +4,8 @@
 # flag-parser regressions and refusals (an unknown flag, the removed
 # shard option, a shard group's old WAL) → WAL-backed serve round-trip
 # over loopback (INSERT/QUERY/STATS, a Prometheus scrape of the
-# --metrics-addr endpoint, a SHUTDOWN drain and a recovery restart),
+# --metrics-addr endpoint behind an idle connection, a SHUTDOWN drain
+# and a recovery restart),
 # plus a session on a server with two reactor threads (HELLO parameter
 # advertisement, one-ack BATCH ingest without HELLO, SUBSCRIBE delta
 # push, METRICS exposition), using only bash built-ins (/dev/tcp) for
@@ -141,11 +142,15 @@ done
 # --- Prometheus scrape of the --metrics-addr endpoint ------------------
 # Stock HTTP over bash /dev/tcp: the reply must be a 200 with a
 # well-formed text exposition carrying families from every instrumented
-# subsystem, unlabeled by shard.
+# subsystem, unlabeled by shard. An idle connection (fd 6, which sends
+# nothing) is opened first and held across the scrape: the listener
+# serves one connection at a time, so it must give up on the idle one
+# (its 2 s timeout) and still answer, well inside the 15 s bound.
+exec 6<>"/dev/tcp/127.0.0.1/$MPORT" || fail "idle metrics connect"
 exec 5<>"/dev/tcp/127.0.0.1/$MPORT" || fail "metrics endpoint connect"
 printf 'GET /metrics HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n' >&5
-http=$(cat <&5)
-exec 5<&- 5>&-
+http=$(timeout 15 cat <&5) || fail "metrics scrape got no reply behind an idle connection"
+exec 5<&- 5>&- 6<&- 6>&-
 [[ "$http" == "HTTP/1.1 200 OK"* ]] || fail "metrics scrape status: ${http%%$'\r'*}"
 # Body = everything after the blank header/body separator line.
 exposition=${http#*$'\r\n\r\n'}
@@ -169,7 +174,7 @@ fi
 # Anything but GET /metrics is a 404.
 exec 5<>"/dev/tcp/127.0.0.1/$MPORT" || fail "metrics endpoint reconnect"
 printf 'GET /other HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n' >&5
-notfound=$(cat <&5)
+notfound=$(timeout 15 cat <&5) || fail "404 probe got no reply"
 exec 5<&- 5>&-
 [[ "$notfound" == "HTTP/1.1 404 Not Found"* ]] || fail "non-/metrics target not a 404"
 

@@ -386,6 +386,12 @@ fn cmd_workload(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// How long the `--metrics-addr` listener waits on one connection's
+/// request or reply before it drops the connection. It serves one
+/// connection at a time, so a peer that connects and sends nothing
+/// delays the scrapes behind it by this much, not forever.
+const METRICS_IO_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(2);
+
 /// Minimal HTTP scrape endpoint for the `--metrics-addr` listener:
 /// answers `GET /metrics` with the registry's Prometheus text
 /// exposition, 404 for any other target; one request per connection
@@ -398,6 +404,11 @@ fn serve_metrics_http(listener: &std::net::TcpListener, registry: &krms::metrics
             std::thread::sleep(std::time::Duration::from_millis(20));
             continue;
         };
+        if stream.set_read_timeout(Some(METRICS_IO_TIMEOUT)).is_err()
+            || stream.set_write_timeout(Some(METRICS_IO_TIMEOUT)).is_err()
+        {
+            continue;
+        }
         let mut reader = BufReader::new(&stream);
         let mut request = String::new();
         if reader.read_line(&mut request).is_err() {
@@ -537,10 +548,12 @@ fn cmd_skyline(flags: &HashMap<String, String>) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::{
-        cmd_generate, cmd_run, cmd_serve, cmd_skyline, cmd_workload, parse_flags, COMMAND_FLAGS,
-        USAGE,
+        cmd_generate, cmd_run, cmd_serve, cmd_skyline, cmd_workload, parse_flags,
+        serve_metrics_http, COMMAND_FLAGS, METRICS_IO_TIMEOUT, USAGE,
     };
     use std::collections::{BTreeSet, HashMap};
+    use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
 
     fn args(raw: &[&str]) -> Vec<String> {
         raw.iter().map(|s| s.to_string()).collect()
@@ -639,6 +652,35 @@ mod tests {
                 .collect();
             assert_eq!(cmd(&flags).unwrap_err(), expected, "krms {name}");
         }
+    }
+
+    /// A connection that sends nothing holds the one-at-a-time metrics
+    /// listener for at most its timeout: a scrape queued behind it is
+    /// still answered.
+    #[test]
+    fn metrics_scrape_is_answered_behind_an_idle_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let registry = krms::metrics::Registry::new();
+        registry
+            .register_counter("rms_test_scrapes_total", "Scrapes answered.", &[])
+            .inc();
+        // The listener thread serves until the test process exits.
+        std::thread::spawn(move || serve_metrics_http(&listener, &registry));
+        let _idle = TcpStream::connect(addr).unwrap();
+        let mut scrape = TcpStream::connect(addr).unwrap();
+        scrape
+            .set_read_timeout(Some(METRICS_IO_TIMEOUT * 3))
+            .unwrap();
+        scrape
+            .write_all(b"GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n")
+            .unwrap();
+        let mut reply = String::new();
+        scrape
+            .read_to_string(&mut reply)
+            .expect("the scrape behind an idle connection got no reply");
+        assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
+        assert!(reply.contains("\nrms_test_scrapes_total 1\n"), "{reply}");
     }
 
     #[test]
