@@ -9,7 +9,7 @@
 //! * Comments and string/char literals never leak into `Ident`/`Punct`
 //!   tokens, so `unwrap` inside a doc comment is not a finding.
 //! * String literal *contents* are preserved as [`Tok::Str`] (the
-//!   wire-grammar rule reads them).
+//!   metric-name-discipline rule reads them).
 //! * Every token carries `in_test`: `true` inside an item gated by
 //!   `#[cfg(test)]` or `#[test]`. Test regions are balanced brace
 //!   blocks, so a rule that skips `in_test` tokens keeps consistent

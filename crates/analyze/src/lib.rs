@@ -1,9 +1,10 @@
 //! `rms-analyze` — project-specific static analysis for the krms
 //! workspace: a hand-rolled lexer, a lightweight block-tree parser, and
 //! an intraprocedural dataflow layer (no full AST, no dependencies)
-//! behind ten lint rules encoding the concurrency, durability,
-//! wire-protocol, and memory-layout invariants this codebase has
-//! historically broken in review-invisible ways.
+//! behind eight lint rules encoding the concurrency and memory-layout
+//! invariants of the serving tier that no test can pin: a deadlock or a
+//! parked reactor shows only under an interleaving a test may never
+//! schedule.
 //!
 //! Rules (see [`rules::RULE_DESCRIPTIONS`] / `--list-rules` for the
 //! authoritative catalog):
@@ -12,14 +13,12 @@
 //! |----|--------|
 //! | `guard-across-blocking` | no lock guard alive across a blocking call, through scopes/`drop()`/may-block local calls; unbounded `Sender::send` exempt |
 //! | `unwrap-nontest` | no `.unwrap()`/`.expect(…)`/`panic!`-family in non-test serve/client/metrics code |
-//! | `wire-grammar` | server and client wire vocabularies must match exactly |
 //! | `lock-poison-policy` | lock results go through `recover_poisoned`, not ad-hoc unwraps |
 //! | `index-no-box-node` | no per-node `Box` allocations in `crates/index/src` |
 //! | `metric-name-discipline` | literal `rms_<subsystem>_` snake_case names, one owning call site per family |
 //! | `lock-order` | the serve-layer lock-acquisition-order graph stays acyclic |
-//! | `wal-tag-coverage` | every WAL tag has encode + replay arms; every `Op::` variant has a tag |
-//! | `epoch-monotonic-publish` | `*… .write() … = …` only inside sanctioned publish helpers |
 //! | `atomic-ordering-discipline` | every `Ordering::` use matches the file's declared atomic-policy table |
+//! | `reactor-no-block` | reactor dispatch code calls nothing that blocks |
 //!
 //! Any finding can be suppressed in place with
 //! `// rms-analyze: allow(<rule-id>, "<reason>")` — on the offending
@@ -27,12 +26,6 @@
 //! mandatory; unused or malformed pragmas are findings themselves
 //! (rule id `pragma`). Atomic policies are declared per file with
 //! `// rms-analyze: atomic-policy(<name>: <Ordering>|…, …)`.
-//!
-//! Every finding carries a stable fingerprint (FNV-1a over rule +
-//! workspace-relative path + trimmed source-line text + occurrence
-//! index), exposed by `--format json` and consumed by `--baseline` —
-//! fingerprints survive unrelated line-number churn, so a rule can land
-//! before its burn-down completes.
 
 pub mod flow;
 pub mod lexer;
@@ -41,12 +34,12 @@ pub mod rules;
 
 use lexer::{LexOutput, Token};
 use rules::Finding;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 pub use rules::{
-    ALL_RULES, RULE_ATOMIC, RULE_BOXNODE, RULE_DESCRIPTIONS, RULE_EPOCH, RULE_GUARD,
-    RULE_LOCKORDER, RULE_METRIC, RULE_POISON, RULE_PRAGMA, RULE_UNWRAP, RULE_WALTAG, RULE_WIRE,
+    ALL_RULES, RULE_ATOMIC, RULE_BOXNODE, RULE_DESCRIPTIONS, RULE_GUARD, RULE_LOCKORDER,
+    RULE_METRIC, RULE_POISON, RULE_PRAGMA, RULE_UNWRAP,
 };
 
 /// The outcome of an analysis run.
@@ -67,20 +60,12 @@ pub struct Report {
 struct SourceFile {
     path: PathBuf,
     rel: PathBuf,
-    src: String,
     lex: LexOutput,
 }
 
-fn read_and_lex(root: &Path, rel: PathBuf) -> std::io::Result<SourceFile> {
-    let path = root.join(&rel);
-    let src = std::fs::read_to_string(&path)?;
-    let lex = lexer::lex(&src);
-    Ok(SourceFile {
-        path,
-        rel,
-        src,
-        lex,
-    })
+fn read_and_lex(path: PathBuf, rel: PathBuf) -> std::io::Result<SourceFile> {
+    let lex = lexer::lex(&std::fs::read_to_string(&path)?);
+    Ok(SourceFile { path, rel, lex })
 }
 
 /// Collects the `.rs` files under `dir` (recursively), as paths
@@ -151,7 +136,7 @@ fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 
 /// Per-rule file scoping for a workspace run. Paths are relative,
 /// `/`-separated as produced by [`workspace_files`].
-fn rule_applies(rule: &'static str, rel: &Path) -> bool {
+fn rule_applies(rule: &str, rel: &Path) -> bool {
     let in_serve_src = rel.starts_with("crates/serve/src");
     let in_client_src = rel.starts_with("crates/client/src");
     let in_metrics_src = rel.starts_with("crates/metrics/src");
@@ -168,202 +153,108 @@ fn rule_applies(rule: &'static str, rel: &Path) -> bool {
         // and (since PR 9) the metrics registry the serving path calls
         // into. CLI/bench/example code may still unwrap.
         rules::RULE_UNWRAP => in_serve_src || in_client_src || in_metrics_src,
-        // Everything scanned must follow the one poison policy.
-        rules::RULE_POISON => true,
+        // Everything scanned must follow the one poison policy, and
+        // every metric family in the workspace has one owning site.
+        rules::RULE_POISON | rules::RULE_METRIC => true,
         // The flat-layout guarantee is an index-crate invariant.
         rules::RULE_BOXNODE => rel.starts_with("crates/index/src"),
-        // Snapshot publication sites live in the serving layer.
-        rules::RULE_EPOCH => in_serve_src,
         // Atomics policy covers the serving layer and the metrics
         // hot-path counters.
         rules::RULE_ATOMIC => in_serve_src || in_metrics_src,
-        // R3, R6, R7, R8 are cross-file; handled separately in `analyze`.
-        rules::RULE_WIRE | rules::RULE_METRIC | rules::RULE_LOCKORDER | rules::RULE_WALTAG => false,
+        // The lock-order graph spans the serving layer's files.
+        rules::RULE_LOCKORDER => in_serve_src,
         _ => false,
     }
 }
-
-/// The two file sets R3 diffs: the serve-side protocol implementation
-/// and the client re-implementation.
-const WIRE_SERVER_FILES: &[&str] = &[
-    "crates/serve/src/protocol.rs",
-    "crates/serve/src/tcp.rs",
-    "crates/serve/src/net.rs",
-];
-const WIRE_CLIENT_FILES: &[&str] = &["crates/client/src/lib.rs"];
-/// The WAL implementation R8 audits against the wire files.
-const WAL_FILES: &[&str] = &["crates/serve/src/wal.rs"];
 
 /// Options for an analysis run.
 pub struct Options {
     /// Rule ids to run (defaults to all).
     pub rules: Vec<&'static str>,
-    /// Run R3 (needs the fixed server/client file pairing; only
-    /// meaningful for workspace runs, or fixture trees shaped like one).
-    pub wire: bool,
 }
 
 impl Default for Options {
     fn default() -> Self {
         Options {
             rules: ALL_RULES.to_vec(),
-            wire: true,
         }
     }
 }
 
-/// Analyzes the workspace rooted at `root`.
+/// Analyzes the workspace rooted at `root`, each rule over the files
+/// its row of the scoping table (`rule_applies`) names.
 ///
 /// # Errors
 /// Propagates I/O errors from walking or reading the source tree.
 pub fn analyze_workspace(root: &Path, opts: &Options) -> std::io::Result<Report> {
-    let rels = workspace_files(root)?;
-    let mut sources = Vec::with_capacity(rels.len());
-    for rel in rels {
-        sources.push(read_and_lex(root, rel)?);
+    let mut sources = Vec::new();
+    for rel in workspace_files(root)? {
+        sources.push(read_and_lex(root.join(&rel), rel)?);
     }
-    Ok(analyze(&sources, opts))
+    Ok(analyze(&sources, opts, |rule, sf| {
+        rule_applies(rule, &sf.rel)
+    }))
 }
 
 /// Analyzes an explicit list of files (paths used verbatim in output).
-/// Scoping is disabled: every requested per-file rule runs on every
-/// file; the cross-file rules pair files by name fragments (fixture
-/// convention): R3 needs a `protocol`/`server` and a `client` file, R8
-/// a `wal` file (plus optionally `protocol`/`server` ones), and R7 runs
-/// over the whole set.
+/// Every requested rule runs on every file — the cross-file rules over
+/// the whole set — except `reactor-no-block`: it bans calls that are
+/// ordinary outside the reactor dispatch path, so it only runs on files
+/// whose name contains `reactor`.
 ///
 /// # Errors
 /// Propagates I/O errors from reading the files.
 pub fn analyze_files(paths: &[PathBuf], opts: &Options) -> std::io::Result<Report> {
     let mut sources = Vec::with_capacity(paths.len());
     for p in paths {
-        let src = std::fs::read_to_string(p)?;
-        let lex = lexer::lex(&src);
-        sources.push(SourceFile {
-            path: p.clone(),
-            rel: p.clone(),
-            src,
-            lex,
-        });
+        sources.push(read_and_lex(p.clone(), p.clone())?);
     }
-    Ok(analyze_adhoc(&sources, opts))
+    Ok(analyze(&sources, opts, |rule, sf| {
+        rule != rules::RULE_REACTOR
+            || sf
+                .rel
+                .file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.contains("reactor"))
+    }))
 }
 
-fn analyze(sources: &[SourceFile], opts: &Options) -> Report {
+/// Runs each requested rule over the sources `applies` scopes it to —
+/// the per-file rules file by file, `lock-order` and
+/// `metric-name-discipline` over the scoped set at once — then applies
+/// the pragmas. Workspace and explicit-file runs differ only in
+/// `applies`.
+fn analyze(
+    sources: &[SourceFile],
+    opts: &Options,
+    applies: impl Fn(&str, &SourceFile) -> bool,
+) -> Report {
     let mut raw: Vec<Finding> = Vec::new();
-    for sf in sources {
-        for rule in &opts.rules {
-            if rule_applies(rule, &sf.rel) {
-                raw.extend(run_rule(rule, &sf.path, &sf.lex));
-            }
-        }
-    }
-    let pick = |names: &[&str]| -> Vec<(PathBuf, Vec<Token>)> {
-        sources
+    for &rule in &opts.rules {
+        let scoped: Vec<&SourceFile> = sources.iter().filter(|sf| applies(rule, sf)).collect();
+        let files: Vec<(&Path, &[Token])> = scoped
             .iter()
-            .filter(|sf| names.iter().any(|n| sf.rel == Path::new(n)))
-            .map(|sf| (sf.path.clone(), sf.lex.tokens.clone()))
-            .collect()
-    };
-    if opts.wire && opts.rules.contains(&rules::RULE_WIRE) {
-        let server = pick(WIRE_SERVER_FILES);
-        let client = pick(WIRE_CLIENT_FILES);
-        if !server.is_empty() && !client.is_empty() {
-            raw.extend(rules::wire_grammar(&server, &client));
-        }
-    }
-    if opts.rules.contains(&rules::RULE_WALTAG) {
-        let wal = pick(WAL_FILES);
-        let wire = pick(WIRE_SERVER_FILES);
-        if !wal.is_empty() {
-            raw.extend(rules::wal_tag_coverage(&wal, &wire));
-        }
-    }
-    if opts.rules.contains(&rules::RULE_LOCKORDER) {
-        let serve: Vec<(&Path, &[Token])> = sources
-            .iter()
-            .filter(|sf| sf.rel.starts_with("crates/serve/src"))
             .map(|sf| (sf.path.as_path(), sf.lex.tokens.as_slice()))
             .collect();
-        raw.extend(flow::lock_order(&serve));
-    }
-    if opts.rules.contains(&rules::RULE_METRIC) {
-        raw.extend(rules::metric_name_discipline(&borrow_all(sources)));
+        match rule {
+            rules::RULE_LOCKORDER => raw.extend(flow::lock_order(&files)),
+            rules::RULE_METRIC => raw.extend(rules::metric_name_discipline(&files)),
+            _ => {
+                for sf in scoped {
+                    raw.extend(run_rule(rule, &sf.path, &sf.lex));
+                }
+            }
+        }
     }
     apply_pragmas(sources, raw, &opts.rules)
 }
 
-/// Borrows every source as the `(path, tokens)` pair the cross-file
-/// rules take.
-fn borrow_all(sources: &[SourceFile]) -> Vec<(&Path, &[Token])> {
-    sources
-        .iter()
-        .map(|sf| (sf.path.as_path(), sf.lex.tokens.as_slice()))
-        .collect()
-}
-
-fn analyze_adhoc(sources: &[SourceFile], opts: &Options) -> Report {
-    let name_has = |sf: &&SourceFile, frag: &str| {
-        sf.rel
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.contains(frag))
-    };
-    let mut raw: Vec<Finding> = Vec::new();
-    for sf in sources {
-        for rule in &opts.rules {
-            let cross_file = matches!(
-                *rule,
-                rules::RULE_WIRE | rules::RULE_LOCKORDER | rules::RULE_WALTAG
-            );
-            // R11 bans calls that are perfectly ordinary outside the
-            // reactor dispatch path, so even ad hoc it only runs on
-            // files that opt in by name.
-            if *rule == rules::RULE_REACTOR && !name_has(&sf, "reactor") {
-                continue;
-            }
-            if !cross_file {
-                raw.extend(run_rule(rule, &sf.path, &sf.lex));
-            }
-        }
-    }
-    let pick_frag = |frags: &[&str]| -> Vec<(PathBuf, Vec<Token>)> {
-        sources
-            .iter()
-            .filter(|sf| frags.iter().any(|f| name_has(sf, f)))
-            .map(|sf| (sf.path.clone(), sf.lex.tokens.clone()))
-            .collect()
-    };
-    if opts.wire && opts.rules.contains(&rules::RULE_WIRE) {
-        let server = pick_frag(&["protocol", "server"]);
-        let client = pick_frag(&["client"]);
-        if !server.is_empty() && !client.is_empty() {
-            raw.extend(rules::wire_grammar(&server, &client));
-        }
-    }
-    if opts.rules.contains(&rules::RULE_WALTAG) {
-        let wal = pick_frag(&["wal"]);
-        let wire = pick_frag(&["protocol", "server"]);
-        if !wal.is_empty() {
-            raw.extend(rules::wal_tag_coverage(&wal, &wire));
-        }
-    }
-    if opts.rules.contains(&rules::RULE_LOCKORDER) {
-        raw.extend(flow::lock_order(&borrow_all(sources)));
-    }
-    if opts.rules.contains(&rules::RULE_METRIC) {
-        raw.extend(rules::metric_name_discipline(&borrow_all(sources)));
-    }
-    apply_pragmas(sources, raw, &opts.rules)
-}
-
-fn run_rule(rule: &'static str, path: &Path, lex: &LexOutput) -> Vec<Finding> {
+fn run_rule(rule: &str, path: &Path, lex: &LexOutput) -> Vec<Finding> {
     match rule {
         rules::RULE_GUARD => rules::guard_across_blocking(path, &lex.tokens),
         rules::RULE_UNWRAP => rules::unwrap_nontest(path, &lex.tokens),
         rules::RULE_POISON => rules::lock_poison_policy(path, &lex.tokens),
         rules::RULE_BOXNODE => rules::index_no_box_node(path, &lex.tokens),
-        rules::RULE_EPOCH => rules::epoch_monotonic_publish(path, &lex.tokens),
         rules::RULE_ATOMIC => {
             rules::atomic_ordering_discipline(path, &lex.tokens, &lex.atomic_policies)
         }
@@ -379,7 +270,6 @@ fn run_rule(rule: &'static str, path: &Path, lex: &LexOutput) -> Vec<Finding> {
 /// A pragma for a known rule that is not in `active` (e.g. under
 /// `--rules lock-order`) is left alone: its rule never ran, so whether
 /// it suppresses anything cannot be judged on this pass.
-/// Surviving findings leave with their fingerprints filled in.
 fn apply_pragmas(sources: &[SourceFile], raw: Vec<Finding>, active: &[&str]) -> Report {
     let mut report = Report {
         files_scanned: sources.len(),
@@ -452,89 +342,5 @@ fn apply_pragmas(sources: &[SourceFile], raw: Vec<Finding>, active: &[&str]) -> 
     report
         .findings
         .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    fingerprint_findings(sources, &mut report.findings);
     report
-}
-
-/// FNV-1a 64 over a sequence of parts, with a separator fold between
-/// parts so `("ab","c")` and `("a","bc")` hash differently.
-fn fnv1a(parts: &[&[u8]]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for &b in *part {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-        h ^= 0xff;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
-/// Fills each finding's stable fingerprint: FNV-1a over the rule id,
-/// the workspace-relative path, the *trimmed text* of the offending
-/// source line, and an occurrence index (disambiguating identical lines
-/// under the same rule). Line *numbers* are deliberately not hashed —
-/// unrelated churn above a finding must not change its identity, or
-/// `--baseline` files would rot instantly.
-fn fingerprint_findings(sources: &[SourceFile], findings: &mut [Finding]) {
-    let by_path: BTreeMap<&Path, &SourceFile> =
-        sources.iter().map(|sf| (sf.path.as_path(), sf)).collect();
-    let mut seen: BTreeMap<(&'static str, String, String), u32> = BTreeMap::new();
-    for f in findings.iter_mut() {
-        let (rel, text) = match by_path.get(f.file.as_path()) {
-            Some(sf) => (
-                sf.rel.display().to_string(),
-                sf.src
-                    .lines()
-                    .nth(f.line.saturating_sub(1) as usize)
-                    .unwrap_or("")
-                    .trim()
-                    .to_string(),
-            ),
-            None => (f.file.display().to_string(), String::new()),
-        };
-        let idx = seen.entry((f.rule, rel.clone(), text.clone())).or_insert(0);
-        let n = *idx;
-        *idx += 1;
-        f.fingerprint = format!(
-            "{:016x}",
-            fnv1a(&[
-                f.rule.as_bytes(),
-                rel.as_bytes(),
-                text.as_bytes(),
-                &n.to_le_bytes(),
-            ])
-        );
-    }
-}
-
-/// Parses a baseline file into the fingerprint set it suppresses.
-/// Accepts two shapes, freely mixed: the `--format json` output itself
-/// (every `"fingerprint":"…"` value is taken), and plain text with one
-/// bare 16-hex-digit fingerprint per line (`#` comments and blank lines
-/// ignored) — so `rms-analyze --workspace --format json > baseline.json`
-/// round-trips directly.
-pub fn parse_baseline(text: &str) -> BTreeSet<String> {
-    let mut set = BTreeSet::new();
-    let mut rest = text;
-    while let Some(pos) = rest.find("\"fingerprint\"") {
-        rest = &rest[pos + "\"fingerprint\"".len()..];
-        let Some(q1) = rest.find('"') else { break };
-        let after = &rest[q1 + 1..];
-        let Some(q2) = after.find('"') else { break };
-        let fp = &after[..q2];
-        if fp.len() == 16 && fp.chars().all(|c| c.is_ascii_hexdigit()) {
-            set.insert(fp.to_string());
-        }
-        rest = &after[q2..];
-    }
-    for line in text.lines() {
-        let line = line.trim();
-        if line.len() == 16 && line.chars().all(|c| c.is_ascii_hexdigit()) {
-            set.insert(line.to_string());
-        }
-    }
-    set
 }

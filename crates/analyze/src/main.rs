@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! rms-analyze --workspace [ROOT]       # scan the whole workspace tree
-//! rms-analyze [--rules r1,r2] FILE...  # scan explicit files (all rules, no scoping)
+//! rms-analyze [--rules r1,r2] FILE...  # scan explicit files (every rule; reactor-no-block on *reactor* files only)
 //! rms-analyze --list-rules             # print the rule catalog and exit
 //! ```
 //!
@@ -10,17 +10,13 @@
 //!
 //! * `--format text|json` — `text` (default) prints findings to stdout
 //!   as `file:line rule-id message`; `json` prints one machine-readable
-//!   object with stable per-finding fingerprints.
-//! * `--baseline FILE` — suppress findings whose fingerprint appears in
-//!   `FILE` (either a previous `--format json` output or bare
-//!   fingerprint lines). Baselined findings are reported to stderr and
-//!   are not fatal.
+//!   object with the same findings.
 //!
 //! The summary (counts, suppressions) goes to stderr. Exit 0 ⇔ no
 //! surviving findings.
 
 use rms_analyze::{
-    analyze_files, analyze_workspace, parse_baseline, Options, Report, ALL_RULES, RULE_DESCRIPTIONS,
+    analyze_files, analyze_workspace, Options, Report, ALL_RULES, RULE_DESCRIPTIONS,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -28,7 +24,7 @@ use std::process::ExitCode;
 fn usage() -> ! {
     eprintln!(
         "usage: rms-analyze --workspace [ROOT]\n       rms-analyze [--rules LIST] FILE...\n       \
-         rms-analyze --list-rules\n\noptions: --format text|json, --baseline FILE\n\n\
+         rms-analyze --list-rules\n\noptions: --format text|json\n\n\
          rules: {}",
         ALL_RULES.join(", ")
     );
@@ -71,29 +67,26 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Renders the report as one JSON object on stdout. Shape:
-/// `{"findings":[{"file","line","rule","message","fingerprint"}…],
-///   "files_scanned":N,"suppressed":N,"baselined":N}`.
-fn print_json(report: &Report, baselined: usize) {
+/// `{"findings":[{"file","line","rule","message"}…],
+///   "files_scanned":N,"suppressed":N}`.
+fn print_json(report: &Report) {
     let mut out = String::from("{\"findings\":[");
     for (i, f) in report.findings.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\",\
-             \"fingerprint\":\"{}\"}}",
+            "{{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\"}}",
             json_escape(&f.file.display().to_string()),
             f.line,
             json_escape(f.rule),
             json_escape(&f.msg),
-            json_escape(&f.fingerprint),
         ));
     }
     out.push_str(&format!(
-        "],\"files_scanned\":{},\"suppressed\":{},\"baselined\":{}}}",
+        "],\"files_scanned\":{},\"suppressed\":{}}}",
         report.files_scanned,
         report.suppressed.len(),
-        baselined,
     ));
     println!("{out}");
 }
@@ -105,7 +98,6 @@ fn main() -> ExitCode {
     let mut rules: Vec<&'static str> = ALL_RULES.to_vec();
     let mut files: Vec<PathBuf> = Vec::new();
     let mut json = false;
-    let mut baseline: Option<PathBuf> = None;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--workspace" => workspace = true,
@@ -117,10 +109,6 @@ fn main() -> ExitCode {
                 Some("text") => json = false,
                 Some("json") => json = true,
                 _ => usage(),
-            },
-            "--baseline" => match args.next() {
-                Some(f) => baseline = Some(PathBuf::from(f)),
-                None => usage(),
             },
             "--list-rules" => {
                 for (rule, desc) in RULE_DESCRIPTIONS {
@@ -140,7 +128,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let opts = Options { rules, wire: true };
+    let opts = Options { rules };
     let result = if workspace {
         if !files.is_empty() {
             usage();
@@ -167,7 +155,7 @@ fn main() -> ExitCode {
         analyze_files(&files, &opts)
     };
 
-    let mut report: Report = match result {
+    let report: Report = match result {
         Ok(r) => r,
         Err(e) => {
             eprintln!("rms-analyze: {e}");
@@ -175,33 +163,12 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut baselined: Vec<_> = Vec::new();
-    if let Some(path) = &baseline {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("rms-analyze: baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let set = parse_baseline(&text);
-        let (kept, skipped): (Vec<_>, Vec<_>) = report
-            .findings
-            .drain(..)
-            .partition(|f| !set.contains(&f.fingerprint));
-        report.findings = kept;
-        baselined = skipped;
-    }
-
     if json {
-        print_json(&report, baselined.len());
+        print_json(&report);
     } else {
         for f in &report.findings {
             println!("{f}");
         }
-    }
-    for f in &baselined {
-        eprintln!("rms-analyze: baselined {f}");
     }
     for (f, reason) in &report.suppressed {
         eprintln!("rms-analyze: suppressed {f} (allowed: {reason})");

@@ -67,40 +67,6 @@ pub struct BlockTree {
     pub functions: Vec<Function>,
 }
 
-impl BlockTree {
-    /// The scope ids of `root` and every transitively nested scope
-    /// (iterative — arbitrarily deep nesting cannot overflow the stack).
-    pub fn subtree(&self, root: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            out.push(id);
-            stack.extend(self.scopes[id].children.iter().copied());
-        }
-        out
-    }
-
-    /// The function whose body span contains token index `i`, preferring
-    /// the innermost (nested `fn` items shadow their enclosing item).
-    pub fn enclosing_function(&self, i: usize) -> Option<&Function> {
-        let mut best: Option<&Function> = None;
-        for f in &self.functions {
-            let Some(body) = f.body else { continue };
-            let s = &self.scopes[body];
-            if s.start <= i && i < s.end {
-                if let Some(b) = best {
-                    let bs = &self.scopes[b.body.unwrap_or(body)];
-                    if s.start <= bs.start {
-                        continue;
-                    }
-                }
-                best = Some(f);
-            }
-        }
-        best
-    }
-}
-
 fn is_punct(t: Option<&Token>, ch: char) -> bool {
     matches!(t.map(|t| &t.tok), Some(Tok::Punct(c)) if *c == ch)
 }

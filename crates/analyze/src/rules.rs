@@ -21,21 +21,16 @@ pub struct Finding {
     pub rule: &'static str,
     /// What is wrong and what to do about it.
     pub msg: String,
-    /// Stable identity for `--format json` / `--baseline`: FNV-1a over
-    /// rule + workspace-relative path + trimmed line text + occurrence
-    /// index. Filled in by the driver after rules run; empty until then.
-    pub fingerprint: String,
 }
 
 impl Finding {
-    /// A finding with an (as yet) empty fingerprint.
+    /// A finding at `file:line` under `rule`.
     pub fn new(file: &Path, line: u32, rule: &'static str, msg: String) -> Self {
         Finding {
             file: file.to_path_buf(),
             line,
             rule,
             msg,
-            fingerprint: String::new(),
         }
     }
 }
@@ -57,8 +52,6 @@ impl std::fmt::Display for Finding {
 pub const RULE_GUARD: &str = "guard-across-blocking";
 /// Rule id for [`unwrap_nontest`].
 pub const RULE_UNWRAP: &str = "unwrap-nontest";
-/// Rule id for [`wire_grammar`].
-pub const RULE_WIRE: &str = "wire-grammar";
 /// Rule id for [`lock_poison_policy`].
 pub const RULE_POISON: &str = "lock-poison-policy";
 /// Rule id for [`index_no_box_node`].
@@ -67,10 +60,6 @@ pub const RULE_BOXNODE: &str = "index-no-box-node";
 pub const RULE_METRIC: &str = "metric-name-discipline";
 /// Rule id for [`crate::flow::lock_order`].
 pub const RULE_LOCKORDER: &str = "lock-order";
-/// Rule id for [`wal_tag_coverage`].
-pub const RULE_WALTAG: &str = "wal-tag-coverage";
-/// Rule id for [`epoch_monotonic_publish`].
-pub const RULE_EPOCH: &str = "epoch-monotonic-publish";
 /// Rule id for [`atomic_ordering_discipline`].
 pub const RULE_ATOMIC: &str = "atomic-ordering-discipline";
 /// Rule id for [`crate::flow::reactor_no_block`].
@@ -83,13 +72,10 @@ pub const RULE_PRAGMA: &str = "pragma";
 pub const ALL_RULES: &[&str] = &[
     RULE_GUARD,
     RULE_UNWRAP,
-    RULE_WIRE,
     RULE_POISON,
     RULE_BOXNODE,
     RULE_METRIC,
     RULE_LOCKORDER,
-    RULE_WALTAG,
-    RULE_EPOCH,
     RULE_ATOMIC,
     RULE_REACTOR,
 ];
@@ -111,11 +97,6 @@ pub const RULE_DESCRIPTIONS: &[(&str, &str)] = &[
          serving layer degrades, it does not die",
     ),
     (
-        RULE_WIRE,
-        "the server and client wire vocabularies (ALL-CAPS verbs and reply heads in \
-         string literals) must match exactly",
-    ),
-    (
         RULE_POISON,
         "lock-acquisition results go through `recover_poisoned`, never ad-hoc \
          `.unwrap()`-style poison handling",
@@ -135,17 +116,6 @@ pub const RULE_DESCRIPTIONS: &[(&str, &str)] = &[
         "the global lock-acquisition-order graph over `crates/serve/src` must stay \
          acyclic; a cycle is a potential deadlock, reported with each edge's witness \
          sites",
-    ),
-    (
-        RULE_WALTAG,
-        "every WAL record tag has an encode use and a replay arm, and every `Op::` \
-         variant has a WAL tag — an op cannot silently skip durability",
-    ),
-    (
-        RULE_EPOCH,
-        "deref-writes through a fresh `.write()` guard happen only inside sanctioned \
-         publish helpers (`store` / `publish*`), pinning epoch-monotone snapshot \
-         publication",
     ),
     (
         RULE_ATOMIC,
@@ -475,282 +445,6 @@ pub fn metric_name_discipline(files: &[(&Path, &[Token])]) -> Vec<Finding> {
                     ));
                 }
             }
-        }
-    }
-    findings
-}
-
-/// The wire vocabulary of one file set: every leading ALL-CAPS word of a
-/// non-test string literal (`"INSERT {id} …"` → `INSERT`, `"OK queued"`
-/// → `OK`), mapped to its first occurrence.
-pub fn wire_vocabulary(files: &[(PathBuf, Vec<Token>)]) -> BTreeMap<String, (PathBuf, u32)> {
-    let mut vocab = BTreeMap::new();
-    for (path, toks) in files {
-        for t in toks {
-            if t.in_test {
-                continue;
-            }
-            let Tok::Str(s) = &t.tok else { continue };
-            let word: String = s.chars().take_while(char::is_ascii_uppercase).collect();
-            if word.len() < 2 {
-                continue;
-            }
-            // The run must end the literal or be followed by a
-            // non-word character (`"OKish"` is not the verb `OK`).
-            if s[word.len()..]
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_')
-            {
-                continue;
-            }
-            vocab.entry(word).or_insert_with(|| (path.clone(), t.line));
-        }
-    }
-    vocab
-}
-
-/// **R3 — `wire-grammar`.** The serve-side protocol implementation and
-/// the `rms-client` re-implementation each define the wire vocabulary
-/// (verbs plus the `OK`/`ERR`/`DELTA` reply heads) in string literals;
-/// this rule extracts both sets and reports every word one side speaks
-/// and the other does not — the two in-tree grammars cannot drift
-/// silently.
-pub fn wire_grammar(
-    server: &[(PathBuf, Vec<Token>)],
-    client: &[(PathBuf, Vec<Token>)],
-) -> Vec<Finding> {
-    let sv = wire_vocabulary(server);
-    let cv = wire_vocabulary(client);
-    let mut findings = Vec::new();
-    let mut drift = |word: &str,
-                     present: &(PathBuf, u32),
-                     absent_side: &[(PathBuf, Vec<Token>)],
-                     side: &str| {
-        let Some((absent_file, _)) = absent_side.first() else {
-            return;
-        };
-        findings.push(Finding::new(
-            absent_file,
-            1,
-            RULE_WIRE,
-            format!(
-                "wire word `{word}` (spoken at {}:{}) has no {side} occurrence — the two \
-                 protocol implementations have drifted",
-                present.0.display(),
-                present.1
-            ),
-        ));
-    };
-    for (word, at) in &sv {
-        if !cv.contains_key(word) {
-            drift(word, at, client, "client-side");
-        }
-    }
-    for (word, at) in &cv {
-        if !sv.contains_key(word) {
-            drift(word, at, server, "server-side");
-        }
-    }
-    findings
-}
-
-/// **R8 — `wal-tag-coverage`.** Cross-file, in the spirit of
-/// `wire-grammar`: the WAL record tags (`const TAG_*` in `wal.rs`) and
-/// the op vocabulary must stay symmetric. Concretely:
-///
-/// * every declared tag must be *encoded* somewhere (a use that is not a
-///   match arm — frames with it are actually written), and
-/// * every declared tag must have a *replay* match arm (`TAG_X =>` or
-///   `TAG_X | …` — recovery understands it), and
-/// * every `Op::Variant` referenced in non-test wal/wire code must have
-///   a `TAG_<VARIANT>` declaration — a new op cannot silently skip
-///   durability.
-///
-/// Tag-from-variant derivation is `TAG_` + the variant name uppercased
-/// (`Op::Insert` → `TAG_INSERT`); multi-word variants must pick tag
-/// names accordingly.
-pub fn wal_tag_coverage(
-    wal: &[(PathBuf, Vec<Token>)],
-    wire: &[(PathBuf, Vec<Token>)],
-) -> Vec<Finding> {
-    struct TagInfo {
-        file: PathBuf,
-        line: u32,
-        encode: bool,
-        replay: bool,
-    }
-    let mut tags: BTreeMap<String, TagInfo> = BTreeMap::new();
-    // Declarations: `const TAG_X`.
-    for (path, toks) in wal {
-        for (i, t) in toks.iter().enumerate() {
-            if t.in_test {
-                continue;
-            }
-            let Tok::Ident(name) = &t.tok else { continue };
-            if name.starts_with("TAG_") && ident(toks.get(i.wrapping_sub(1))) == Some("const") {
-                tags.entry(name.clone()).or_insert(TagInfo {
-                    file: path.clone(),
-                    line: t.line,
-                    encode: false,
-                    replay: false,
-                });
-            }
-        }
-    }
-    // Uses: `TAG_X =>` / `TAG_X | …` is a replay match arm; any other
-    // non-declaration mention encodes (frame construction, equality
-    // guards fold in here too — over-approximation on the safe side:
-    // a tag that is *only* compared still has no real encode arm only
-    // if nothing constructs it, which the fixture pins).
-    for (_, toks) in wal {
-        for (i, t) in toks.iter().enumerate() {
-            if t.in_test {
-                continue;
-            }
-            let Tok::Ident(name) = &t.tok else { continue };
-            let Some(info) = tags.get_mut(name.as_str()) else {
-                continue;
-            };
-            if ident(toks.get(i.wrapping_sub(1))) == Some("const") {
-                continue;
-            }
-            if (punct(toks.get(i + 1), '=') && punct(toks.get(i + 2), '>'))
-                || punct(toks.get(i + 1), '|')
-            {
-                info.replay = true;
-            } else {
-                info.encode = true;
-            }
-        }
-    }
-    // Op vocabulary: `Op::Variant` path references across wal + wire.
-    let mut ops: BTreeMap<String, (PathBuf, u32)> = BTreeMap::new();
-    for (path, toks) in wal.iter().chain(wire) {
-        for i in 0..toks.len() {
-            if toks[i].in_test {
-                continue;
-            }
-            if ident(toks.get(i)) != Some("Op")
-                || !punct(toks.get(i + 1), ':')
-                || !punct(toks.get(i + 2), ':')
-            {
-                continue;
-            }
-            if let Some(v) = ident(toks.get(i + 3)) {
-                if v.starts_with(char::is_uppercase) {
-                    ops.entry(v.to_string())
-                        .or_insert((path.clone(), toks[i].line));
-                }
-            }
-        }
-    }
-    let mut findings = Vec::new();
-    for (name, info) in &tags {
-        if !info.encode {
-            findings.push(Finding::new(
-                &info.file,
-                info.line,
-                RULE_WALTAG,
-                format!(
-                    "WAL tag `{name}` is declared but never encoded — no frame with this \
-                     tag is ever written; wire it into the encode path or delete it"
-                ),
-            ));
-        }
-        if !info.replay {
-            findings.push(Finding::new(
-                &info.file,
-                info.line,
-                RULE_WALTAG,
-                format!(
-                    "WAL tag `{name}` has no replay match arm — frames with this tag \
-                     would be rejected on recovery; add its arm to the replay dispatch"
-                ),
-            ));
-        }
-    }
-    for (variant, (path, line)) in &ops {
-        let expect = format!("TAG_{}", variant.to_uppercase());
-        if !tags.contains_key(&expect) {
-            findings.push(Finding::new(
-                path,
-                *line,
-                RULE_WALTAG,
-                format!(
-                    "`Op::{variant}` has no WAL record tag `{expect}` — every op must \
-                     carry a WAL tag with encode and replay arms so it cannot silently \
-                     skip durability"
-                ),
-            ));
-        }
-    }
-    findings
-}
-
-/// **R9 — `epoch-monotonic-publish`.** A statement of the shape
-/// `*… .write() … = …;` — a deref-write through a freshly acquired
-/// `RwLock` write guard — is how the snapshot cell publishes. Publishing
-/// anywhere except the sanctioned helpers (`fn store`, `fn publish*`)
-/// bypasses the epoch-monotonicity bookkeeping those helpers pin, so any
-/// other site is a finding.
-pub fn epoch_monotonic_publish(file: &Path, toks: &[Token]) -> Vec<Finding> {
-    let tree = crate::parse::parse(toks);
-    let mut findings = Vec::new();
-    for scope in &tree.scopes {
-        for &(lo, hi) in &scope.stmts {
-            if toks.get(lo).is_none_or(|t| t.in_test) || !punct(toks.get(lo), '*') {
-                continue;
-            }
-            let mut has_write = false;
-            let mut assign = false;
-            let mut nest = 0i32;
-            for i in lo..hi.min(toks.len()) {
-                match toks[i].tok {
-                    Tok::Punct('(' | '[') => nest += 1,
-                    Tok::Punct(')' | ']') => nest -= 1,
-                    _ => {}
-                }
-                if guard_acquisition(toks, i) && ident(toks.get(i + 1)) == Some("write") {
-                    has_write = true;
-                }
-                // A bare `=` (not `==`, `=>`, or a compound assign) at
-                // the statement's top nesting level.
-                if nest == 0
-                    && punct(toks.get(i), '=')
-                    && !punct(toks.get(i + 1), '=')
-                    && !punct(toks.get(i + 1), '>')
-                    && !matches!(
-                        toks.get(i.wrapping_sub(1)).map(|t| &t.tok),
-                        Some(Tok::Punct(
-                            '=' | '!' | '<' | '>' | '+' | '-' | '*' | '/' | '%' | '&' | '|' | '^'
-                        ))
-                    )
-                {
-                    assign = true;
-                }
-            }
-            if !(has_write && assign) {
-                continue;
-            }
-            let sanctioned = tree
-                .enclosing_function(lo)
-                .is_some_and(|f| f.name == "store" || f.name.starts_with("publish"));
-            if sanctioned {
-                continue;
-            }
-            findings.push(Finding::new(
-                file,
-                toks[lo].line,
-                RULE_EPOCH,
-                format!(
-                    "deref-write through a fresh `.write()` guard outside a sanctioned \
-                     publish helper; snapshot publication must go through \
-                     `SnapshotCell::store` or a `publish*` helper so epoch monotonicity \
-                     is enforced in one place (or justify with \
-                     `// rms-analyze: allow({RULE_EPOCH}, \"…\")`)"
-                ),
-            ));
         }
     }
     findings

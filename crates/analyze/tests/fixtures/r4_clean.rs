@@ -7,8 +7,6 @@ fn reads(m: &std::sync::Mutex<u32>) -> u32 {
     *recover_poisoned(m.lock())
 }
 
-// Named `store` so the deref-write is also a sanctioned publish site
-// for `epoch-monotonic-publish`.
 fn store(m: &std::sync::RwLock<u32>) {
     *recover_poisoned(m.write()) = 7;
 }

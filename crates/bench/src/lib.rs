@@ -308,11 +308,7 @@ pub fn run_cell(cell: &Cell, scale: Scale) -> ExperimentRecord {
     let d = cell.spec.d;
     let mut rng = StdRng::seed_from_u64(cell.spec.seed ^ 0xABCD);
     let mut workload = paper_workload(&mut rng, points, WorkloadConfig::default());
-    if workload.operations.len() > scale.ops {
-        workload.operations.truncate(scale.ops);
-        let total = workload.operations.len().max(1);
-        workload.checkpoints = (1..=10).map(|i| (total * i / 10).max(1) - 1).collect();
-    }
+    workload.truncate(scale.ops);
     let est = RegretEstimator::new(d, scale.eval_vectors.max(d), 0x7E57);
 
     let (timer, mrrs) = match cell.algo {
@@ -370,7 +366,9 @@ fn run_fdrms(
                 timer.record(|| fd.update(p.clone()).expect("workload updates live ids"));
             }
         }
-        if next_cp < workload.checkpoints.len() && workload.checkpoints[next_cp] == i {
+        // Checkpoint indices repeat when there are fewer ops than
+        // checkpoints; each one is sampled.
+        while next_cp < workload.checkpoints.len() && workload.checkpoints[next_cp] <= i {
             mrrs.push(est.mrr(&live, &fd.result(), cell.k));
             next_cp += 1;
         }
@@ -415,7 +413,7 @@ fn run_static(
         } else {
             timer.add(std::time::Duration::ZERO);
         }
-        if next_cp < workload.checkpoints.len() && workload.checkpoints[next_cp] == i {
+        while next_cp < workload.checkpoints.len() && workload.checkpoints[next_cp] <= i {
             mrrs.push(est.mrr(&live, ad.result(), cell.k));
             next_cp += 1;
         }
@@ -624,6 +622,42 @@ mod tests {
         let rec = run_cell(&cell, scale);
         assert_eq!(rec.algorithm, "Sphere");
         assert!((0.0..=1.0).contains(&rec.mrr));
+    }
+
+    /// Five ops leave ten checkpoints on five indices
+    /// (`[0,0,0,1,1,2,2,3,3,4]`); both runners sample every one of them.
+    #[test]
+    fn a_five_op_run_samples_all_ten_checkpoints() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let spec = NamedDataset::Indep.spec().with_n(200).with_d(3);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut workload = paper_workload(&mut rng, spec.generate(), WorkloadConfig::default());
+        workload.truncate(5);
+        assert_eq!(workload.checkpoints, [0, 0, 0, 1, 1, 2, 2, 3, 3, 4]);
+        let est = RegretEstimator::new(3, 300, 1);
+        let scale = Scale {
+            frac: 1.0,
+            eval_vectors: 300,
+            max_m: 128,
+            ops: 5,
+        };
+        for algo in [Algo::FdRms, Algo::Sphere] {
+            let cell = Cell {
+                experiment: "checkpoints".into(),
+                spec,
+                algo,
+                k: 1,
+                r: 5,
+                eps: 0.05,
+                param: "ops".into(),
+                value: 5.0,
+            };
+            let (_, mrrs) = match algo {
+                Algo::FdRms => run_fdrms(&cell, scale, &workload, &est),
+                _ => run_static(&cell, &workload, &est),
+            };
+            assert_eq!(mrrs.len(), 10, "{} samples", algo.name());
+        }
     }
 
     #[test]

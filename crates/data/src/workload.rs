@@ -99,6 +99,17 @@ impl Workload {
         self.operations.chunks(batch_size)
     }
 
+    /// Keeps only the first `ops` operations and re-spaces the
+    /// checkpoints (as many as before) over them; a workload of at most
+    /// `ops` operations is left as it is. Below as many operations as
+    /// checkpoints, checkpoint indices repeat.
+    pub fn truncate(&mut self, ops: usize) {
+        if self.operations.len() > ops {
+            self.operations.truncate(ops);
+            self.checkpoints = checkpoints(ops, self.checkpoints.len());
+        }
+    }
+
     /// Replays the workload against a plain vector, returning the database
     /// state after every operation was applied. Used by tests as ground
     /// truth for dynamic data structures.
@@ -125,6 +136,17 @@ impl Workload {
         }
         db
     }
+}
+
+/// `count` evenly spaced checkpoints over `total` operations, the last
+/// one `total − 1`; none if either is 0.
+fn checkpoints(total: usize, count: usize) -> Vec<usize> {
+    if total == 0 {
+        return Vec::new();
+    }
+    (1..=count)
+        .map(|i| (total * i / count).max(1) - 1)
+        .collect()
 }
 
 /// Generates the paper's insert-then-delete workload over `points`.
@@ -154,15 +176,7 @@ pub fn paper_workload<R: Rng + ?Sized>(
     all_ids.shuffle(rng);
     operations.extend(all_ids.into_iter().take(n_del).map(Operation::Delete));
 
-    let total = operations.len();
-    let checkpoints = if total == 0 || config.checkpoints == 0 {
-        Vec::new()
-    } else {
-        (1..=config.checkpoints)
-            .map(|i| (total * i / config.checkpoints).max(1) - 1)
-            .collect()
-    };
-
+    let checkpoints = checkpoints(operations.len(), config.checkpoints);
     Workload {
         initial,
         operations,
@@ -351,6 +365,20 @@ mod tests {
         assert!(w.initial.is_empty());
         assert!(w.operations.is_empty());
         assert!(w.checkpoints.is_empty());
+    }
+
+    #[test]
+    fn truncate_respaces_the_checkpoints() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut w = paper_workload(&mut rng, points(100), WorkloadConfig::default());
+        let full = w.clone();
+        w.truncate(full.operations.len());
+        assert_eq!(w.checkpoints, full.checkpoints);
+        w.truncate(40);
+        assert_eq!(w.operations, full.operations[..40]);
+        assert_eq!(w.checkpoints, [3, 7, 11, 15, 19, 23, 27, 31, 35, 39]);
+        w.truncate(5);
+        assert_eq!(w.checkpoints, [0, 0, 0, 1, 1, 2, 2, 3, 3, 4]);
     }
 
     #[test]

@@ -197,12 +197,16 @@ impl Conn {
         false
     }
 
-    /// Extracts the next complete line, advancing the cursor. The
-    /// buffer is compacted only once fully consumed, so a pump over
-    /// many buffered lines is O(total bytes), not O(lines²).
+    /// Extracts the next complete line, advancing the cursor. A line
+    /// longer than [`MAX_LINE_BYTES`] is `Malformed` whether or not its
+    /// newline has arrived, so the cap does not depend on how the peer
+    /// split its writes. The buffer is compacted only once fully
+    /// consumed, so a pump over many buffered lines is O(total bytes),
+    /// not O(lines²).
     pub fn take_line(&mut self) -> LineStep {
         let pending = &self.rbuf[self.rpos..];
         match pending.iter().position(|&b| b == b'\n') {
+            Some(nl) if nl > MAX_LINE_BYTES => LineStep::Malformed,
             Some(nl) => {
                 let mut end = nl;
                 if end > 0 && pending[end - 1] == b'\r' {
@@ -277,6 +281,37 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(50));
         assert!(!conn.fill());
         assert_eq!(conn.take_line(), LineStep::Malformed);
+    }
+
+    /// Sends `len` bytes of `x` and a newline in one write, then takes
+    /// the first step that is not `Incomplete`.
+    fn one_write_line(len: usize) -> LineStep {
+        let (mut client, server) = sock_pair();
+        let mut conn = Conn::new(server, Token(1));
+        let mut line = vec![b'x'; len];
+        line.push(b'\n');
+        client.write_all(&line).unwrap();
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        loop {
+            assert!(!conn.fill());
+            match conn.take_line() {
+                LineStep::Incomplete if Instant::now() < deadline => {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                }
+                step => return step,
+            }
+        }
+    }
+
+    /// The cap holds for a line whose newline arrives in the same write:
+    /// one byte over is refused, exactly the cap is served.
+    #[test]
+    fn a_line_over_the_cap_is_malformed_with_its_newline() {
+        assert_eq!(one_write_line(MAX_LINE_BYTES + 1), LineStep::Malformed);
+        assert_eq!(
+            one_write_line(MAX_LINE_BYTES),
+            LineStep::Line("x".repeat(MAX_LINE_BYTES))
+        );
     }
 
     /// A peer streaming without a newline cannot grow the buffer past

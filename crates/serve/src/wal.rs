@@ -410,12 +410,25 @@ mod tests {
         dir.join(format!("{name}-{}.wal", std::process::id()))
     }
 
+    /// One op of every `Op` variant. The match below has no wildcard
+    /// arm, so a new variant fails to compile here, and the assert fails
+    /// until an op of it is sampled.
     fn sample_ops() -> Vec<Op> {
-        vec![
+        let ops = vec![
             Op::Insert(Point::new_unchecked(7, vec![0.5, 0.25])),
             Op::Delete(3),
             Op::Update(Point::new_unchecked(9, vec![1.0, 0.0])),
-        ]
+        ];
+        let mut sampled = [false; 3];
+        for op in &ops {
+            sampled[match op {
+                Op::Insert(_) => 0,
+                Op::Delete(_) => 1,
+                Op::Update(_) => 2,
+            }] = true;
+        }
+        assert!(sampled.iter().all(|&s| s), "an Op variant is unsampled");
+        ops
     }
 
     #[test]

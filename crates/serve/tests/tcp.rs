@@ -6,7 +6,8 @@
 //! they pin those replies byte-identical. The later tests cover
 //! `HELLO`/`BATCH`/`SUBSCRIBE`/`METRICS`, which every connection speaks
 //! from its first line, both raw and through the typed `rms-client`,
-//! and a server with two reactor threads.
+//! and a server with two reactor threads. One test sends every request
+//! the typed client has and checks that the server counted each verb.
 
 use fdrms::FdRms;
 use rms_client::{ClientOp, RmsClient};
@@ -444,6 +445,96 @@ fn rms_client_end_to_end() {
     let replayed = subscriber.join().expect("subscriber thread");
     assert_eq!(replayed, q.ids, "subscription replay == final QUERY");
     fds[0].check_invariants().unwrap();
+}
+
+/// Every request `rms-client` can make, against a live server: each is
+/// acknowledged and its reply parsed, and afterwards every verb the
+/// server counts has been served at least once. So a verb that either
+/// side drops, renames or adds alone fails here.
+#[test]
+fn every_client_request_round_trips() {
+    let initial: Vec<Point> = (0..40)
+        .map(|i| Point::new_unchecked(i, vec![(i as f64) / 40.0, 1.0 - (i as f64) / 40.0]))
+        .collect();
+    let service = RmsService::start(
+        FdRms::builder(2).r(4).max_utilities(64).seed(3),
+        initial,
+        ServeConfig::default(),
+    )
+    .unwrap();
+    let registry = Arc::clone(service.registry());
+    let server = RmsServer::bind("127.0.0.1:0", service).expect("bind ephemeral port");
+    let addr = server.local_addr().unwrap();
+    let server = std::thread::spawn(move || server.run().expect("server run"));
+
+    // Both subscriptions are acknowledged before the first op, so each
+    // is pushed the first publish.
+    let connect = || {
+        let client = RmsClient::connect(addr).expect("connect (HELLO)");
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        client
+    };
+    let mut subs = [
+        connect().subscribe(1).expect("SUBSCRIBE"),
+        connect()
+            .subscribe_filtered(1, 0, 1_000)
+            .expect("SUBSCRIBE ids="),
+    ];
+
+    let mut client = connect();
+    client.insert(900, &[0.9, 0.9]).expect("INSERT");
+    client.update(900, &[0.95, 0.9]).expect("UPDATE");
+    client.delete(0).expect("DELETE");
+    let batch = [ClientOp::insert(901, vec![0.8, 0.8]), ClientOp::delete(1)];
+    assert_eq!(client.submit_batch(&batch).expect("BATCH"), 2);
+    assert_eq!(client.query().expect("QUERY").epochs.len(), 1);
+    assert!(client.stats().expect("STATS").get("epoch").is_some());
+    let body = client.metrics().expect("METRICS");
+    assert!(
+        body.contains("# TYPE rms_tcp_requests_total counter"),
+        "{body}"
+    );
+    for sub in &mut subs {
+        let delta = sub.next_delta().expect("DELTA").expect("stream ended");
+        assert!(delta.version > delta.from, "{delta:?}");
+    }
+    client.shutdown().expect("SHUTDOWN");
+    server.join().expect("server thread");
+
+    let body = registry.encode();
+    let served: std::collections::BTreeMap<&str, u64> = body
+        .lines()
+        .filter_map(|l| l.strip_prefix("rms_tcp_requests_total{verb=\""))
+        .map(|rest| {
+            let (verb, count) = rest.split_once("\"} ").expect("verb series");
+            (verb, count.parse().expect("counter value"))
+        })
+        .collect();
+    assert_eq!(
+        served.keys().copied().collect::<Vec<_>>(),
+        [
+            "batch",
+            "delete",
+            "hello",
+            "insert",
+            "invalid",
+            "metrics",
+            "query",
+            "shutdown",
+            "stats",
+            "subscribe",
+            "update"
+        ],
+        "{body}"
+    );
+    for (verb, count) in served {
+        assert!(
+            verb == "invalid" || count >= 1,
+            "`{verb}` never served:\n{body}"
+        );
+    }
 }
 
 /// METRICS over raw lines: answered from the connection's first line,

@@ -414,8 +414,8 @@ fn a_second_crash_loses_neither_runs_ops() {
 /// readable from the stats — if the delete was applied first it was
 /// rejected (the id was not live yet) and the id survives; if the insert
 /// went first, both ops applied and the id is gone. Log order must equal
-/// apply order (enqueue and append are serialized under the log mutex),
-/// so a crash + replay must reproduce the *same* outcome for every
+/// apply order (each op is appended and enqueued under the one queue
+/// lock), so a crash + replay must reproduce the *same* outcome for every
 /// contended id — before that fix, the log could record `insert, delete`
 /// while the live service applied `delete, insert`, and recovery
 /// resurrected ids the live service had settled differently.
@@ -432,8 +432,8 @@ fn contended_id_recovery_matches_live_outcome() {
             builder(d),
             initial.clone(),
             ServeConfig {
-                // A tiny queue forces real interleaving through the
-                // try-send path, not just uncontended fast-path sends.
+                // A tiny queue forces real interleaving: writers find
+                // it full and retry, not just enqueue uncontended.
                 queue_capacity: 2,
                 max_batch: 4,
                 ..ServeConfig::default()

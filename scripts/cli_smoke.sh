@@ -4,7 +4,7 @@
 # flag-parser regressions and refusals (an unknown flag, the removed
 # shard option, a shard group's old WAL) → WAL-backed serve round-trip
 # over loopback (INSERT/QUERY/STATS, a Prometheus scrape of the
-# --metrics-addr endpoint behind an idle connection, a SHUTDOWN drain
+# --metrics-addr endpoint behind four idle connections, a SHUTDOWN drain
 # and a recovery restart),
 # plus a session on a server with two reactor threads (HELLO parameter
 # advertisement, one-ack BATCH ingest without HELLO, SUBSCRIBE delta
@@ -142,15 +142,19 @@ done
 # --- Prometheus scrape of the --metrics-addr endpoint ------------------
 # Stock HTTP over bash /dev/tcp: the reply must be a 200 with a
 # well-formed text exposition carrying families from every instrumented
-# subsystem, unlabeled by shard. An idle connection (fd 6, which sends
-# nothing) is opened first and held across the scrape: the listener
-# serves one connection at a time, so it must give up on the idle one
-# (its 2 s timeout) and still answer, well inside the 15 s bound.
-exec 6<>"/dev/tcp/127.0.0.1/$MPORT" || fail "idle metrics connect"
+# subsystem, unlabeled by shard. Four idle connections (fds 6-9, which
+# send nothing) are opened first and held across the scrape. Each
+# connection is served on a thread of its own, so the scrape is answered
+# at once: a listener that served one connection at a time would wait
+# out each idle one's 2 s timeout (8 s) and miss the 5 s bound.
+exec 6<>"/dev/tcp/127.0.0.1/$MPORT" || fail "idle metrics connect (fd 6)"
+exec 7<>"/dev/tcp/127.0.0.1/$MPORT" || fail "idle metrics connect (fd 7)"
+exec 8<>"/dev/tcp/127.0.0.1/$MPORT" || fail "idle metrics connect (fd 8)"
+exec 9<>"/dev/tcp/127.0.0.1/$MPORT" || fail "idle metrics connect (fd 9)"
 exec 5<>"/dev/tcp/127.0.0.1/$MPORT" || fail "metrics endpoint connect"
 printf 'GET /metrics HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n' >&5
-http=$(timeout 15 cat <&5) || fail "metrics scrape got no reply behind an idle connection"
-exec 5<&- 5>&- 6<&- 6>&-
+http=$(timeout 5 cat <&5) || fail "metrics scrape got no reply behind four idle connections"
+exec 5<&- 5>&- 6<&- 6>&- 7<&- 7>&- 8<&- 8>&- 9<&- 9>&-
 [[ "$http" == "HTTP/1.1 200 OK"* ]] || fail "metrics scrape status: ${http%%$'\r'*}"
 # Body = everything after the blank header/body separator line.
 exposition=${http#*$'\r\n\r\n'}

@@ -261,11 +261,7 @@ fn cmd_workload(flags: &HashMap<String, String>) -> Result<(), String> {
 
     let mut rng = StdRng::seed_from_u64(get(flags, "seed", 0u64)?);
     let mut w = krms::data::paper_workload(&mut rng, points, Default::default());
-    if w.operations.len() > ops_cap {
-        w.operations.truncate(ops_cap);
-        let total = w.operations.len().max(1);
-        w.checkpoints = (1..=10).map(|i| (total * i / 10).max(1) - 1).collect();
-    }
+    w.truncate(ops_cap);
     let mut live = w.initial.clone();
     let mut timer = krms::eval::UpdateTimer::new();
 
@@ -386,63 +382,87 @@ fn cmd_workload(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// How long the `--metrics-addr` listener waits on one connection's
-/// request or reply before it drops the connection. It serves one
-/// connection at a time, so a peer that connects and sends nothing
-/// delays the scrapes behind it by this much, not forever.
+/// How long the `--metrics-addr` endpoint waits on one connection's
+/// request or reply before it drops the connection, so a peer that
+/// connects and sends nothing holds its thread this long, not forever.
 const METRICS_IO_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(2);
+
+/// How many `--metrics-addr` connections are served at once, each on a
+/// thread of its own; a connection past the cap is closed unanswered.
+const METRICS_MAX_CONNS: usize = 8;
 
 /// Minimal HTTP scrape endpoint for the `--metrics-addr` listener:
 /// answers `GET /metrics` with the registry's Prometheus text
 /// exposition, 404 for any other target; one request per connection
-/// (`Connection: close`), which is all a Prometheus scraper needs.
-fn serve_metrics_http(listener: &std::net::TcpListener, registry: &krms::metrics::Registry) {
-    use std::io::{BufRead, BufReader, Write};
-
+/// (`Connection: close`), which is all a Prometheus scraper needs. Each
+/// accepted connection is answered on a short-lived thread, so an idle
+/// connection delays no scrape.
+fn serve_metrics_http(
+    listener: &std::net::TcpListener,
+    registry: &std::sync::Arc<krms::metrics::Registry>,
+) {
+    let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
         let Ok(stream) = stream else {
             std::thread::sleep(std::time::Duration::from_millis(20));
             continue;
         };
-        if stream.set_read_timeout(Some(METRICS_IO_TIMEOUT)).is_err()
-            || stream.set_write_timeout(Some(METRICS_IO_TIMEOUT)).is_err()
+        workers.retain(|w| !w.is_finished());
+        if workers.len() >= METRICS_MAX_CONNS {
+            continue;
+        }
+        let registry = std::sync::Arc::clone(registry);
+        if let Ok(worker) = std::thread::Builder::new()
+            .name("rms-metrics-conn".into())
+            .spawn(move || answer_metrics_request(&stream, &registry))
         {
-            continue;
+            workers.push(worker);
         }
-        let mut reader = BufReader::new(&stream);
-        let mut request = String::new();
-        if reader.read_line(&mut request).is_err() {
-            continue;
-        }
-        // Drain the request headers up to the blank line; nothing in
-        // them changes the response.
-        let mut header = String::new();
-        loop {
-            header.clear();
-            match reader.read_line(&mut header) {
-                Ok(0) | Err(_) => break,
-                Ok(_) if header.trim().is_empty() => break,
-                Ok(_) => {}
-            }
-        }
-        let scrape = {
-            let mut parts = request.split_whitespace();
-            parts.next() == Some("GET")
-                && matches!(parts.next(), Some("/metrics") | Some("/metrics/"))
-        };
-        let (status, body) = if scrape {
-            ("200 OK", registry.encode())
-        } else {
-            ("404 Not Found", "not found\n".to_string())
-        };
-        let mut writer = &stream;
-        let _ = write!(
-            writer,
-            "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        );
     }
+}
+
+/// Reads one HTTP request from `stream` and writes its reply, giving up
+/// after [`METRICS_IO_TIMEOUT`] on either side.
+fn answer_metrics_request(stream: &std::net::TcpStream, registry: &krms::metrics::Registry) {
+    use std::io::{BufRead, BufReader, Write};
+
+    if stream.set_read_timeout(Some(METRICS_IO_TIMEOUT)).is_err()
+        || stream.set_write_timeout(Some(METRICS_IO_TIMEOUT)).is_err()
+    {
+        return;
+    }
+    let mut reader = BufReader::new(stream);
+    let mut request = String::new();
+    if reader.read_line(&mut request).is_err() {
+        return;
+    }
+    // Drain the request headers up to the blank line; nothing in them
+    // changes the response.
+    let mut header = String::new();
+    loop {
+        header.clear();
+        match reader.read_line(&mut header) {
+            Ok(0) | Err(_) => break,
+            Ok(_) if header.trim().is_empty() => break,
+            Ok(_) => {}
+        }
+    }
+    let scrape = {
+        let mut parts = request.split_whitespace();
+        parts.next() == Some("GET") && matches!(parts.next(), Some("/metrics") | Some("/metrics/"))
+    };
+    let (status, body) = if scrape {
+        ("200 OK", registry.encode())
+    } else {
+        ("404 Not Found", "not found\n".to_string())
+    };
+    let mut writer = stream;
+    let _ = write!(
+        writer,
+        "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
 }
 
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -549,7 +569,7 @@ fn cmd_skyline(flags: &HashMap<String, String>) -> Result<(), String> {
 mod tests {
     use super::{
         cmd_generate, cmd_run, cmd_serve, cmd_skyline, cmd_workload, parse_flags,
-        serve_metrics_http, COMMAND_FLAGS, METRICS_IO_TIMEOUT, USAGE,
+        serve_metrics_http, COMMAND_FLAGS, METRICS_IO_TIMEOUT, METRICS_MAX_CONNS, USAGE,
     };
     use std::collections::{BTreeSet, HashMap};
     use std::io::{Read, Write};
@@ -654,20 +674,19 @@ mod tests {
         }
     }
 
-    /// A connection that sends nothing holds the one-at-a-time metrics
-    /// listener for at most its timeout: a scrape queued behind it is
-    /// still answered.
+    /// Idle connections ahead of a scrape hold only their own threads:
+    /// the scrape is answered at once, not after their timeouts.
     #[test]
     fn metrics_scrape_is_answered_behind_an_idle_connection() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let registry = krms::metrics::Registry::new();
+        let registry = std::sync::Arc::new(krms::metrics::Registry::new());
         registry
             .register_counter("rms_test_scrapes_total", "Scrapes answered.", &[])
             .inc();
         // The listener thread serves until the test process exits.
         std::thread::spawn(move || serve_metrics_http(&listener, &registry));
-        let _idle = TcpStream::connect(addr).unwrap();
+        let _idle: Vec<TcpStream> = (0..4).map(|_| TcpStream::connect(addr).unwrap()).collect();
         let mut scrape = TcpStream::connect(addr).unwrap();
         scrape
             .set_read_timeout(Some(METRICS_IO_TIMEOUT * 3))
@@ -678,9 +697,31 @@ mod tests {
         let mut reply = String::new();
         scrape
             .read_to_string(&mut reply)
-            .expect("the scrape behind an idle connection got no reply");
+            .expect("the scrape behind idle connections got no reply");
         assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
         assert!(reply.contains("\nrms_test_scrapes_total 1\n"), "{reply}");
+    }
+
+    /// Past [`METRICS_MAX_CONNS`] live connections, the next one is
+    /// closed at once instead of starting another thread.
+    #[test]
+    fn metrics_connections_past_the_cap_are_closed() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let registry = std::sync::Arc::new(krms::metrics::Registry::new());
+        std::thread::spawn(move || serve_metrics_http(&listener, &registry));
+        let _idle: Vec<TcpStream> = (0..METRICS_MAX_CONNS)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+        let mut extra = TcpStream::connect(addr).unwrap();
+        extra
+            .set_read_timeout(Some(METRICS_IO_TIMEOUT / 2))
+            .unwrap();
+        let mut reply = String::new();
+        extra
+            .read_to_string(&mut reply)
+            .expect("a connection past the cap was held, not closed");
+        assert!(reply.is_empty(), "{reply}");
     }
 
     #[test]
