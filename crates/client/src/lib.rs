@@ -329,14 +329,14 @@ impl RmsClient {
     /// single write and the server acknowledges once for all of them —
     /// the ingest hot path amortization.
     ///
-    /// A frame the server rejects as *malformed* queues none of its ops
-    /// (all-or-nothing at the framing level). A mid-batch failure after
-    /// framing — the server shutting down part-way — can leave a prefix
-    /// queued; the `ERR` reply reports how many (`… (i of n queued)`),
-    /// so retrying the whole batch against a recovered server may
-    /// re-apply that prefix. Batches above the server's per-frame cap
-    /// ([`MAX_BATCH_LINES`]) are split into multiple frames
-    /// transparently (one ack each; the returned count sums them).
+    /// Each frame is all-or-nothing: the server queues and logs its ops
+    /// whole, or refuses it whole — malformed, shutting down, a failed
+    /// log append — with `ERR … (batch dropped)` and none of its ops
+    /// queued, so retrying a refused frame re-applies nothing. Batches
+    /// above the server's per-frame cap ([`MAX_BATCH_LINES`]) are split
+    /// into multiple frames transparently (one ack each; the returned
+    /// count sums them), and an error on a later frame leaves the
+    /// earlier ones queued.
     pub fn submit_batch(&mut self, ops: &[ClientOp]) -> Result<usize, ClientError> {
         let mut total = 0;
         for chunk in ops.chunks(MAX_BATCH_LINES.max(1)) {

@@ -6,16 +6,18 @@
 //! dedicated applier thread fed by a bounded op queue:
 //!
 //! ```text
-//!  writers ──submit(Op)──▶ [bounded queue] ──▶ applier thread
-//!                           (backpressure)      │ take ≤ max_batch
-//!                                               │ FdRms::apply_batch
-//!                                               ▼
+//!  writers ──one frame──▶ [bounded queue] ──▶ applier thread
+//!                          (backpressure)      │ take ≤ max_batch
+//!                                              │ FdRms::apply_batch
+//!                                              ▼
 //!  readers ◀──snapshot()── [Arc<ResultSnapshot> swap cell]
 //! ```
 //!
 //! * **Ingestion** blocks only on queue capacity (backpressure), never on
 //!   maintenance: [`RmsHandle::submit`] is [`RmsHandle::try_submit`]
 //!   retried while the queue is full, so every op takes one enqueue path.
+//!   That path takes a frame — a `BATCH`'s ops, or one op — and logs and
+//!   queues it whole or refuses it whole.
 //!   The applier drains whatever is queued into one adaptive
 //!   batch — size 1 under light load (a one-op batch through the same
 //!   engine path), up to [`ServeConfig::max_batch`] under pressure,
@@ -44,10 +46,10 @@
 //! * An optional [write-ahead log](crate::wal) makes acknowledgements
 //!   durable: every acknowledged op is framed into an append-only log
 //!   *before* its acknowledgement ([`RmsService::start_with_wal`]). One
-//!   mutex guards the queue and the log: a submission appends, then
-//!   queues, and the applier takes under the same lock, so log order
-//!   equals apply order and no op is applied before its record is
-//!   logged. A failed append refuses the op
+//!   mutex guards the queue and the log: a frame appends its records in
+//!   one write, then queues its ops, and the applier takes under the
+//!   same lock, so log order equals apply order and no op is applied
+//!   before its record is logged. A failed append refuses the frame
 //!   ([`SubmitError::LogFailed`]). The log is replayed on the next
 //!   start after an unclean death, and graceful shutdown compacts it to
 //!   a checkpoint.

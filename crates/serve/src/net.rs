@@ -21,13 +21,13 @@
 //! encode path, and only on their flush beat.
 
 use crate::protocol::{parse_request, Request, MAX_BATCH_LINES, PROTOCOL_VERSION};
-use crate::service::{RmsHandle, SubmitError};
+use crate::service::{Refusal, RmsHandle};
 use crate::snapshot::{ResultSnapshot, SnapshotDelta};
 use fdrms::Op;
 use rms_geom::{Point, PointId};
 use rms_metrics::{Counter, Gauge, Histogram, Registry};
 use rms_net::{Ctx, Handler, Injector, Token};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::net::TcpStream;
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
@@ -238,16 +238,16 @@ struct SubState {
     pending: Option<SnapshotDelta>,
 }
 
-/// Ops accepted from the wire but not yet in the ingestion queue:
-/// `try_submit` reported backpressure, reads are paused, and the
-/// reactor retries on the [`PARK_RETRY`] beat. The reply (and the
-/// request metrics) are deferred until the last op lands, so latency
-/// histograms still include backpressure time, exactly like the old
-/// blocking `submit` did.
+/// One request's frame of ops on its way into the ingestion queue: a
+/// `BATCH`'s ops, or the one op of an `INSERT`/`DELETE`/`UPDATE` line.
+/// When the queue reports backpressure the frame parks whole, reads are
+/// paused, and the reactor retries it on the [`PARK_RETRY`] beat. The
+/// reply (and the request metrics) are deferred until it lands, so
+/// latency histograms still include backpressure time.
 struct Parked {
-    ops: VecDeque<Op>,
-    submitted: usize,
-    total: usize,
+    ops: Vec<Op>,
+    /// The ops' log records, encoded once, before the queue lock.
+    records: Vec<u8>,
     batch: bool,
     started: Instant,
     verb_idx: usize,
@@ -341,47 +341,44 @@ impl NetHandler {
         }
     }
 
-    /// Submits `ops` via the non-blocking path; on backpressure parks
-    /// the remainder (pausing reads) instead of stalling the reactor. A
-    /// refusal (shutdown, or a failed log append) answers `ERR` and drops
-    /// the rest; a `BATCH` says how many of its ops were queued.
-    fn submit_parked(&mut self, token: Token, mut parked: Parked, ctx: &mut Ctx<'_>) {
-        loop {
-            let Some(op) = parked.ops.pop_front() else {
-                let text = if parked.batch {
-                    format!("OK queued n={}", parked.total)
-                } else {
-                    "OK queued".to_string()
-                };
-                let (verb_idx, started) = (parked.verb_idx, parked.started);
-                self.reply(token, verb_idx, started, &text, ctx);
-                ctx.resume_read(token);
+    /// Enqueues a frame whole via the non-blocking path; on backpressure
+    /// parks it (pausing reads) instead of stalling the reactor. A
+    /// refusal (shutdown, a failed log append, a panicked applier)
+    /// answers `ERR` and drops the frame, none of whose ops was queued.
+    /// The applier's wake is dropped only once the ack is pushed, so the
+    /// woken applier does not run ahead of the reply.
+    fn submit_parked(&mut self, token: Token, parked: Parked, ctx: &mut Ctx<'_>) {
+        let Parked {
+            ops,
+            records,
+            batch,
+            started,
+            verb_idx,
+        } = parked;
+        let n = ops.len();
+        let (text, wake) = match self.front.handle.enqueue(ops, &records) {
+            Ok(wake) if batch => (format!("OK queued n={n}"), Some(wake)),
+            Ok(wake) => ("OK queued".to_string(), Some(wake)),
+            Err((ops, Refusal::Full)) => {
+                ctx.pause_read(token);
+                if let Some(state) = self.conns.get_mut(&token.0) {
+                    state.parked = Some(Parked {
+                        ops,
+                        records,
+                        batch,
+                        started,
+                        verb_idx,
+                    });
+                }
+                self.arm_park_retry(ctx);
                 return;
-            };
-            match self.front.handle.try_submit(op) {
-                Ok(()) => parked.submitted += 1,
-                Err(SubmitError::Full(op)) => {
-                    parked.ops.push_front(op);
-                    ctx.pause_read(token);
-                    if let Some(state) = self.conns.get_mut(&token.0) {
-                        state.parked = Some(parked);
-                    }
-                    self.arm_park_retry(ctx);
-                    return;
-                }
-                Err(e) => {
-                    let text = if parked.batch {
-                        format!("ERR {e} ({} of {} queued)", parked.submitted, parked.total)
-                    } else {
-                        format!("ERR {e}")
-                    };
-                    let (verb_idx, started) = (parked.verb_idx, parked.started);
-                    self.reply(token, verb_idx, started, &text, ctx);
-                    ctx.resume_read(token);
-                    return;
-                }
             }
-        }
+            Err((_, why)) if batch => (format!("ERR {why} (batch dropped)"), None),
+            Err((_, why)) => (format!("ERR {why}"), None),
+        };
+        self.reply(token, verb_idx, started, &text, ctx);
+        drop(wake);
+        ctx.resume_read(token);
     }
 
     /// Consumes one op line of an in-flight `BATCH` body; submits and
@@ -424,9 +421,8 @@ impl NetHandler {
             return;
         }
         let parked = Parked {
-            total: batch.ops.len(),
-            ops: batch.ops.into(),
-            submitted: 0,
+            records: self.front.handle.records(&batch.ops),
+            ops: batch.ops,
             batch: true,
             started: batch.started,
             verb_idx,
@@ -643,10 +639,10 @@ impl Handler for NetHandler {
                 ctx.close(token);
             }
             Ok(Request::Submit(op)) => {
+                let ops = vec![op];
                 let parked = Parked {
-                    ops: VecDeque::from([op]),
-                    submitted: 0,
-                    total: 1,
+                    records: self.front.handle.records(&ops),
+                    ops,
                     batch: false,
                     started,
                     verb_idx,

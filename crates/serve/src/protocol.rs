@@ -25,8 +25,10 @@
 //! `HELLO` is optional: it keeps no session state, and whatever version
 //! it names, the reply advertises [`PROTOCOL_VERSION`] and the server's
 //! parameters.
-//! `BATCH` is all-or-nothing at the framing level: the server reads all
-//! `n` lines first and submits none of them if any line is malformed.
+//! `BATCH` is all-or-nothing: the server reads all `n` lines first and
+//! submits none of them if any line is malformed, and the ingestion
+//! queue takes the frame whole or refuses it whole
+//! (`ERR <reason> (batch dropped)`).
 //! `SUBSCRIBE every=K` coalesces deltas so at most one `DELTA` line is
 //! pushed per K published epochs while the stream is active (an idle
 //! stream flushes the remainder after a short beat). `SUBSCRIBE

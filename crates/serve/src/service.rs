@@ -72,7 +72,7 @@ impl DeltaReceiver {
 /// Instrument handles for one service instance, registered once at
 /// start against the service's [`Registry`]: the applier owns the
 /// batch/publish instruments, client handles carry the WAL append
-/// counter. They are the one store of the service's counters; the
+/// counters. They are the one store of the service's counters; the
 /// published [`ServiceStats`] is read back from them.
 #[derive(Debug, Clone)]
 pub(crate) struct ServiceMetrics {
@@ -94,8 +94,15 @@ pub(crate) struct ServiceMetrics {
     /// `rms_applier_replayed_batches_total` — coalesced batches the
     /// engine rejected atomically and the per-op replay salvaged.
     replayed_batches: Counter,
-    /// `rms_wal_appends_total` — op frames appended by submitters.
+    /// `rms_wal_appends_total` — frames appended by submitters, one
+    /// `write` each.
     wal_appends: Counter,
+    /// `rms_wal_errors_total{op="append"}` — frames the log refused.
+    wal_append_errors: Counter,
+    /// `rms_wal_errors_total{op="fsync"}` — failed group commits.
+    wal_fsync_errors: Counter,
+    /// `rms_wal_errors_total{op="checkpoint"}` — failed compactions.
+    wal_checkpoint_errors: Counter,
     /// `rms_wal_fsync_seconds` — its `_count` is the fsync count.
     wal_fsync_seconds: Histogram,
     /// `rms_wal_recovered_ops_total` — ops accepted during replay.
@@ -105,9 +112,18 @@ pub(crate) struct ServiceMetrics {
 }
 
 impl ServiceMetrics {
-    /// Registers the applier/WAL families (unlabeled).
+    /// Registers the applier/WAL families (unlabeled, but for
+    /// `rms_wal_errors_total`'s `op`).
     pub(crate) fn register(registry: &Registry) -> Self {
         let l = &[];
+        let wal_errors = |op: &str| {
+            registry.register_counter(
+                "rms_wal_errors_total",
+                "Write-ahead log failures, by operation: `append` counts refused frames, \
+                 `fsync` failed group commits, `checkpoint` failed compactions.",
+                &[("op", op)],
+            )
+        };
         ServiceMetrics {
             queue_depth: registry.register_gauge(
                 "rms_applier_queue_depth",
@@ -151,9 +167,12 @@ impl ServiceMetrics {
             ),
             wal_appends: registry.register_counter(
                 "rms_wal_appends_total",
-                "Op frames appended to the write-ahead log.",
+                "Write-ahead log writes: one per request or BATCH frame.",
                 l,
             ),
+            wal_append_errors: wal_errors("append"),
+            wal_fsync_errors: wal_errors("fsync"),
+            wal_checkpoint_errors: wal_errors("checkpoint"),
             wal_fsync_seconds: registry.register_histogram(
                 "rms_wal_fsync_seconds",
                 "Write-ahead log group-commit fsync latency.",
@@ -271,19 +290,64 @@ pub enum SubmitError {
     /// says why); the operation (returned) was neither logged nor
     /// enqueued.
     LogFailed(Op, String),
+    /// The applier thread panicked (an engine invariant failure), so the
+    /// service takes no more writes; the operation (returned) was not
+    /// enqueued.
+    ApplierFailed(Op),
 }
 
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubmitError::Disconnected(_) => write!(f, "service has shut down"),
-            SubmitError::Full(_) => write!(f, "ingestion queue is full"),
-            SubmitError::LogFailed(_, why) => write!(f, "write-ahead log append failed: {why}"),
-        }
+        let why = match self {
+            SubmitError::Disconnected(_) => Refusal::Disconnected,
+            SubmitError::Full(_) => Refusal::Full,
+            SubmitError::LogFailed(_, why) => Refusal::LogFailed(why.clone()),
+            SubmitError::ApplierFailed(_) => Refusal::ApplierFailed,
+        };
+        why.fmt(f)
     }
 }
 
 impl std::error::Error for SubmitError {}
+
+/// Why the queue refused a frame ([`RmsHandle::enqueue`]), which comes
+/// back whole with it. Its text is the wire `ERR` reason, and a one-op
+/// frame's refusal is the matching [`SubmitError`].
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Refusal {
+    Disconnected,
+    Full,
+    LogFailed(String),
+    ApplierFailed,
+}
+
+impl Refusal {
+    /// The refusal of a one-op frame, handing its op back.
+    fn with_op(self, op: Op) -> SubmitError {
+        match self {
+            Refusal::Disconnected => SubmitError::Disconnected(op),
+            Refusal::Full => SubmitError::Full(op),
+            Refusal::LogFailed(why) => SubmitError::LogFailed(op, why),
+            Refusal::ApplierFailed => SubmitError::ApplierFailed(op),
+        }
+    }
+}
+
+impl std::fmt::Display for Refusal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Refusal::Disconnected => write!(f, "service has shut down"),
+            Refusal::Full => write!(f, "ingestion queue is full"),
+            Refusal::LogFailed(why) => write!(f, "write-ahead log append failed: {why}"),
+            Refusal::ApplierFailed => {
+                write!(
+                    f,
+                    "applier thread panicked; the service takes no more writes"
+                )
+            }
+        }
+    }
+}
 
 /// What the ingestion lock guards.
 #[derive(Debug)]
@@ -297,6 +361,9 @@ struct Queue {
     /// drain, no final snapshot and no compaction, as an unclean kill
     /// would.
     crashed: bool,
+    /// Set when the applier exits by a panic: later submissions are
+    /// refused with [`SubmitError::ApplierFailed`], which names it.
+    failed: bool,
     /// The write-ahead log, on a WAL-backed service. Compaction takes it
     /// out once the queue is closed.
     wal: Option<Wal>,
@@ -316,14 +383,26 @@ struct Ingest {
     logged: bool,
 }
 
+/// How intake ends ([`Ingest::close`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Close {
+    /// Shutdown: the applier drains what is queued.
+    Drain,
+    /// [`RmsService::crash`]: the applier stops without draining.
+    Crash,
+    /// The applier is unwinding from a panic.
+    Fail,
+}
+
 impl Ingest {
     /// Ends intake: every later submission is refused, and the applier
-    /// wakes to drain what is queued or, on a `crash`, to stop without
+    /// wakes to drain what is queued or, on a crash, to stop without
     /// draining.
-    fn close(&self, crash: bool) {
+    fn close(&self, how: Close) {
         let mut queue = recover_poisoned(self.queue.lock());
         queue.closed = true;
-        queue.crashed |= crash;
+        queue.crashed |= how == Close::Crash;
+        queue.failed |= how == Close::Fail;
         drop(queue);
         self.ready.notify_one();
     }
@@ -334,10 +413,30 @@ impl Ingest {
     }
 }
 
+/// The applier's wake for one admitted frame, deferred until this guard
+/// drops. It holds the ingest state only when the frame went into an
+/// empty queue, the one state the applier waits in. The TCP front end
+/// drops it once the frame's ack is on the connection, so the woken
+/// applier does not run ahead of the reply. A late wake loses nothing:
+/// [`Applier::next_batch`] checks the queue under the lock before it
+/// waits.
+#[derive(Debug)]
+#[must_use = "dropping the guard wakes the applier"]
+pub(crate) struct Wake(Option<Arc<Ingest>>);
+
+impl Drop for Wake {
+    fn drop(&mut self) {
+        if let Some(ingest) = &self.0 {
+            ingest.ready.notify_one();
+        }
+    }
+}
+
 /// A cheap, cloneable client of a running [`RmsService`]: submit
 /// operations (blocking or not) and read published snapshots. Handles
 /// outlive the service gracefully — submissions after shutdown return
-/// [`SubmitError::Disconnected`], snapshot reads keep returning the last
+/// [`SubmitError::Disconnected`] (or [`SubmitError::ApplierFailed`] once
+/// the applier has panicked), snapshot reads keep returning the last
 /// published state.
 #[derive(Debug, Clone)]
 pub struct RmsHandle {
@@ -345,37 +444,41 @@ pub struct RmsHandle {
     cell: Arc<SnapshotCell>,
     watchers: WatcherRegistry,
     wal_appends: Counter,
+    wal_append_errors: Counter,
 }
 
 impl RmsHandle {
     /// [`RmsHandle::try_submit`] retried while the queue is full: blocks
     /// out backpressure, backing off 100 µs between attempts, and
-    /// returns `Ok`, [`SubmitError::Disconnected`] or
-    /// [`SubmitError::LogFailed`] (with the op).
+    /// returns `Ok` or any other refusal (with the op).
     ///
     /// A submitter waiting out backpressure holds no place in the queue:
     /// once shutdown begins, its next attempt is refused rather than
     /// applied.
-    pub fn submit(&self, mut op: Op) -> Result<(), SubmitError> {
+    pub fn submit(&self, op: Op) -> Result<(), SubmitError> {
         // Framed once, outside the lock; the back-off runs outside it too.
-        let frame = self.ingest.logged.then(|| Wal::frame_op(&op));
+        let records = self.records(std::slice::from_ref(&op));
+        let mut frame = [op];
         loop {
-            match self.enqueue(op, frame.as_deref()) {
-                Err(SubmitError::Full(back)) => {
-                    op = back;
+            match self.enqueue(frame, &records) {
+                // The wake drops here, before the return.
+                Ok(_) => return Ok(()),
+                Err((back, Refusal::Full)) => {
+                    frame = back;
                     // Backpressure: the queue drains at applier-batch
                     // cadence (milliseconds), so a sub-millisecond poll
                     // wastes neither latency nor CPU.
                     std::thread::sleep(Duration::from_micros(100));
                 }
-                done => return done,
+                Err(([op], why)) => return Err(why.with_op(op)),
             }
         }
     }
 
-    /// Enqueues one operation without waiting: [`SubmitError::Full`]
-    /// returns the op when the queue is at capacity,
-    /// [`SubmitError::Disconnected`] once shutdown has begun, and
+    /// Enqueues one operation, as a one-op frame, without waiting:
+    /// [`SubmitError::Full`] returns the op when the queue is at
+    /// capacity, [`SubmitError::Disconnected`] once shutdown has begun,
+    /// [`SubmitError::ApplierFailed`] once the applier has panicked, and
     /// [`SubmitError::LogFailed`] when a WAL-backed service cannot append
     /// its record. `Ok` means the operation *will* be applied — a
     /// graceful shutdown drains every acknowledged op — and, on a
@@ -387,42 +490,70 @@ impl RmsHandle {
     /// The application itself is asynchronous; a later
     /// [`RmsHandle::snapshot`] whose stats show it absorbed reflects it.
     pub fn try_submit(&self, op: Op) -> Result<(), SubmitError> {
-        let frame = self.ingest.logged.then(|| Wal::frame_op(&op));
-        self.enqueue(op, frame.as_deref())
+        let records = self.records(std::slice::from_ref(&op));
+        self.enqueue([op], &records)
+            .map(drop)
+            .map_err(|([op], why)| why.with_op(op))
     }
 
-    /// The one ingestion critical section. Under the queue lock it
-    /// checks that intake is open and below capacity, appends the op's
-    /// record to the log, and only then queues the op. The applier takes
-    /// ops under the same lock ([`Applier::next_batch`]), so log order
-    /// equals queue order equals apply order, even when threads race
-    /// conflicting ops on the same id, and recovery replays exactly the
-    /// serialization the live service applied. No op reaches the
-    /// applier before its record is on the log, so the group commit
-    /// after a batch applies covers every op in it. An op whose append
-    /// fails is handed back, neither logged nor queued.
-    fn enqueue(&self, op: Op, frame: Option<&[u8]>) -> Result<(), SubmitError> {
+    /// A frame's log records for [`RmsHandle::enqueue`], encoded before
+    /// the lock: the ops' records back to back on a WAL-backed service,
+    /// nothing without a log.
+    pub(crate) fn records(&self, ops: &[Op]) -> Vec<u8> {
+        if self.ingest.logged {
+            Wal::frame_ops(ops)
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// The one ingestion critical section, over one frame: a `BATCH`'s
+    /// ops, or the one op of a one-line verb or a `try_submit`. Under
+    /// the queue lock it checks once that intake is open and that the
+    /// queue holds fewer than `queue_capacity` ops, appends the frame's
+    /// `records` to the log in one write, and only then queues every op.
+    /// The applier takes ops under the same lock
+    /// ([`Applier::next_batch`]), so log order equals queue order equals
+    /// apply order, even when threads race conflicting ops on the same
+    /// id, and recovery replays exactly the serialization the live
+    /// service applied. No op reaches the applier before its record is
+    /// on the log, so the group commit after a batch applies covers every
+    /// op in it. A refused frame comes back whole with its [`Refusal`],
+    /// neither logged nor queued: a failed append truncates the log back
+    /// to its last intact record.
+    ///
+    /// Any frame is admitted below capacity, so the queue overruns its
+    /// bound by at most one frame and a frame larger than the bound is
+    /// never starved. The applier is not woken here: the returned
+    /// [`Wake`] wakes it when dropped, if the queue was empty before.
+    pub(crate) fn enqueue<F>(&self, ops: F, records: &[u8]) -> Result<Wake, (F, Refusal)>
+    where
+        F: IntoIterator<Item = Op>,
+    {
         let mut queue = recover_poisoned(self.ingest.queue.lock());
         if queue.closed {
-            return Err(SubmitError::Disconnected(op));
+            let why = if queue.failed {
+                Refusal::ApplierFailed
+            } else {
+                Refusal::Disconnected
+            };
+            return Err((ops, why));
         }
         if queue.ops.len() >= self.ingest.capacity {
-            return Err(SubmitError::Full(op));
+            return Err((ops, Refusal::Full));
         }
-        if let (Some(wal), Some(frame)) = (queue.wal.as_mut(), frame) {
-            if let Err(e) = wal.append_frame(frame) {
-                return Err(SubmitError::LogFailed(op, e.to_string()));
+        if let Some(wal) = queue.wal.as_mut() {
+            if let Err(e) = wal.append_frame(records) {
+                self.wal_append_errors.inc();
+                return Err((ops, Refusal::LogFailed(e.to_string())));
             }
             self.wal_appends.inc();
         }
-        queue.ops.push_back(op);
-        let was_empty = queue.ops.len() == 1;
-        drop(queue);
+        let was_empty = queue.ops.is_empty();
+        queue.ops.extend(ops);
         // The applier waits only on an empty queue.
-        if was_empty {
-            self.ingest.ready.notify_one();
-        }
-        Ok(())
+        let wake = was_empty && !queue.ops.is_empty();
+        Ok(Wake(wake.then(|| Arc::clone(&self.ingest))))
     }
 
     /// Subscribes to the service's delta stream: the returned receiver
@@ -669,7 +800,7 @@ impl RmsService {
     /// in-process.)
     pub fn crash(mut self) {
         if let Some(applier) = self.applier.take() {
-            self.handle.ingest.close(true);
+            self.handle.ingest.close(Close::Crash);
             let _ = applier.join();
         }
     }
@@ -678,7 +809,7 @@ impl RmsService {
         let applier = self.applier.take()?;
         // From here on every submission is refused, and the applier takes
         // every op already queued.
-        self.handle.ingest.close(false);
+        self.handle.ingest.close(Close::Drain);
         Some(applier.join())
     }
 }
@@ -775,6 +906,7 @@ impl Applier {
                 ops: VecDeque::new(),
                 closed: false,
                 crashed: false,
+                failed: false,
                 wal,
             }),
             ready: Condvar::new(),
@@ -791,6 +923,7 @@ impl Applier {
             cell: Arc::clone(&cell),
             watchers: Arc::clone(&watchers),
             wal_appends: metrics.wal_appends.clone(),
+            wal_append_errors: metrics.wal_append_errors.clone(),
         };
         let applier = Applier {
             fd,
@@ -951,7 +1084,8 @@ impl Applier {
     /// Group commit, when `wal_fsync` is on: one `fdatasync` per
     /// coalesced batch, after it applies and before it publishes. Every
     /// op in the batch was appended before it was queued, so the commit
-    /// covers every op the next snapshot holds.
+    /// covers every op the next snapshot holds. A failure counts into
+    /// `rms_wal_errors_total{op="fsync"}`.
     fn group_commit(&self) {
         let Some(sync) = &self.wal_sync else {
             return;
@@ -959,8 +1093,8 @@ impl Applier {
         let t = Instant::now();
         let result = sync.sync();
         self.metrics.wal_fsync_seconds.record(t.elapsed());
-        if let Err(e) = result {
-            eprintln!("rms-serve: WAL fsync failed: {e}");
+        if result.is_err() {
+            self.metrics.wal_fsync_errors.inc();
         }
     }
 
@@ -968,13 +1102,14 @@ impl Applier {
     /// state, bounding its size and making the next start replay-free.
     /// The queue is closed, so no submission needs the log any more: it
     /// is taken out of the queue and checkpointed without the lock.
-    /// (IO failure leaves the op log intact — recovery still works, the
-    /// log is merely uncompacted.)
+    /// (IO failure, counted into `rms_wal_errors_total{op="checkpoint"}`,
+    /// leaves the op log intact — recovery still works, the log is
+    /// merely uncompacted.)
     fn compact(&self) {
         let wal = recover_poisoned(self.ingest.queue.lock()).wal.take();
         if let Some(mut wal) = wal {
-            if let Err(e) = wal.checkpoint(&self.fd.live_points()) {
-                eprintln!("rms-serve: WAL compaction failed: {e}");
+            if wal.checkpoint(&self.fd.live_points()).is_err() {
+                self.metrics.wal_checkpoint_errors.inc();
             }
         }
     }
@@ -995,9 +1130,15 @@ impl Drop for CloseOnExit {
     fn drop(&mut self) {
         // The queue closes first: a `watch()` that takes the registry
         // lock after the clear below sees it closed and registers
-        // nothing, and every later submission is refused with
-        // `Disconnected`.
-        self.ingest.close(false);
+        // nothing, and every later submission is refused, with
+        // `ApplierFailed` when a panic is unwinding and `Disconnected`
+        // otherwise.
+        let how = if std::thread::panicking() {
+            Close::Fail
+        } else {
+            Close::Drain
+        };
+        self.ingest.close(how);
         recover_poisoned(self.watchers.lock()).clear();
     }
 }
@@ -1027,20 +1168,24 @@ mod tests {
     /// A WAL-backed applier and its handle over a fresh log at a
     /// per-test path, which is returned for the caller to inspect.
     fn logged_applier(name: &str) -> (Applier, RmsHandle, PathBuf) {
+        logged_applier_with(name, ServeConfig::default())
+    }
+
+    /// [`logged_applier`] with a configuration of the caller's.
+    fn logged_applier_with(name: &str, cfg: ServeConfig) -> (Applier, RmsHandle, PathBuf) {
         let dir = std::env::temp_dir().join("krms-service-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("{name}-{}.wal", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let (wal, _) = Wal::open(&path).unwrap();
         let metrics = ServiceMetrics::register(&Registry::new());
-        let (applier, handle) = Applier::new(
-            small_engine(),
-            ServeConfig::default(),
-            Some(wal),
-            None,
-            metrics,
-        );
+        let (applier, handle) = Applier::new(small_engine(), cfg, Some(wal), None, metrics);
         (applier, handle, path)
+    }
+
+    fn inserts(ids: std::ops::Range<u64>) -> Vec<Op> {
+        ids.map(|id| Op::Insert(Point::new_unchecked(id, vec![0.5, 0.5])))
+            .collect()
     }
 
     fn log_len(path: &Path) -> u64 {
@@ -1099,10 +1244,11 @@ mod tests {
     }
 
     /// A failed append refuses the op: it comes back unlogged and
-    /// unqueued, and the log does not grow.
+    /// unqueued, the log does not grow, and each refusal counts once into
+    /// `rms_wal_errors_total{op="append"}`.
     #[test]
     fn failed_append_refuses_the_op() {
-        let (_applier, handle, path) = logged_applier("refused-append");
+        let (applier, handle, path) = logged_applier("refused-append");
         let before = log_len(&path);
         let mut queue = recover_poisoned(handle.ingest.queue.lock());
         queue.wal.as_mut().unwrap().poison();
@@ -1118,12 +1264,118 @@ mod tests {
         }
         assert_eq!(handle.queue_depth(), 0);
         assert_eq!(log_len(&path), before);
+        assert_eq!(applier.metrics.wal_append_errors.value(), 2);
+        assert_eq!(applier.metrics.wal_appends.value(), 0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A frame is one append of its ops' records back to back: the log
+    /// grows by exactly the five records, the append counter reads 1, the
+    /// frame into an empty queue carries the applier's wake, the applier
+    /// takes the five in order, and reopening the log replays them.
+    #[test]
+    fn a_frame_is_one_append_of_its_records() {
+        let (applier, handle, path) = logged_applier("one-append");
+        let before = log_len(&path);
+        let ops = vec![
+            Op::Insert(Point::new_unchecked(100, vec![0.9, 0.8])),
+            Op::Delete(1),
+            Op::Update(Point::new_unchecked(2, vec![0.5, 0.6])),
+            Op::Insert(Point::new_unchecked(101, vec![0.7, 0.7])),
+            Op::Delete(100),
+        ];
+        let records: u64 = ops.iter().map(|op| Wal::frame_op(op).len() as u64).sum();
+        let wake = handle.enqueue(ops.clone(), &handle.records(&ops)).unwrap();
+        assert!(wake.0.is_some(), "the queue was empty: the frame wakes");
+        drop(wake);
+        assert_eq!(log_len(&path) - before, records);
+        assert_eq!(applier.metrics.wal_appends.value(), 1);
+        let mut taken = Vec::new();
+        assert_eq!(applier.next_batch(&mut taken), Intake::Open);
+        assert_eq!(taken, ops);
+        let (_, replay) = Wal::open(&path).unwrap();
+        assert_eq!(replay.ops, ops);
+        assert_eq!(replay.torn_bytes, 0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A frame refused at a closed queue or at a poisoned log leaves the
+    /// queue depth and the log length as they were and hands every op
+    /// back.
+    #[test]
+    fn a_refused_frame_is_neither_logged_nor_queued() {
+        for poisoned in [false, true] {
+            let (_applier, handle, path) = logged_applier(if poisoned {
+                "refused-frame-poisoned"
+            } else {
+                "refused-frame-closed"
+            });
+            let first = inserts(100..102);
+            drop(
+                handle
+                    .enqueue(first.clone(), &handle.records(&first))
+                    .unwrap(),
+            );
+            let (depth, len) = (handle.queue_depth(), log_len(&path));
+            if poisoned {
+                let mut queue = recover_poisoned(handle.ingest.queue.lock());
+                queue.wal.as_mut().unwrap().poison();
+            } else {
+                handle.ingest.close(Close::Drain);
+            }
+            let ops = inserts(200..205);
+            let (back, why) = handle
+                .enqueue(ops.clone(), &handle.records(&ops))
+                .unwrap_err();
+            assert_eq!(back, ops);
+            assert_eq!(matches!(why, Refusal::LogFailed(_)), poisoned, "{why}");
+            assert_eq!(why == Refusal::Disconnected, !poisoned, "{why}");
+            assert_eq!(handle.queue_depth(), depth);
+            assert_eq!(log_len(&path), len);
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    /// A frame is admitted while the queue holds fewer than
+    /// `queue_capacity` ops, whatever its size: with a bound of 4, a
+    /// 10-op frame joins 3 queued ops (and, into a queue that was not
+    /// empty, carries no wake), and a one-op submit after it is `Full`
+    /// until the applier takes.
+    #[test]
+    fn a_frame_is_admitted_below_capacity_whatever_its_size() {
+        let cfg = ServeConfig {
+            queue_capacity: 4,
+            ..ServeConfig::default()
+        };
+        let (applier, handle, path) = logged_applier_with("capacity", cfg);
+        for op in inserts(100..103) {
+            handle.try_submit(op).unwrap();
+        }
+        let frame = inserts(200..210);
+        let wake = handle
+            .enqueue(frame.clone(), &handle.records(&frame))
+            .unwrap();
+        assert!(wake.0.is_none(), "the queue was not empty: no wake");
+        drop(wake);
+        assert_eq!(handle.queue_depth(), 13);
+        let late = Op::Delete(300);
+        assert_eq!(
+            handle.try_submit(late.clone()),
+            Err(SubmitError::Full(late.clone()))
+        );
+        let mut taken = Vec::new();
+        assert_eq!(applier.next_batch(&mut taken), Intake::Open);
+        assert_eq!(taken.len(), 13);
+        assert_eq!(taken[3..], frame[..]);
+        handle.try_submit(late).unwrap();
+        assert_eq!(applier.metrics.wal_appends.value(), 5);
         std::fs::remove_file(&path).unwrap();
     }
 
     /// A panicking applier closes the service on its way out: the open
     /// delta stream ends, a later `watch()` is closed from the start, and
-    /// submissions are refused. None of them waits on a dead applier.
+    /// submissions are refused with an error that names the panic. None
+    /// of them waits on a dead applier.
     #[test]
     fn panicked_applier_closes_every_stream() {
         let metrics = ServiceMetrics::register(&Registry::new());
@@ -1152,10 +1404,11 @@ mod tests {
         assert!(matches!(late.try_recv(), Err(TryRecvError::Disconnected)));
         assert_eq!(late.base().epoch, 0);
         let refused = handle.try_submit(Op::Delete(1));
-        assert!(matches!(
-            refused,
-            Err(SubmitError::Disconnected(Op::Delete(1)))
-        ));
+        let Err(e @ SubmitError::ApplierFailed(Op::Delete(1))) = &refused else {
+            panic!("a write after the panic must name it: {refused:?}");
+        };
+        // The text after `ERR ` on the wire.
+        assert!(e.to_string().starts_with("applier thread panicked"), "{e}");
     }
 
     /// An atomically-rejected N-op batch used to bump `batches` N+1 times

@@ -164,16 +164,30 @@ impl Wal {
     /// build the frame before they take a lock (the serving layer frames
     /// outside its queue lock, then appends under it).
     pub fn frame_op(op: &Op) -> Vec<u8> {
-        let (tag, payload) = encode_op(op);
-        frame(tag, &payload)
+        Self::frame_ops(std::slice::from_ref(op))
     }
 
-    /// Appends a record previously produced by [`Wal::frame_op`]. On an
-    /// IO failure the log is truncated back to its last intact record —
-    /// a partially written frame must not strand everything appended
-    /// after it behind a checksum failure. If that recovery truncation
-    /// itself fails, the log is poisoned: every further append returns
-    /// an error instead of pretending to be durable.
+    /// Encodes `ops` into their on-disk records back to back, one buffer
+    /// that one [`Wal::append_frame`] writes whole. The records are the
+    /// ones [`Wal::frame_op`] encodes, so replay reads them one by one.
+    pub(crate) fn frame_ops(ops: &[Op]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for op in ops {
+            let start = buf.len();
+            buf.extend_from_slice(&[0; 5]);
+            let tag = encode_op(&mut buf, op);
+            seal(&mut buf, start, tag);
+        }
+        buf
+    }
+
+    /// Appends records previously produced by [`Wal::frame_op`] or
+    /// `frame_ops`, in one `write`. On an IO failure the log is truncated
+    /// back to its last intact record — a partially written frame must
+    /// not strand everything appended after it behind a checksum failure,
+    /// and none of the frame's records survives. If that recovery
+    /// truncation itself fails, the log is poisoned: every further append
+    /// returns an error instead of pretending to be durable.
     pub fn append_frame(&mut self, frame: &[u8]) -> io::Result<()> {
         if self.poisoned {
             return Err(io::Error::other(
@@ -274,29 +288,47 @@ impl WalSyncHandle {
 /// Frames one record: `tag | len | payload | fnv1a(tag + payload)`.
 fn frame(tag: u8, payload: &[u8]) -> Vec<u8> {
     let mut rec = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    rec.push(tag);
-    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    rec.extend_from_slice(&[0; 5]);
     rec.extend_from_slice(payload);
-    rec.extend_from_slice(&record_hash(tag, payload).to_le_bytes());
+    seal(&mut rec, 0, tag);
     rec
 }
 
-fn encode_op(op: &Op) -> (u8, Vec<u8>) {
+/// Completes the record that starts at `start` in `buf` and whose
+/// payload runs to the end of `buf`: fills in the tag and the length
+/// over the 5 bytes reserved for them, then appends the checksum.
+fn seal(buf: &mut Vec<u8>, start: usize, tag: u8) {
+    let len = (buf.len() - start - 5) as u32;
+    buf[start] = tag;
+    buf[start + 1..start + 5].copy_from_slice(&len.to_le_bytes());
+    let hash = record_hash(tag, &buf[start + 5..]);
+    buf.extend_from_slice(&hash.to_le_bytes());
+}
+
+/// Appends `op`'s payload to `buf` and returns its tag.
+fn encode_op(buf: &mut Vec<u8>, op: &Op) -> u8 {
     match op {
-        Op::Insert(p) => (TAG_INSERT, encode_point(p)),
-        Op::Update(p) => (TAG_UPDATE, encode_point(p)),
-        Op::Delete(id) => (TAG_DELETE, id.to_le_bytes().to_vec()),
+        Op::Insert(p) => {
+            encode_point(buf, p);
+            TAG_INSERT
+        }
+        Op::Update(p) => {
+            encode_point(buf, p);
+            TAG_UPDATE
+        }
+        Op::Delete(id) => {
+            buf.extend_from_slice(&id.to_le_bytes());
+            TAG_DELETE
+        }
     }
 }
 
-fn encode_point(p: &Point) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(12 + p.dim() * 8);
+fn encode_point(buf: &mut Vec<u8>, p: &Point) {
     buf.extend_from_slice(&p.id().to_le_bytes());
     buf.extend_from_slice(&(p.dim() as u32).to_le_bytes());
     for &c in p.coords() {
         buf.extend_from_slice(&c.to_le_bytes());
     }
-    buf
 }
 
 /// Reads a little-endian `u32` at `at`, `None` past the end — the

@@ -585,6 +585,7 @@ fn v2_metrics_exposition_agrees_with_stats() {
         "rms_applier_ops_rejected_total",
         "rms_applier_replayed_batches_total",
         "rms_wal_appends_total",
+        "rms_wal_errors_total",
         "rms_wal_fsync_seconds",
         "rms_wal_recovered_ops_total",
         "rms_wal_truncated_tail_bytes_total",

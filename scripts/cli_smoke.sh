@@ -128,16 +128,20 @@ SERVE_PID=$!
 
 connect 2>/dev/null || { cat "$TMP/serve.log" >&2; fail "server never came up"; }
 
-printf 'INSERT 100000 0.9 0.9 0.9\nINSERT 100001 0.8 0.8 0.8\nQUERY\nSTATS\n' >&3
-for i in 0 1 2 3; do
+# Two one-line inserts, then a two-op BATCH: three frames, three log
+# writes (the scrape below counts them).
+printf 'INSERT 100000 0.9 0.9 0.9\nINSERT 100001 0.8 0.8 0.8\n' >&3
+printf 'BATCH 2\nINSERT 100002 0.7 0.7 0.7\nINSERT 100003 0.6 0.6 0.6\nQUERY\nSTATS\n' >&3
+for i in 0 1 2 3 4; do
     read -r -t 30 -u 3 "replies[$i]" || fail "missing reply $i"
 done
 
 [[ "${replies[0]}" == "OK queued" ]] || fail "INSERT reply: ${replies[0]}"
 [[ "${replies[1]}" == "OK queued" ]] || fail "INSERT reply: ${replies[1]}"
-[[ "${replies[2]}" == OK\ epoch=* ]] || fail "QUERY reply: ${replies[2]}"
-[[ "${replies[3]}" == OK\ epoch=* ]] || fail "STATS reply: ${replies[3]}"
-[[ "${replies[3]}" != *"shards="* ]] || fail "STATS reply names shards: ${replies[3]}"
+[[ "${replies[2]}" == "OK queued n=2" ]] || fail "BATCH reply: ${replies[2]}"
+[[ "${replies[3]}" == OK\ epoch=* ]] || fail "QUERY reply: ${replies[3]}"
+[[ "${replies[4]}" == OK\ epoch=* ]] || fail "STATS reply: ${replies[4]}"
+[[ "${replies[4]}" != *"shards="* ]] || fail "STATS reply names shards: ${replies[4]}"
 
 # --- Prometheus scrape of the --metrics-addr endpoint ------------------
 # Stock HTTP over bash /dev/tcp: the reply must be a 200 with a
@@ -169,8 +173,9 @@ done
 fam_count=$(grep -c '^# TYPE ' <<<"$exposition")
 [ "$fam_count" -ge 12 ] || fail "expected >= 12 metric families, got $fam_count"
 ! grep -q 'shard=' <<<"$exposition" || fail "exposition carries a shard= label"
-# Both acknowledged inserts reached the WAL.
-grep -q '^rms_wal_appends_total 2$' <<<"$exposition" || fail "WAL append count wrong"
+# Every acknowledged request reached the WAL in one write: two one-line
+# inserts and one two-op BATCH are three appends, not four.
+grep -q '^rms_wal_appends_total 3$' <<<"$exposition" || fail "WAL append count wrong"
 # Well-formed: every non-comment line is `name[{labels}] value`.
 if grep -vE '^(#.*|[a-z0-9_]+(\{[^}]*\})? -?[0-9+][^ ]*)$' <<<"$exposition" | grep -q .; then
     fail "malformed exposition line: $(grep -vE '^(#.*|[a-z0-9_]+(\{[^}]*\})? -?[0-9+][^ ]*)$' <<<"$exposition" | head -1)"
@@ -204,7 +209,7 @@ grep -q "shut down after" "$TMP/serve.log" || fail "missing drain summary"
 # ...and graceful shutdown compacts the write-ahead log.
 [ -f "$TMP/ops.wal" ] || fail "compacted WAL missing"
 
-# A restart from the compacted log recovers the state (n = 402) without
+# A restart from the compacted log recovers the state (n = 404) without
 # a living writer.
 "$BIN" serve --in "$TMP/ds.krms" --r 8 --addr "127.0.0.1:$PORT" \
     --wal "$TMP/ops.wal" >"$TMP/serve2.log" 2>&1 &
@@ -213,7 +218,7 @@ connect 2>/dev/null || { cat "$TMP/serve2.log" >&2; fail "restarted server never
 printf 'QUERY\nSHUTDOWN\n' >&3
 mapfile -t replies <&3
 exec 3<&- 3>&-
-[[ "${replies[0]}" == *"n=402"* ]] || fail "restart lost state: ${replies[0]}"
+[[ "${replies[0]}" == *"n=404"* ]] || fail "restart lost state: ${replies[0]}"
 wait "$SERVE_PID" || fail "restarted server exited non-zero"
 SERVE_PID=""
 
